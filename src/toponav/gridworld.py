@@ -10,6 +10,7 @@ change observable behavior.
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -108,7 +109,7 @@ class GridMap:
         self._clearance_cache: dict = {}
         self._scan_cache: dict = {}
         self._graph_cache: dict = {}
-        self._field_cache: dict = {}
+        self._field_cache: OrderedDict = OrderedDict()
 
     @property
     def ny(self) -> int:
@@ -224,7 +225,7 @@ class GridMap:
         src_flat = src_cell[1] * self.nx + src_cell[0]
         f = scipy.sparse.csgraph.dijkstra(g, directed=False, indices=src_flat)
         if len(self._field_cache) >= _FIELD_CACHE_CAP:
-            self._field_cache.pop(next(iter(self._field_cache)))
+            self._field_cache.popitem(last=False)
         self._field_cache[key] = f
         return f
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 from .errors import EdgeNotFound, InvalidInput, InvalidVertex
 from .perception import Observation
-from .topograph import BuildParams, TopoGraph, TrajectoryPool, is_connectable, plan
+from .topograph import BuildParams, TopoGraph, TrajectoryPool, connect, plan
 
 
 @dataclass(frozen=True)
@@ -122,16 +122,8 @@ def add_novel_node(graph: TopoGraph, pool: TrajectoryPool, obs: Observation,
     directions at the standard thresholds; zero resulting edges is fine.
     The observation leaves the pool if it was there.
     """
-    existing = sorted(graph.vertices)
-    graph.add_vertex(obs)
-    for vid in existing:
-        vobs = graph.vertices[vid]
-        out = is_connectable(obs, vobs, estimator, build_params)
-        if out is not None:
-            graph.add_edge(obs.id, vid, out)
-        back = is_connectable(vobs, obs, estimator, build_params)
-        if back is not None:
-            graph.add_edge(vid, obs.id, back)
+    if not connect(graph, obs, estimator, build_params):
+        graph.add_vertex(obs)
     pool.discard(obs.id)
     return obs.id
 
@@ -161,17 +153,9 @@ def expand_for_plan(graph: TopoGraph, pool: TrajectoryPool, start: int, goal: in
     added: list[int] = []
     for i in order:
         cand = snapshot[int(i)]
-        existing = sorted(graph.vertices)
-        graph.add_vertex(cand)
+        if not connect(graph, cand, estimator, relaxed):
+            graph.add_vertex(cand)
         added.append(cand.id)
-        for vid in existing:
-            vobs = graph.vertices[vid]
-            out = is_connectable(cand, vobs, estimator, relaxed)
-            if out is not None:
-                graph.add_edge(cand.id, vid, out)
-            back = is_connectable(vobs, cand, estimator, relaxed)
-            if back is not None:
-                graph.add_edge(vid, cand.id, back)
         path = plan(graph, start, goal)
         if path is not None:
             kept = [vid for vid in added if vid in path]

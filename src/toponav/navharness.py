@@ -250,9 +250,8 @@ def traversal_succeeded(estimator, subgoal_obs: Observation, arrival_obs: Observ
     its lower bound: ending up closer than D_m is a good traversal, not a
     failed one.
     """
-    pred = estimator.predict(subgoal_obs, arrival_obs)
-    return (pred.r_hat >= params.r_connect_min
-            and waypoint_distance(pred.w_hat) <= params.D_c)
+    return (waypoint_distance(estimator.waypoint(subgoal_obs, arrival_obs)) <= params.D_c
+            and estimator.predict(subgoal_obs, arrival_obs).r_hat >= params.r_connect_min)
 
 
 def run_episode(world: World, graph: TopoGraph, pool, estimator, start: Pose2D,
@@ -345,8 +344,8 @@ def run_episode(world: World, graph: TopoGraph, pool, estimator, start: Pose2D,
             return result(False, "stuck")
         subgoal = path[1] if len(path) > 1 else path[0]
         subgoal_obs = graph.vertices[subgoal]
-        pred = estimator.predict(obs, subgoal_obs)
-        target = compose(state.pose, pred.w_hat)
+        w_hat = estimator.waypoint(obs, subgoal_obs)
+        target = compose(state.pose, w_hat)
         if subgoal != vid:
             edges_traversed += 1
         cycle_pose = state.pose
@@ -386,7 +385,7 @@ def run_episode(world: World, graph: TopoGraph, pool, estimator, start: Pose2D,
             succeeded = traversal_succeeded(estimator, subgoal_obs, arrival, build_params)
             outcome = TraversalOutcome(
                 (vid, subgoal), succeeded,
-                waypoint_distance(pred.w_hat) if succeeded else None)
+                waypoint_distance(w_hat) if succeeded else None)
             events.append(apply_traversal_update(graph, outcome, maint_params))
         if verdict == "goal":
             return result(True, None)

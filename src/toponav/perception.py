@@ -1,16 +1,26 @@
 """Reachability labeling and the pluggable pose/reachability estimator.
 
-An estimator is anything with predict(src_obs, dst_obs) -> Prediction.  The
-oracle implementation computes ground truth on the map and corrupts it with
-configurable noise; its randomness is keyed on (seed, src.id, dst.id), so a
-flipped label stays flipped for that pair for the life of a run.
+An estimator is anything with two methods:
+
+* waypoint(src_obs, dst_obs) -> Waypoint, the predicted relative pose;
+* predict(src_obs, dst_obs) -> Prediction, the reachability score r_hat
+  together with the same waypoint as w_hat.
+
+Callers test a pair's distance window on waypoint() first and ask predict()
+for the score only when the pair can still pass, so a costly score is only
+computed on demand.  The oracle implementation computes ground truth on the
+map and corrupts it with configurable noise; its randomness is keyed on
+(seed, src.id, dst.id), so a flipped label stays flipped for that pair for
+the life of a run.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -135,6 +145,14 @@ def label_reachability(
     return 1
 
 
+class _PairDraws(NamedTuple):
+    """A pair's noise draws, kept until predict() labels the pair."""
+
+    w_hat: Waypoint
+    u_flip: float
+    wobble: float
+
+
 class OracleEstimator:
     """Ground-truth estimator with configurable corruption.
 
@@ -142,6 +160,7 @@ class OracleEstimator:
     true poses: label flips persist per pair across repeated queries, the
     reachability score lands near 0.95 or 0.05 with a small uniform wobble,
     and the waypoint is the true relative transform plus Gaussian noise.
+    waypoint() returns that same waypoint without labelling the pair.
     """
 
     def __init__(
@@ -157,36 +176,69 @@ class OracleEstimator:
         self.criteria = criteria
         self.robot_radius = robot_radius
         self.n_rays = n_rays
-        self._cache: dict = {}
+        # Pair key -> Prediction once labelled, _PairDraws before.  Entries
+        # hold no reference back to the estimator.
+        self._cache: OrderedDict = OrderedDict()
 
     def true_label(self, a: Observation, b: Observation) -> int:
         return label_reachability(
             self.grid, a.true_pose, b.true_pose, self.criteria, self.robot_radius, self.n_rays
         )
 
-    def predict(self, a: Observation, b: Observation) -> Prediction:
-        key = (a.id, b.id, a.true_pose, b.true_pose)
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
-        truth = self.true_label(a, b)
+    def _exact_waypoint(self, a: Observation, b: Observation) -> Waypoint:
+        # + 0.0 turns a -0.0 component into +0.0, as adding a zero-sigma
+        # Gaussian draw does; the sign of a zero can flip a later atan2.
+        w = relative(a.true_pose, b.true_pose)
+        return Waypoint(w.dx + 0.0, w.dy + 0.0, wrap_angle(w.dtheta + 0.0))
+
+    def _noisy_waypoints(self) -> bool:
+        return self.noise.pos_sigma != 0.0 or self.noise.theta_sigma != 0.0
+
+    def _draw(self, a: Observation, b: Observation) -> _PairDraws:
+        """The pair's draws from its own stream: label flip, score wobble,
+        then the waypoint noise."""
         rng = np.random.default_rng([self.noise.seed, a.id, b.id])
         u_flip = rng.uniform()
-        if truth == 1:
-            predicted = 0 if u_flip < self.noise.false_negative_rate else 1
-        else:
-            predicted = 1 if u_flip < self.noise.false_positive_rate else 0
-        r_hat = (0.95 if predicted else 0.05) + rng.uniform(-0.04, 0.04)
+        wobble = rng.uniform(-0.04, 0.04)
+        if not self._noisy_waypoints():
+            return _PairDraws(self._exact_waypoint(a, b), u_flip, wobble)
         w_true = relative(a.true_pose, b.true_pose)
         w_hat = Waypoint(
             w_true.dx + rng.normal(0.0, self.noise.pos_sigma),
             w_true.dy + rng.normal(0.0, self.noise.pos_sigma),
             wrap_angle(w_true.dtheta + rng.normal(0.0, self.noise.theta_sigma)),
         )
-        pred = Prediction(r_hat, w_hat)
-        if len(self._cache) >= _PAIR_CACHE_CAP:
-            self._cache.pop(next(iter(self._cache)))
-        self._cache[key] = pred
+        return _PairDraws(w_hat, u_flip, wobble)
+
+    def _store(self, key, entry) -> None:
+        if key not in self._cache and len(self._cache) >= _PAIR_CACHE_CAP:
+            self._cache.popitem(last=False)
+        self._cache[key] = entry
+
+    def waypoint(self, a: Observation, b: Observation) -> Waypoint:
+        """predict(a, b).w_hat, without labelling the pair."""
+        if not self._noisy_waypoints():
+            return self._exact_waypoint(a, b)
+        key = (a.id, b.id, a.true_pose, b.true_pose)
+        entry = self._cache.get(key)
+        if entry is None:
+            entry = self._draw(a, b)
+            self._store(key, entry)
+        return entry.w_hat
+
+    def predict(self, a: Observation, b: Observation) -> Prediction:
+        key = (a.id, b.id, a.true_pose, b.true_pose)
+        entry = self._cache.get(key)
+        if isinstance(entry, Prediction):
+            return entry
+        if entry is None:
+            entry = self._draw(a, b)
+        if self.true_label(a, b) == 1:
+            predicted = 0 if entry.u_flip < self.noise.false_negative_rate else 1
+        else:
+            predicted = 1 if entry.u_flip < self.noise.false_positive_rate else 0
+        pred = Prediction((0.95 if predicted else 0.05) + entry.wobble, entry.w_hat)
+        self._store(key, pred)
         return pred
 
 

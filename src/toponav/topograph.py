@@ -118,12 +118,18 @@ class TopoGraph:
         return sorted(d for (s, d) in self.edges if s == vid)
 
 
+# Every test below checks the waypoint's distance window before it asks the
+# estimator for a reachability score, which is the costly half of a
+# prediction; most pairs fall outside the window.
+
+
 def is_mergeable(candidate: Observation, graph: TopoGraph, estimator, params: BuildParams) -> bool:
     """True when some vertex already covers the candidate: the estimator
     reaches it with distance below D_m."""
     for vid in sorted(graph.vertices):
-        pred = estimator.predict(graph.vertices[vid], candidate)
-        if pred.r_hat >= params.r_connect_min and waypoint_distance(pred.w_hat) < params.D_m:
+        vobs = graph.vertices[vid]
+        if (waypoint_distance(estimator.waypoint(vobs, candidate)) < params.D_m
+                and estimator.predict(vobs, candidate).r_hat >= params.r_connect_min):
             return True
     return False
 
@@ -132,13 +138,37 @@ def is_connectable(src: Observation, dst: Observation, estimator, params: BuildP
     """EdgeBelief for src -> dst when the estimator deems dst reachable at a
     distance inside [D_m, D_c]; None otherwise.  Below D_m is merge
     territory, never an edge."""
-    pred = estimator.predict(src, dst)
-    if pred.r_hat < params.r_connect_min:
-        return None
-    d = waypoint_distance(pred.w_hat)
+    d = waypoint_distance(estimator.waypoint(src, dst))
     if not (params.D_m <= d <= params.D_c):
         return None
-    return EdgeBelief(p=pred.r_hat, mu=d, sigma2=params.sigma2_init)
+    r_hat = estimator.predict(src, dst).r_hat
+    if r_hat < params.r_connect_min:
+        return None
+    return EdgeBelief(p=r_hat, mu=d, sigma2=params.sigma2_init)
+
+
+def connect(graph: TopoGraph, obs: Observation, estimator, params: BuildParams) -> bool:
+    """Add obs as a vertex wired to every vertex it connects with.
+
+    For each vertex in id order, obs -> vertex and then vertex -> obs become
+    edges where is_connectable allows them.  When no edge passes, the graph
+    is left untouched.  Returns whether obs was added.
+    """
+    edges = []
+    for vid in sorted(graph.vertices):
+        vobs = graph.vertices[vid]
+        out = is_connectable(obs, vobs, estimator, params)
+        if out is not None:
+            edges.append((obs.id, vid, out))
+        back = is_connectable(vobs, obs, estimator, params)
+        if back is not None:
+            edges.append((vid, obs.id, back))
+    if not edges:
+        return False
+    graph.add_vertex(obs)
+    for src, dst, belief in edges:
+        graph.add_edge(src, dst, belief)
+    return True
 
 
 def build_graph(traj, estimator, params: BuildParams = BuildParams()):
@@ -168,19 +198,7 @@ def build_graph(traj, estimator, params: BuildParams = BuildParams()):
             if is_mergeable(cand, graph, estimator, params):
                 pool = [o for o in pool if o is not cand]
                 continue
-            edges = []
-            for vid in sorted(graph.vertices):
-                vobs = graph.vertices[vid]
-                out = is_connectable(cand, vobs, estimator, params)
-                if out is not None:
-                    edges.append((cand.id, vid, out))
-                back = is_connectable(vobs, cand, estimator, params)
-                if back is not None:
-                    edges.append((vid, cand.id, back))
-            if edges:
-                graph.add_vertex(cand)
-                for src, dst, belief in edges:
-                    graph.add_edge(src, dst, belief)
+            if connect(graph, cand, estimator, params):
                 pool = [o for o in pool if o is not cand]
                 updated = True
     return graph, TrajectoryPool(pool)
@@ -189,11 +207,9 @@ def build_graph(traj, estimator, params: BuildParams = BuildParams()):
 def _best_within(graph, ids, obs, estimator, params):
     best = None
     for vid in ids:
-        pred = estimator.predict(graph.vertices[vid], obs)
-        if pred.r_hat < params.r_connect_min:
-            continue
-        d = waypoint_distance(pred.w_hat)
-        if d >= params.D_loc:
+        vobs = graph.vertices[vid]
+        d = waypoint_distance(estimator.waypoint(vobs, obs))
+        if d >= params.D_loc or estimator.predict(vobs, obs).r_hat < params.r_connect_min:
             continue
         if best is None or (d, vid) < best:
             best = (d, vid)

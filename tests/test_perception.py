@@ -26,6 +26,7 @@ from toponav.perception import (
     save_dataset,
 )
 from toponav.se2 import Pose2D, Waypoint, relative
+from toponav.topograph import BuildParams, TopoGraph, localize
 
 from test_gridworld import empty_room, room_with_column_wall
 
@@ -34,6 +35,19 @@ CRIT = ReachabilityCriteria()
 
 def mk_obs(grid, oid, pose, sensor=SensorConfig()):
     return Observation(oid, raycast_scan(grid, pose, sensor), pose, pose)
+
+
+def count_labels(monkeypatch) -> list:
+    """Record the pair of every OracleEstimator.true_label call."""
+    calls = []
+    real = OracleEstimator.true_label
+
+    def counting(self, a, b):
+        calls.append((a.id, b.id))
+        return real(self, a, b)
+
+    monkeypatch.setattr(OracleEstimator, "true_label", counting)
+    return calls
 
 
 class TestLabelReachability:
@@ -131,6 +145,46 @@ class TestOracleEstimator:
         assert [fresh.predict(x, y).r_hat for x, y in zip(a, b)] == first
         other = OracleEstimator(g, replace(noise, seed=43))
         assert [other.predict(x, y).r_hat for x, y in zip(a, b)] != first
+
+    @pytest.mark.parametrize("noise", [
+        NoiseConfig(false_positive_rate=0.3, false_negative_rate=0.3, seed=5),
+        NoiseConfig(pos_sigma=0.05, theta_sigma=0.02, false_positive_rate=0.3,
+                    false_negative_rate=0.3, seed=5),
+    ], ids=["exact-waypoints", "noisy-waypoints"])
+    def test_waypoint_is_predicts_waypoint_and_labels_nothing(self, noise, monkeypatch):
+        g = empty_room(6.0, 5.0)
+        rng = np.random.default_rng(3)
+        obs = [mk_obs(g, i, sample_free_pose(g, rng)) for i in range(12)]
+        pairs = [(a, b) for a in obs for b in obs]
+        bits = lambda w: (repr(w.dx), repr(w.dy), repr(w.dtheta))  # keeps -0.0 apart
+        scores = lambda preds: [(repr(p.r_hat), bits(p.w_hat)) for p in preds]
+        direct = [OracleEstimator(g, noise).predict(a, b) for a, b in pairs]
+
+        est = OracleEstimator(g, noise)
+        labels = count_labels(monkeypatch)
+        ways = [est.waypoint(a, b) for a, b in pairs]
+        assert labels == []
+        assert [bits(w) for w in ways] == [bits(p.w_hat) for p in direct]
+        assert scores(est.predict(a, b) for a, b in pairs) == scores(direct)
+        assert len(labels) == len(pairs)
+        assert scores(est.predict(a, b) for a, b in pairs) == scores(direct)
+        assert [bits(est.waypoint(a, b)) for a, b in pairs] == [bits(w) for w in ways]
+        assert len(labels) == len(pairs)
+
+    @pytest.mark.parametrize("noise", [
+        NoiseConfig(false_positive_rate=0.1),
+        NoiseConfig(pos_sigma=0.05, theta_sigma=0.02, false_positive_rate=0.1),
+    ], ids=["exact-waypoints", "noisy-waypoints"])
+    def test_localizing_far_from_every_vertex_labels_no_pair(self, noise, monkeypatch):
+        g = empty_room(10.0, 5.0)
+        est = OracleEstimator(g, noise)
+        graph = TopoGraph()
+        for i in range(8):
+            graph.add_vertex(mk_obs(g, i, Pose2D(1.0 + 0.4 * i, 1.0 + 0.3 * (i % 3), 0.3 * i)))
+        far = mk_obs(g, 99, Pose2D(8.5, 4.0, 3.0))
+        labels = count_labels(monkeypatch)
+        assert localize(graph, far, est, BuildParams()) is None
+        assert labels == []
 
     def test_waypoint_noise_magnitude(self):
         g = empty_room()

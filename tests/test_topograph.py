@@ -14,6 +14,7 @@ from toponav.topograph import (
     TopoGraph,
     TrajectoryPool,
     build_graph,
+    connect,
     is_connectable,
     is_mergeable,
     load_graph,
@@ -130,6 +131,20 @@ class TestMergeAndConnect:
         assert belief.mu == pytest.approx(1.0, abs=1e-12)
         assert belief.sigma2 == PARAMS.sigma2_init
         assert 0.91 <= belief.p <= 0.99
+
+    def test_connect_adds_a_vertex_only_with_edges(self):
+        graph = TopoGraph()
+        graph.add_vertex(mk_obs(self.g, 0, Pose2D(2.0, 2.5, 0.0)))
+        graph.add_vertex(mk_obs(self.g, 1, Pose2D(3.0, 2.5, 0.0)))
+        far = mk_obs(self.g, 2, Pose2D(5.5, 4.5, 1.0))
+        assert not connect(graph, far, self.est, PARAMS)
+        assert sorted(graph.vertices) == [0, 1] and graph.n_edges == 0
+        # 1 m ahead of vertex 1 and 2 m ahead of vertex 0: each reaches the
+        # candidate, which faces away from both.
+        ahead = mk_obs(self.g, 3, Pose2D(4.0, 2.5, 0.0))
+        assert connect(graph, ahead, self.est, PARAMS)
+        assert sorted(graph.edges) == [(0, 3), (1, 3)]
+        assert graph.edges[(1, 3)].mu == pytest.approx(1.0, abs=1e-12)
 
     def test_wall_separated_not_connectable(self):
         g = room_with_column_wall(6.0)
