@@ -16,11 +16,11 @@ import argparse
 import configparser
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import Field, dataclass, field, fields
 
 import numpy as np
 
-from .errors import ConfigError, Error
+from .errors import ConfigError, Error, InvalidInput
 from .fixtures import apartment_map, apartment_route, two_room_map, two_room_route
 from .gridworld import (
     DEFAULT_ROBOT_RADIUS,
@@ -59,125 +59,63 @@ from .se2 import Pose2D
 from .topograph import BuildParams, build_graph, load_graph, save_graph
 
 
-@dataclass
-class ExperimentConfig:
-    # world
-    map_kind: str = "two-room"          # two-room | apartment | generated
-    map_file: str | None = None         # overrides map_kind when set
+@dataclass(frozen=True)
+class MapSettings:
+    """The map to run on (`map_file` overrides `map`) and the robot body."""
+
+    map_kind: str = field(default="two-room", metadata={"key": "map"})
+    map_file: str | None = None
     width: float = 10.0
     height: float = 8.0
-    map_resolution: float = 0.1
+    map_resolution: float = field(default=0.1, metadata={"key": "resolution"})
     rooms_x: int = 2
     rooms_y: int = 2
     door_width: float = 0.8
-    fov: float = math.pi / 2
-    n_rays: int = 64
-    max_range: float = 5.0
     dt: float = 0.1
     robot_radius: float = DEFAULT_ROBOT_RADIUS
-    k_rho: float = 0.5
-    k_alpha: float = 1.5
-    k_beta: float = -0.6
-    v_max: float = 0.5
-    omega_max: float = 1.5
-    # estimator
-    pos_sigma: float = 0.0
-    theta_sigma: float = 0.0
-    false_positive_rate: float = 0.0
-    false_negative_rate: float = 0.0
-    L_min: float = 0.3
-    R_max: float = 1.6
-    E_max: float = 2.5
-    Theta_max: float = math.pi / 2
-    turn_radius: float = 0.3
+
+    def __post_init__(self):
+        if self.map_kind not in ("two-room", "apartment", "generated"):
+            raise InvalidInput(f"unknown map {self.map_kind!r}: "
+                               "expected two-room, apartment, or generated")
+        if not (0.0 < self.map_resolution < math.inf):
+            raise InvalidInput("map resolution must be positive and finite")
+
+
+@dataclass(frozen=True)
+class LossWeights:
+    """Weights of the position and rotation terms in `loss_total`."""
+
     alpha: float = 1.0
     beta: float = 1.0
-    # graph construction
-    D_m: float = 0.5
-    D_c: float = 2.0
-    D_loc: float = 1.0
-    r_connect_min: float = 0.5
-    sigma2_init: float = 0.25
-    # maintenance
-    R_p: float = 0.3
-    p_s_given_r1: float = 0.9
-    p_s_given_r0: float = 0.2
-    relax_D_c_factor: float = 1.5
-    relax_D_m_factor: float = 0.5
-    sigma2_obs: float = 0.25
-    # harness
+
+
+@dataclass(frozen=True)
+class RunSettings:
+    """Trajectory collection and the lifelong experiment's schedule."""
+
     loops: int = 1
     spacing: float = 0.2
     odom_pos_sigma: float = 0.0
     odom_theta_sigma: float = 0.0
-    max_steps: int = 1000
-    max_collisions: int = 20
-    pos_tol: float = 0.72
-    yaw_tol: float = 0.4
-    recovery_rotation_step: float = math.pi / 6
-    max_recovery_rotations: int = 12
     n_queries: int = 100
     eval_every: int = 25
     n_goals: int = 5
     n_episodes: int = 10
     auto_variance: bool = False
 
-    # -- typed views ------------------------------------------------------
 
-    def sensor(self) -> SensorConfig:
-        return SensorConfig(fov=self.fov, n_rays=self.n_rays, max_range=self.max_range)
-
-    def gains(self) -> ControllerGains:
-        return ControllerGains(self.k_rho, self.k_alpha, self.k_beta,
-                               self.v_max, self.omega_max)
-
-    def criteria(self) -> ReachabilityCriteria:
-        return ReachabilityCriteria(
-            L_min=self.L_min, R_max=self.R_max, E_max=self.E_max,
-            Theta_max=self.Theta_max, turn_radius=self.turn_radius,
-            fov=self.fov, max_range=self.max_range)
-
-    def noise(self, seed: int) -> NoiseConfig:
-        return NoiseConfig(
-            pos_sigma=self.pos_sigma, theta_sigma=self.theta_sigma,
-            false_positive_rate=self.false_positive_rate,
-            false_negative_rate=self.false_negative_rate, seed=seed)
-
-    def build_params(self, seed: int, sigma2_init: float | None = None) -> BuildParams:
-        return BuildParams(
-            D_m=self.D_m, D_c=self.D_c, D_loc=self.D_loc,
-            r_connect_min=self.r_connect_min, rng_seed=seed,
-            sigma2_init=self.sigma2_init if sigma2_init is None else sigma2_init)
-
-    def maint_params(self, sigma2_obs: float | None = None) -> MaintenanceParams:
-        return MaintenanceParams(
-            R_p=self.R_p, p_s_given_r1=self.p_s_given_r1,
-            p_s_given_r0=self.p_s_given_r0,
-            relax_D_c_factor=self.relax_D_c_factor,
-            relax_D_m_factor=self.relax_D_m_factor,
-            sigma2_obs=self.sigma2_obs if sigma2_obs is None else sigma2_obs)
-
-    def limits(self) -> EpisodeLimits:
-        return EpisodeLimits(
-            max_steps=self.max_steps, max_collisions=self.max_collisions,
-            pos_tol=self.pos_tol, yaw_tol=self.yaw_tol,
-            recovery_rotation_step=self.recovery_rotation_step,
-            max_recovery_rotations=self.max_recovery_rotations)
-
-    def validate(self) -> None:
-        if self.map_kind not in ("two-room", "apartment", "generated"):
-            raise ConfigError(f"unknown map {self.map_kind!r}: "
-                              "expected two-room, apartment, or generated")
-        try:
-            self.sensor()
-            self.gains()
-            self.criteria()
-            self.noise(0)
-            self.build_params(0)
-            self.maint_params()
-            self.limits()
-        except Error as e:
-            raise ConfigError(str(e)) from e
+# INI section -> the dataclasses whose fields are its keys.  A field is a key
+# unless it is a seed (set by --seed), a controller arrival tolerance, or a
+# name an earlier class made a key: the criteria's fov and max_range.
+_SECTIONS = {
+    "gridworld": (MapSettings, SensorConfig, ControllerGains),
+    "perception": (NoiseConfig, ReachabilityCriteria, LossWeights),
+    "topograph": (BuildParams,),
+    "maintenance": (MaintenanceParams,),
+    "navharness": (RunSettings, EpisodeLimits),
+}
+_NOT_KEYS = ("seed", "rng_seed", "arrive_pos_tol", "arrive_yaw_tol")
 
 
 def _to_bool(text: str) -> bool:
@@ -189,74 +127,54 @@ def _to_bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
-# section -> key -> (ExperimentConfig attribute, caster)
-_SCHEMA = {
-    "gridworld": {
-        "map": ("map_kind", str),
-        "map_file": ("map_file", str),
-        "width": ("width", float),
-        "height": ("height", float),
-        "resolution": ("map_resolution", float),
-        "rooms_x": ("rooms_x", int),
-        "rooms_y": ("rooms_y", int),
-        "door_width": ("door_width", float),
-        "fov": ("fov", float),
-        "n_rays": ("n_rays", int),
-        "max_range": ("max_range", float),
-        "dt": ("dt", float),
-        "robot_radius": ("robot_radius", float),
-        "k_rho": ("k_rho", float),
-        "k_alpha": ("k_alpha", float),
-        "k_beta": ("k_beta", float),
-        "v_max": ("v_max", float),
-        "omega_max": ("omega_max", float),
-    },
-    "perception": {
-        "pos_sigma": ("pos_sigma", float),
-        "theta_sigma": ("theta_sigma", float),
-        "false_positive_rate": ("false_positive_rate", float),
-        "false_negative_rate": ("false_negative_rate", float),
-        "L_min": ("L_min", float),
-        "R_max": ("R_max", float),
-        "E_max": ("E_max", float),
-        "Theta_max": ("Theta_max", float),
-        "turn_radius": ("turn_radius", float),
-        "alpha": ("alpha", float),
-        "beta": ("beta", float),
-    },
-    "topograph": {
-        "D_m": ("D_m", float),
-        "D_c": ("D_c", float),
-        "D_loc": ("D_loc", float),
-        "r_connect_min": ("r_connect_min", float),
-        "sigma2_init": ("sigma2_init", float),
-    },
-    "maintenance": {
-        "R_p": ("R_p", float),
-        "p_s_given_r1": ("p_s_given_r1", float),
-        "p_s_given_r0": ("p_s_given_r0", float),
-        "relax_D_c_factor": ("relax_D_c_factor", float),
-        "relax_D_m_factor": ("relax_D_m_factor", float),
-        "sigma2_obs": ("sigma2_obs", float),
-    },
-    "navharness": {
-        "loops": ("loops", int),
-        "spacing": ("spacing", float),
-        "odom_pos_sigma": ("odom_pos_sigma", float),
-        "odom_theta_sigma": ("odom_theta_sigma", float),
-        "max_steps": ("max_steps", int),
-        "max_collisions": ("max_collisions", int),
-        "pos_tol": ("pos_tol", float),
-        "yaw_tol": ("yaw_tol", float),
-        "recovery_rotation_step": ("recovery_rotation_step", float),
-        "max_recovery_rotations": ("max_recovery_rotations", int),
-        "n_queries": ("n_queries", int),
-        "eval_every": ("eval_every", int),
-        "n_goals": ("n_goals", int),
-        "n_episodes": ("n_episodes", int),
-        "auto_variance": ("auto_variance", _to_bool),
-    },
-}
+# Field type (a string under postponed annotations) -> INI value parser.
+_CASTERS = {"str": str, "str | None": str, "int": int, "float": float, "bool": _to_bool}
+
+
+def _keys() -> dict[tuple[str, str], Field]:
+    """(INI section, key) -> the dataclass field it sets."""
+    keys, seen = {}, set(_NOT_KEYS)
+    for section, classes in _SECTIONS.items():
+        for f in (f for cls in classes for f in fields(cls) if f.name not in seen):
+            seen.add(f.name)
+            keys[section, f.metadata.get("key", f.name)] = f
+    return keys
+
+
+_KEYS = _keys()
+
+
+class ExperimentConfig:
+    """Every config key as a flat attribute named after its field (`cfg.D_c`,
+    `cfg.map_resolution`), holding its dataclass default until a file sets it."""
+
+    def __init__(self):
+        for f in _KEYS.values():
+            setattr(self, f.name, f.default)
+
+    def make(self, cls, **given):
+        """An instance of `cls` from this config's values for its fields;
+        `given` sets the rest (seeds) or overrides."""
+        values = {f.name: vars(self)[f.name] for f in fields(cls) if f.name in vars(self)}
+        return cls(**{**values, **given})
+
+    def build_params(self, seed: int, sigma2_init: float | None = None) -> BuildParams:
+        return self.make(BuildParams, rng_seed=seed, sigma2_init=(
+            self.sigma2_init if sigma2_init is None else sigma2_init))
+
+    def maint_params(self, sigma2_obs: float | None = None) -> MaintenanceParams:
+        return self.make(MaintenanceParams, sigma2_obs=(
+            self.sigma2_obs if sigma2_obs is None else sigma2_obs))
+
+    def limits(self) -> EpisodeLimits:
+        return self.make(EpisodeLimits)
+
+    def validate(self) -> None:
+        try:
+            for cls in (cls for classes in _SECTIONS.values() for cls in classes):
+                self.make(cls)
+        except Error as e:
+            raise ConfigError(str(e)) from e
 
 
 def load_config(path: str | None) -> ExperimentConfig:
@@ -275,16 +193,14 @@ def load_config(path: str | None) -> ExperimentConfig:
     except configparser.Error as e:
         raise ConfigError(f"malformed config {path}: {e}") from e
     for section in parser.sections():
-        keys = _SCHEMA.get(section)
-        if keys is None:
+        if section not in _SECTIONS:
             raise ConfigError(f"{path}: unknown section [{section}]")
         for key, raw in parser.items(section):
-            entry = keys.get(key)
-            if entry is None:
+            f = _KEYS.get((section, key))
+            if f is None:
                 raise ConfigError(f"{path}: unknown key {key!r} in [{section}]")
-            attr, cast = entry
             try:
-                setattr(cfg, attr, cast(raw))
+                setattr(cfg, f.name, _CASTERS[f.type](raw))
             except ValueError as e:
                 raise ConfigError(f"{path}: bad value for {section}.{key}: {e}") from e
     cfg.validate()
@@ -312,12 +228,13 @@ def make_route(cfg: ExperimentConfig) -> list[Pose2D]:
 
 
 def make_world(cfg: ExperimentConfig, grid: GridMap) -> World:
-    return World(grid, sensor=cfg.sensor(), gains=cfg.gains(), dt=cfg.dt,
-                 robot_radius=cfg.robot_radius)
+    return World(grid, sensor=cfg.make(SensorConfig), gains=cfg.make(ControllerGains),
+                 dt=cfg.dt, robot_radius=cfg.robot_radius)
 
 
 def make_estimator(cfg: ExperimentConfig, grid: GridMap, seed: int) -> OracleEstimator:
-    return OracleEstimator(grid, noise=cfg.noise(seed), criteria=cfg.criteria(),
+    return OracleEstimator(grid, noise=cfg.make(NoiseConfig, seed=seed),
+                           criteria=cfg.make(ReachabilityCriteria),
                            robot_radius=cfg.robot_radius, n_rays=cfg.n_rays)
 
 

@@ -41,6 +41,14 @@ class SensorConfig:
     n_rays: int = 64
     max_range: float = 5.0
 
+    def __post_init__(self):
+        if self.n_rays < 1:
+            raise InvalidInput("n_rays must be >= 1")
+        if not (self.fov >= 0.0):
+            raise InvalidInput("fov must be non-negative")
+        if not (self.max_range > 0.0):
+            raise InvalidInput("max_range must be positive")
+
 
 @dataclass(frozen=True)
 class ControllerGains:
@@ -84,6 +92,20 @@ class DepthScan:
     hit_mask: np.ndarray
     hit_points: np.ndarray
     max_range: float
+
+    @classmethod
+    def from_ranges(cls, x: float, y: float, angles: np.ndarray, ranges: np.ndarray,
+                    max_range: float) -> DepthScan:
+        """The scan of rays cast from (x, y): a ray hit when its range is
+        below max_range."""
+        hit_mask = ranges < max_range - 1e-12
+        pts = np.stack(
+            [x + ranges[hit_mask] * np.cos(angles[hit_mask]),
+             y + ranges[hit_mask] * np.sin(angles[hit_mask])],
+            axis=-1,
+        ) if hit_mask.any() else np.zeros((0, 2))
+        return cls(angles=angles, ranges=ranges, hit_mask=hit_mask,
+                   hit_points=pts, max_range=max_range)
 
 
 class GridMap:
@@ -289,8 +311,6 @@ def raycast(grid: GridMap, x0: float, y0: float, angles, max_range: float) -> np
 
 def scan_angles(theta: float, sensor: SensorConfig) -> np.ndarray:
     """Absolute bearings of the sensor rays for a pose heading theta."""
-    if sensor.n_rays < 1:
-        raise InvalidInput("n_rays must be >= 1")
     if sensor.n_rays == 1:
         return np.array([theta])
     return theta + np.linspace(-sensor.fov / 2.0, sensor.fov / 2.0, sensor.n_rays)
@@ -304,14 +324,7 @@ def raycast_scan(grid: GridMap, pose: Pose2D, sensor: SensorConfig) -> DepthScan
         return cached
     angles = scan_angles(pose.theta, sensor)
     ranges = raycast(grid, pose.x, pose.y, angles, sensor.max_range)
-    hit_mask = ranges < sensor.max_range - 1e-12
-    pts = np.stack(
-        [pose.x + ranges[hit_mask] * np.cos(angles[hit_mask]),
-         pose.y + ranges[hit_mask] * np.sin(angles[hit_mask])],
-        axis=-1,
-    ) if hit_mask.any() else np.zeros((0, 2))
-    scan = DepthScan(angles=angles, ranges=ranges, hit_mask=hit_mask,
-                     hit_points=pts, max_range=sensor.max_range)
+    scan = DepthScan.from_ranges(pose.x, pose.y, angles, ranges, sensor.max_range)
     grid._scan_cache[key] = scan
     return scan
 

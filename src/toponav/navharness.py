@@ -90,8 +90,9 @@ class EpisodeLimits:
     max_recovery_rotations: int = 12
 
     def __post_init__(self):
-        if min(self.max_steps, self.max_collisions, self.pos_tol, self.yaw_tol,
-               self.recovery_rotation_step, self.max_recovery_rotations) <= 0:
+        if not all(v > 0 for v in (self.max_steps, self.max_collisions, self.pos_tol,
+                                   self.yaw_tol, self.recovery_rotation_step,
+                                   self.max_recovery_rotations)):
             raise InvalidInput("episode limits must be positive")
 
 

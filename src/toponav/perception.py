@@ -19,7 +19,7 @@ from __future__ import annotations
 import logging
 import math
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -88,6 +88,13 @@ class NoiseConfig:
     false_positive_rate: float = 0.0
     false_negative_rate: float = 0.0
     seed: int = 0
+
+    def __post_init__(self):
+        if not (self.pos_sigma >= 0.0 and self.theta_sigma >= 0.0):
+            raise InvalidInput("noise sigmas must be non-negative")
+        if not (0.0 <= self.false_positive_rate <= 1.0
+                and 0.0 <= self.false_negative_rate <= 1.0):
+            raise InvalidInput("label flip rates must be in [0, 1]")
 
 
 @dataclass
@@ -359,8 +366,8 @@ def save_dataset(pairs: list[LabeledPair], path: str, criteria: ReachabilityCrit
                  regime: str = "sim") -> None:
     """Line-delimited export: a criteria header, then one record per line."""
     lines = [f"# {_DATASET_HEADER}", f"# regime {regime}"]
-    for name in ("L_min", "R_max", "E_max", "Theta_max", "turn_radius", "fov", "max_range"):
-        lines.append(f"# {name} {getattr(criteria, name)!r}")
+    for f in fields(ReachabilityCriteria):
+        lines.append(f"# {f.name} {getattr(criteria, f.name)!r}")
     pos = sum(p.r for p in pairs)
     lines.append(f"# pairs {len(pairs)} positive {pos}")
     for p in pairs:

@@ -11,7 +11,7 @@ the mean edge distances.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -264,7 +264,6 @@ def plan(graph: TopoGraph, start: int, goal: int):
 
 
 _GRAPH_HEADER = "topograph/v1"
-_PARAM_FIELDS = ("D_m", "D_c", "D_loc", "r_connect_min", "rng_seed", "sigma2_init")
 
 
 def _write_observation(fh, o: Observation) -> None:
@@ -285,18 +284,7 @@ def _parse_observation(line: str) -> Observation:
     rest = [float(v) for v in parts[9:]]
     if len(rest) != 2 * n:
         raise LoadError(f"observation {oid}: expected {2 * n} ray values")
-    angles = np.array(rest[:n])
-    ranges = np.array(rest[n:])
-    # hit_mask and hit_points are pure functions of the stored fields; the
-    # formulas mirror the scan constructor exactly.
-    hit_mask = ranges < max_range - 1e-12
-    pts = np.stack(
-        [tx + ranges[hit_mask] * np.cos(angles[hit_mask]),
-         ty + ranges[hit_mask] * np.sin(angles[hit_mask])],
-        axis=-1,
-    ) if hit_mask.any() else np.zeros((0, 2))
-    scan = DepthScan(angles=angles, ranges=ranges, hit_mask=hit_mask,
-                     hit_points=pts, max_range=max_range)
+    scan = DepthScan.from_ranges(tx, ty, np.array(rest[:n]), np.array(rest[n:]), max_range)
     return Observation(oid, scan, Pose2D(tx, ty, tth), Pose2D(ox, oy, oth))
 
 
@@ -307,8 +295,8 @@ def save_graph(graph: TopoGraph, pool: TrajectoryPool, path: str) -> None:
     with open(path, "w") as fh:
         fh.write(_GRAPH_HEADER + "\n")
         fh.write("[params]\n")
-        for name in _PARAM_FIELDS:
-            fh.write(f"{name} {repr(getattr(p, name))}\n")
+        for f in fields(BuildParams):
+            fh.write(f"{f.name} {getattr(p, f.name)!r}\n")
         fh.write("[observations]\n")
         seen = set()
         for o in list(graph.vertices.values()) + list(pool):
@@ -349,10 +337,8 @@ def load_graph(path: str):
             sections[current].append(ln)
     try:
         raw = dict(ln.split(None, 1) for ln in sections.get("[params]", []))
-        params = BuildParams(
-            D_m=float(raw["D_m"]), D_c=float(raw["D_c"]), D_loc=float(raw["D_loc"]),
-            r_connect_min=float(raw["r_connect_min"]), rng_seed=int(raw["rng_seed"]),
-            sigma2_init=float(raw["sigma2_init"]))
+        params = BuildParams(**{f.name: type(f.default)(raw[f.name])
+                                for f in fields(BuildParams)})
         obs = {}
         for ln in sections.get("[observations]", []):
             o = _parse_observation(ln)

@@ -57,11 +57,103 @@ def test_config_rejects_bad_value(tmp_path):
         load_config(str(p))
 
 
-def test_config_rejects_invalid_parameter_combination(tmp_path):
+@pytest.mark.parametrize("text", [
+    "[topograph]\nD_m = -1.0\n",
+    "[gridworld]\nmax_range = -1\n",
+    "[gridworld]\nn_rays = 0\n",
+    "[gridworld]\nresolution = nan\n",
+    "[perception]\nfalse_positive_rate = 1.5\n",
+    "[perception]\npos_sigma = -0.1\n",
+    "[navharness]\npos_tol = nan\n",
+], ids=["D_m", "max_range", "n_rays", "resolution", "false_positive_rate",
+        "pos_sigma", "pos_tol"])
+def test_config_rejects_invalid_parameter_combination(tmp_path, text):
     p = tmp_path / "bad.ini"
-    p.write_text("[topograph]\nD_m = -1.0\n")
+    p.write_text(text)
     with pytest.raises(ConfigError):
         load_config(str(p))
+
+
+# Every config key in its section, each at its default.  map_file defaults to
+# None, which INI cannot write, so it is given a path.
+ALL_KEYS = """\
+[gridworld]
+map = two-room
+map_file = maps/rooms.map
+width = 10.0
+height = 8.0
+resolution = 0.1
+rooms_x = 2
+rooms_y = 2
+door_width = 0.8
+fov = 1.5707963267948966
+n_rays = 64
+max_range = 5.0
+dt = 0.1
+robot_radius = 0.18
+k_rho = 0.5
+k_alpha = 1.5
+k_beta = -0.6
+v_max = 0.5
+omega_max = 1.5
+[perception]
+pos_sigma = 0.0
+theta_sigma = 0.0
+false_positive_rate = 0.0
+false_negative_rate = 0.0
+L_min = 0.3
+R_max = 1.6
+E_max = 2.5
+Theta_max = 1.5707963267948966
+turn_radius = 0.3
+alpha = 1.0
+beta = 1.0
+[topograph]
+D_m = 0.5
+D_c = 2.0
+D_loc = 1.0
+r_connect_min = 0.5
+sigma2_init = 0.25
+[maintenance]
+R_p = 0.3
+p_s_given_r1 = 0.9
+p_s_given_r0 = 0.2
+relax_D_c_factor = 1.5
+relax_D_m_factor = 0.5
+sigma2_obs = 0.25
+[navharness]
+loops = 1
+spacing = 0.2
+odom_pos_sigma = 0.0
+odom_theta_sigma = 0.0
+max_steps = 1000
+max_collisions = 20
+pos_tol = 0.72
+yaw_tol = 0.4
+recovery_rotation_step = 0.5235987755982988
+max_recovery_rotations = 12
+n_queries = 100
+eval_every = 25
+n_goals = 5
+n_episodes = 10
+auto_variance = false
+"""
+
+
+def test_config_key_set_and_defaults(tmp_path):
+    p = tmp_path / "all.ini"
+    p.write_text(ALL_KEYS)
+    cfg = load_config(str(p))
+    defaults = vars(load_config(None))
+    assert len(defaults) == ALL_KEYS.count(" = ") == 55
+    assert vars(cfg) == {**defaults, "map_file": "maps/rooms.map"}
+    # Seeds come from --seed, the criteria's fov from [gridworld], and the
+    # controller's arrival tolerances are not configurable.
+    for section, key in (("perception", "fov"), ("topograph", "rng_seed"),
+                         ("gridworld", "arrive_pos_tol")):
+        p.write_text(f"[{section}]\n{key} = 1\n")
+        with pytest.raises(ConfigError, match="unknown key"):
+            load_config(str(p))
 
 
 def test_config_rejects_unknown_map(tmp_path):
