@@ -80,6 +80,8 @@ class MapSettings:
                                "expected two-room, apartment, or generated")
         if not (0.0 < self.map_resolution < math.inf):
             raise InvalidInput("map resolution must be positive and finite")
+        if not (self.dt > 0.0):
+            raise InvalidInput("dt must be positive")
 
 
 @dataclass(frozen=True)
@@ -103,6 +105,11 @@ class RunSettings:
     n_goals: int = 5
     n_episodes: int = 10
     auto_variance: bool = False
+
+    def __post_init__(self):
+        for name in ("loops", "spacing", "eval_every", "n_goals", "n_episodes"):
+            if not (getattr(self, name) > 0):
+                raise InvalidInput(f"{name} must be positive")
 
 
 # INI section -> the dataclasses whose fields are its keys.  A field is a key

@@ -33,6 +33,10 @@ class RouteError(Error, RuntimeError):
     """A scripted collection route is infeasible or produced no data."""
 
 
+class GraphInvariantError(Error, RuntimeError):
+    """A graph's edges, beliefs or adjacency index are inconsistent."""
+
+
 class LoadError(Error, RuntimeError):
     """A serialized file has the wrong version or is malformed."""
 

@@ -32,6 +32,9 @@ _SUBCELL_TARGET = 0.025
 # Path-distance fields are ~the map size each; keep a bounded FIFO of them.
 _FIELD_CACHE_CAP = 1024
 
+# One depth scan per simulated observation; keep a bounded FIFO of them.
+_SCAN_CACHE_CAP = 4096
+
 
 @dataclass(frozen=True)
 class SensorConfig:
@@ -129,7 +132,7 @@ class GridMap:
         self.occupied = occ
         self.occupied.setflags(write=False)
         self._clearance_cache: dict = {}
-        self._scan_cache: dict = {}
+        self._scan_cache: OrderedDict = OrderedDict()
         self._graph_cache: dict = {}
         self._field_cache: OrderedDict = OrderedDict()
 
@@ -261,52 +264,50 @@ def raycast(grid: GridMap, x0: float, y0: float, angles, max_range: float) -> np
     """Exact grid traversal for a batch of rays from one origin.
 
     Returns the distance to the first occupied-cell boundary along each
-    bearing, capped at max_range.  The origin cell must be free.
+    bearing, capped at max_range.  The origin cell must be free.  The cost
+    grows with max_range, so a caller that only asks whether a ray reaches
+    some distance should cast to that distance.
 
-    All gridline-crossing parameters within range are computed up front and
-    sorted, so the whole batch resolves in a handful of array operations
-    instead of a per-cell stepping loop.  At an exact corner crossing the
-    x advance is ordered before the y advance, so the intermediate cell on
-    the x side is the one tested, as in classic cell stepping.
+    The parameters of every gridline crossing within range are computed up
+    front and stably sorted, x crossings ahead of y crossings, so the whole
+    batch resolves in a handful of array operations instead of a per-cell
+    stepping loop, and at an exact corner crossing the cell on the x side
+    is the one tested, as in classic cell stepping.
     """
     if not grid.cell_free(x0, y0):
         raise InvalidPose(f"ray origin ({x0:.3f}, {y0:.3f}) is not in free space")
     angles = np.atleast_1d(np.asarray(angles, dtype=float))
-    n = len(angles)
     res = grid.resolution
     dirx, diry = np.cos(angles), np.sin(angles)
     ix0, iy0 = grid.cell_of(x0, y0)
-    step_x = np.sign(dirx).astype(int)[:, None]
-    step_y = np.sign(diry).astype(int)[:, None]
-
-    k = np.arange(int(max_range / res) + 2)[None, :]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inv_dx = np.where(dirx != 0.0, 1.0 / dirx, np.inf)[:, None]
-        inv_dy = np.where(diry != 0.0, 1.0 / diry, np.inf)[:, None]
-        lines_x = np.where(step_x > 0, (ix0 + 1 + k) * res, (ix0 - k) * res)
-        lines_y = np.where(step_y > 0, (iy0 + 1 + k) * res, (iy0 - k) * res)
-        t_x = np.where(step_x != 0, (lines_x - x0) * inv_dx, np.inf)
-        t_y = np.where(step_y != 0, (lines_y - y0) * inv_dy, np.inf)
-
-    t_all = np.concatenate([t_x, t_y], axis=1)
-    is_y = np.concatenate(
-        [np.zeros(t_x.shape, dtype=bool), np.ones(t_y.shape, dtype=bool)], axis=1)
-    order = np.lexsort((is_y, t_all), axis=1)
-    rows = np.arange(n)[:, None]
-    ts = t_all[rows, order]
-    is_y = is_y[rows, order]
+    k = np.arange(int(max_range / res) + 2)
+    t = np.concatenate([_crossings(x0, ix0, dirx, k, res),
+                        _crossings(y0, iy0, diry, k, res)], axis=1)
+    order = np.argsort(t, axis=1, kind="stable")
+    rows = np.arange(len(angles))[:, None]
+    ts = t[rows, order]
 
     # Cell entered at the m-th crossing: the start cell advanced once per
-    # preceding crossing on each axis.
-    ix = ix0 + step_x * np.cumsum(~is_y, axis=1)
-    iy = iy0 + step_y * np.cumsum(is_y, axis=1)
-    oob = (ix < 0) | (ix >= grid.nx) | (iy < 0) | (iy >= grid.ny)
-    occ = grid.occupied[np.clip(iy, 0, grid.ny - 1), np.clip(ix, 0, grid.nx - 1)]
-    # Out-of-grid counts as blocked, but the closed border is always hit
-    # first so it never decides a range.
-    hit = (occ | oob) & (ts <= max_range)
-    first = hit.argmax(axis=1)
-    return np.where(hit.any(axis=1), ts[np.arange(n), first], float(max_range))
+    # crossing so far on each axis, as a flat index into the grid.
+    n_x = np.cumsum(order < len(k), axis=1)
+    step_x = np.sign(dirx).astype(int)[:, None]
+    step_y = np.sign(diry).astype(int)[:, None] * grid.nx
+    flat = (iy0 * grid.nx + ix0 + step_y * np.arange(1, t.shape[1] + 1)) + (step_x - step_y) * n_x
+    # An index past the grid is clipped, but the closed border is always hit
+    # first, so such a cell never decides a range.
+    hit = np.take(grid.occupied.ravel(), flat, mode="clip") & (ts <= max_range)
+    first = hit.argmax(axis=1)[:, None]
+    return np.where(hit[rows, first], ts[rows, first], float(max_range))[:, 0]
+
+
+def _crossings(p0: float, i0: int, d: np.ndarray, k: np.ndarray, res: float) -> np.ndarray:
+    """Ray parameter at the k-th gridline crossed along one axis, one row per
+    ray; inf for rays parallel to the axis's gridlines."""
+    parallel = d == 0.0
+    lines = np.where((d > 0.0)[:, None], (i0 + 1 + k) * res, (i0 - k) * res)
+    t = (lines - p0) * (1.0 / np.where(parallel, 1.0, d))[:, None]
+    t[parallel] = np.inf
+    return t
 
 
 def scan_angles(theta: float, sensor: SensorConfig) -> np.ndarray:
@@ -325,6 +326,8 @@ def raycast_scan(grid: GridMap, pose: Pose2D, sensor: SensorConfig) -> DepthScan
     angles = scan_angles(pose.theta, sensor)
     ranges = raycast(grid, pose.x, pose.y, angles, sensor.max_range)
     scan = DepthScan.from_ranges(pose.x, pose.y, angles, ranges, sensor.max_range)
+    if len(grid._scan_cache) >= _SCAN_CACHE_CAP:
+        grid._scan_cache.popitem(last=False)
     grid._scan_cache[key] = scan
     return scan
 
@@ -348,11 +351,15 @@ def _directed_overlap(grid: GridMap, src_scan: DepthScan, dst: Pose2D, sensor: S
     )
     if not cand.any():
         return 0.0
-    r = raycast(grid, dst.x, dst.y, bearing[cand], sensor.max_range)
+    # Each ray only has to reach its impact point: a ray cast no further
+    # than the farthest one returns its cap, which passes the test below,
+    # exactly when a full-range ray would pass it.
+    dist = dist[cand]
+    r = raycast(grid, dst.x, dst.y, bearing[cand], min(sensor.max_range, dist.max()))
     # The impact point sits on its cell's boundary; an unobstructed ray from
     # dst enters that cell no more than one cell diagonal early.
     tol = grid.resolution * SQRT2 + 1e-9
-    seen = int((r >= dist[cand] - tol).sum())
+    seen = int((r >= dist - tol).sum())
     return seen / n_hits
 
 
@@ -384,7 +391,8 @@ def is_visible(grid: GridMap, from_pose: Pose2D, target_xy, fov: float, max_rang
     bearing = math.atan2(ty - from_pose.y, tx - from_pose.x)
     if abs(wrap_angle(bearing - from_pose.theta)) > fov / 2.0 + 1e-12:
         return False
-    r = raycast(grid, from_pose.x, from_pose.y, [bearing], max_range)
+    # Cast only as far as the target: an unoccluded ray returns its cap d.
+    r = raycast(grid, from_pose.x, from_pose.y, [bearing], d)
     return bool(r[0] + 1e-9 >= d)
 
 

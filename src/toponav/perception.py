@@ -1,17 +1,19 @@
 """Reachability labeling and the pluggable pose/reachability estimator.
 
-An estimator is anything with two methods:
+An estimator is anything with three methods:
 
+* distance_floor(src_obs, dst_obs) -> float, a lower bound on
+  waypoint_distance(waypoint(src_obs, dst_obs)), 0.0 when none is known;
 * waypoint(src_obs, dst_obs) -> Waypoint, the predicted relative pose;
 * predict(src_obs, dst_obs) -> Prediction, the reachability score r_hat
   together with the same waypoint as w_hat.
 
-Callers test a pair's distance window on waypoint() first and ask predict()
-for the score only when the pair can still pass, so a costly score is only
-computed on demand.  The oracle implementation computes ground truth on the
-map and corrupts it with configurable noise; its randomness is keyed on
-(seed, src.id, dst.id), so a flipped label stays flipped for that pair for
-the life of a run.
+Callers test a pair's distance window on the floor, then on waypoint(), and
+ask predict() for the score only when the pair can still pass, so a costly
+score is only computed on demand.  The oracle implementation computes ground
+truth on the map and corrupts it with configurable noise; its randomness is
+keyed on (seed, src.id, dst.id), so a flipped label stays flipped for that
+pair for the life of a run.
 """
 
 from __future__ import annotations
@@ -221,6 +223,23 @@ class OracleEstimator:
         if key not in self._cache and len(self._cache) >= _PAIR_CACHE_CAP:
             self._cache.popitem(last=False)
         self._cache[key] = entry
+
+    def distance_floor(self, a: Observation, b: Observation) -> float:
+        """A lower bound on waypoint_distance(waypoint(a, b)) that costs no
+        waypoint: with exact waypoints, the euclidean distance between the
+        true positions, less a relative 1e-9 for rounding and an absolute
+        1e-150 for squares that underflow in waypoint_distance; 0.0 with
+        pose noise.
+
+        The bound holds because the translation part of the SE(2) log is
+        V(theta)^-1 applied to the rotated position offset, and V(theta) is
+        a rotation scaled by at most 1, so it is no shorter than the offset;
+        the rotation term adds a non-negative 2 * omega^2.
+        """
+        if self._noisy_waypoints():
+            return 0.0
+        pa, pb = a.true_pose, b.true_pose
+        return max(0.0, math.hypot(pb.x - pa.x, pb.y - pa.y) * (1.0 - 1e-9) - 1e-150)
 
     def waypoint(self, a: Observation, b: Observation) -> Waypoint:
         """predict(a, b).w_hat, without labelling the pair."""

@@ -15,7 +15,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import EdgeNotFound, InvalidInput, InvalidVertex, LoadError
+from .errors import EdgeNotFound, GraphInvariantError, InvalidInput, InvalidVertex, LoadError
 from .gridworld import DepthScan
 from .perception import Observation
 from .se2 import Pose2D, waypoint_distance
@@ -70,11 +70,16 @@ class TrajectoryPool:
 
 
 class TopoGraph:
-    """Directed graph keyed by observation id."""
+    """Directed graph keyed by observation id.
+
+    Mutate it through its methods only: they keep `edges` and the
+    per-vertex successor index in step.
+    """
 
     def __init__(self):
         self.vertices: dict[int, Observation] = {}
         self.edges: dict[tuple[int, int], EdgeBelief] = {}
+        self._succ: dict[int, set[int]] = {}
         self.build_params: BuildParams = BuildParams()
 
     @property
@@ -89,6 +94,7 @@ class TopoGraph:
         if obs.id in self.vertices:
             raise InvalidVertex(f"vertex {obs.id} already present")
         self.vertices[obs.id] = obs
+        self._succ[obs.id] = set()
 
     def add_edge(self, src: int, dst: int, belief: EdgeBelief) -> None:
         if src not in self.vertices or dst not in self.vertices:
@@ -100,25 +106,51 @@ class TopoGraph:
         if not (0.0 <= belief.p <= 1.0) or belief.sigma2 <= 0.0 or belief.mu < 0.0:
             raise InvalidInput("edge belief out of range")
         self.edges[(src, dst)] = belief
+        self._succ[src].add(dst)
 
     def remove_edge(self, src: int, dst: int) -> None:
         if (src, dst) not in self.edges:
             raise EdgeNotFound(f"({src}, {dst})")
         del self.edges[(src, dst)]
+        self._succ[src].remove(dst)
 
     def remove_vertex(self, vid: int) -> None:
         if vid not in self.vertices:
             raise InvalidVertex(str(vid))
         del self.vertices[vid]
-        self.edges = {k: b for k, b in self.edges.items() if vid not in k}
+        for dst in self._succ.pop(vid):
+            del self.edges[(vid, dst)]
+        for src, succ in self._succ.items():
+            if vid in succ:
+                succ.remove(vid)
+                del self.edges[(src, vid)]
 
     def out_neighbors(self, vid: int) -> list[int]:
-        if vid not in self.vertices:
+        succ = self._succ.get(vid)
+        if succ is None:
             raise InvalidVertex(str(vid))
-        return sorted(d for (s, d) in self.edges if s == vid)
+        return sorted(succ)
+
+    def check(self) -> None:
+        """Raise GraphInvariantError unless every edge joins two vertices
+        and has p in [0, 1] and sigma2 > 0, and the successor index is
+        exactly what a scan of the edges gives."""
+        scan: dict[int, set[int]] = {vid: set() for vid in self.vertices}
+        for (src, dst), belief in self.edges.items():
+            if src not in self.vertices or dst not in self.vertices:
+                raise GraphInvariantError(f"edge ({src}, {dst}) has an endpoint "
+                                          "that is not a vertex")
+            if not 0.0 <= belief.p <= 1.0:
+                raise GraphInvariantError(f"edge ({src}, {dst}) has p = {belief.p!r}")
+            if not belief.sigma2 > 0.0:
+                raise GraphInvariantError(f"edge ({src}, {dst}) has sigma2 = {belief.sigma2!r}")
+            scan[src].add(dst)
+        if self._succ != scan:
+            raise GraphInvariantError("successor index does not match the edges")
 
 
-# Every test below checks the waypoint's distance window before it asks the
+# Every test below checks the distance window, first on the estimator's
+# distance floor and then on the waypoint's distance, before it asks the
 # estimator for a reachability score, which is the costly half of a
 # prediction; most pairs fall outside the window.
 
@@ -128,6 +160,8 @@ def is_mergeable(candidate: Observation, graph: TopoGraph, estimator, params: Bu
     reaches it with distance below D_m."""
     for vid in sorted(graph.vertices):
         vobs = graph.vertices[vid]
+        if estimator.distance_floor(vobs, candidate) >= params.D_m:
+            continue
         if (waypoint_distance(estimator.waypoint(vobs, candidate)) < params.D_m
                 and estimator.predict(vobs, candidate).r_hat >= params.r_connect_min):
             return True
@@ -138,6 +172,8 @@ def is_connectable(src: Observation, dst: Observation, estimator, params: BuildP
     """EdgeBelief for src -> dst when the estimator deems dst reachable at a
     distance inside [D_m, D_c]; None otherwise.  Below D_m is merge
     territory, never an edge."""
+    if estimator.distance_floor(src, dst) > params.D_c:
+        return None
     d = waypoint_distance(estimator.waypoint(src, dst))
     if not (params.D_m <= d <= params.D_c):
         return None
@@ -208,6 +244,8 @@ def _best_within(graph, ids, obs, estimator, params):
     best = None
     for vid in ids:
         vobs = graph.vertices[vid]
+        if estimator.distance_floor(vobs, obs) >= params.D_loc:
+            continue
         d = waypoint_distance(estimator.waypoint(vobs, obs))
         if d >= params.D_loc or estimator.predict(vobs, obs).r_hat < params.r_connect_min:
             continue
@@ -271,8 +309,8 @@ def _write_observation(fh, o: Observation) -> None:
     vals = [repr(float(v)) for v in (
         o.true_pose.x, o.true_pose.y, o.true_pose.theta,
         o.odom_pose.x, o.odom_pose.y, o.odom_pose.theta, s.max_range)]
-    angles = " ".join(repr(float(a)) for a in s.angles)
-    ranges = " ".join(repr(float(r)) for r in s.ranges)
+    angles = " ".join(map(repr, s.angles.tolist()))
+    ranges = " ".join(map(repr, s.ranges.tolist()))
     fh.write(f"{o.id} {' '.join(vals)} {len(s.angles)} {angles} {ranges}\n")
 
 

@@ -65,8 +65,15 @@ def test_config_rejects_bad_value(tmp_path):
     "[perception]\nfalse_positive_rate = 1.5\n",
     "[perception]\npos_sigma = -0.1\n",
     "[navharness]\npos_tol = nan\n",
+    "[gridworld]\ndt = 0\n",
+    "[navharness]\nspacing = 0\n",
+    "[navharness]\nloops = 0\n",
+    "[navharness]\neval_every = 0\n",
+    "[navharness]\nn_goals = 0\n",
+    "[navharness]\nn_episodes = 0\n",
 ], ids=["D_m", "max_range", "n_rays", "resolution", "false_positive_rate",
-        "pos_sigma", "pos_tol"])
+        "pos_sigma", "pos_tol", "dt", "spacing", "loops", "eval_every", "n_goals",
+        "n_episodes"])
 def test_config_rejects_invalid_parameter_combination(tmp_path, text):
     p = tmp_path / "bad.ini"
     p.write_text(text)

@@ -4,7 +4,9 @@ import math
 import numpy as np
 import pytest
 
+from toponav import gridworld
 from toponav.errors import InvalidInput, InvalidMap, InvalidPose
+from toponav.fixtures import apartment_map, two_room_map
 from toponav.gridworld import (
     AgentState,
     ControllerGains,
@@ -124,7 +126,107 @@ class TestGridMap:
                 assert math.isfinite(shortest_feasible_path(g1, a, b))
 
 
+def reference_raycast(grid, x0, y0, angles, max_range):
+    """Classic cell stepping, one ray at a time: advance to the nearer next
+    gridline, x before y at a tie, until an occupied cell or max_range.
+    Crossing parameters use raycast's formulas, so ranges match bit for bit."""
+    res = grid.resolution
+    ix0, iy0 = grid.cell_of(x0, y0)
+
+    def crossing(p0, i0, d, k):
+        if d == 0.0:
+            return math.inf
+        line = (i0 + 1 + k) * res if d > 0.0 else (i0 - k) * res
+        return (line - p0) * (1.0 / d)
+
+    out = []
+    angles = np.atleast_1d(np.asarray(angles, dtype=float))
+    for dx, dy in zip(np.cos(angles), np.sin(angles)):
+        ix, iy, kx, ky = ix0, iy0, 0, 0
+        while True:
+            tx, ty = crossing(x0, ix0, dx, kx), crossing(y0, iy0, dy, ky)
+            if tx <= ty:
+                t, ix, kx = tx, ix + (1 if dx > 0.0 else -1), kx + 1
+            else:
+                t, iy, ky = ty, iy + (1 if dy > 0.0 else -1), ky + 1
+            if t > max_range:
+                out.append(float(max_range))
+                break
+            if grid.occupied[iy, ix]:
+                out.append(t)
+                break
+    return np.array(out)
+
+
+# Three maps for the raycast checks, by parameter index.
+MAPS = [two_room_map, apartment_map, lambda: generate_rooms_map(seed=3)]
+MAP_IDS = ["two-room", "apartment", "rooms"]
+
+
+def free_corner_origins(grid, rng, n):
+    """Exact gridline intersections whose four surrounding cells are free."""
+    occ = grid.occupied
+    free = ~(occ[:-1, :-1] | occ[1:, :-1] | occ[:-1, 1:] | occ[1:, 1:])
+    iy, ix = np.nonzero(free)
+    pick = rng.choice(len(ix), size=n, replace=False)
+    return [((ix[i] + 1) * grid.resolution, (iy[i] + 1) * grid.resolution) for i in pick]
+
+
 class TestRaycast:
+    @pytest.mark.parametrize("map_index", range(3), ids=MAP_IDS)
+    def test_matches_cell_stepping_reference(self, map_index):
+        g = MAPS[map_index]()
+        res = g.resolution
+        rng = np.random.default_rng(map_index)
+        axis_and_diagonal = np.arange(-4, 5) * (math.pi / 4)
+        # Bearings from a cell centre through nearby gridline intersections.
+        corner_bearings = np.array([math.atan2(b + 0.5, a + 0.5)
+                                    for a in range(-3, 3) for b in range(-3, 3)])
+        origins = [(p.x, p.y) for p in (sample_free_pose(g, rng) for _ in range(12))]
+        origins += free_corner_origins(g, rng, 6)
+        centres = [((math.floor(x / res) + 0.5) * res, (math.floor(y / res) + 0.5) * res)
+                   for x, y in origins[:6]]
+        n_rays = 0
+        for x0, y0 in origins + centres:
+            for max_range in (5.0, 2.0, 0.73, 0.05):
+                angles = np.concatenate([rng.uniform(-math.pi, math.pi, 24),
+                                         axis_and_diagonal, corner_bearings])
+                got = raycast(g, x0, y0, angles, max_range)
+                want = reference_raycast(g, x0, y0, angles, max_range)
+                assert np.array_equal(got, want), (x0, y0, max_range)
+                n_rays += len(angles)
+        assert n_rays > 5000
+
+    def test_exact_corner_tie_enters_the_x_side_cell_first(self):
+        # Find an origin on the diagonal whose first x and y crossings along a
+        # 45 degree ray tie exactly; a wall in the x-side cell then stops it.
+        angle = math.pi / 4
+        inv_x, inv_y = 1.0 / np.cos(angle), 1.0 / np.sin(angle)
+        line = (20 + 1) * RES
+        p = 2.05
+        for _ in range(1000):
+            if (line - p) * inv_x == (line - p) * inv_y:
+                break
+            p = float(np.nextafter(p, 3.0))
+        t = (line - p) * inv_x
+        assert t == (line - p) * inv_y
+        occ = empty_room().occupied.copy()
+        occ[20, 21] = True
+        g = GridMap(RES, occ)
+        assert raycast(g, p, p, [angle], 5.0)[0] == t
+        assert reference_raycast(g, p, p, [angle], 5.0)[0] == t
+
+    def test_evicted_scan_casts_again_to_the_same_ranges(self, monkeypatch):
+        monkeypatch.setattr(gridworld, "_SCAN_CACHE_CAP", 3)
+        g = generate_rooms_map(seed=2)
+        poses = [Pose2D(2.0, 2.0 + 0.1 * i, 1.0) for i in range(5)]
+        first = [raycast_scan(g, p, SensorConfig()) for p in poses]
+        assert len(g._scan_cache) == 3
+        again = raycast_scan(g, poses[0], SensorConfig())
+        assert again is not first[0]
+        assert np.array_equal(again.ranges, first[0].ranges)
+        assert len(g._scan_cache) == 3
+
     def test_open_room_all_max_range(self):
         g = empty_room()
         scan = raycast_scan(g, Pose2D(5.0, 5.0, 0.7), SensorConfig(max_range=2.0))
@@ -217,6 +319,51 @@ class TestVisualOverlap:
             o2 = visual_overlap(g, b, a, sensor)
             assert 0.0 <= o1 <= 1.0
             assert o1 == pytest.approx(o2, abs=1e-12)
+
+
+def full_range_raycast(monkeypatch, max_range):
+    """Make every raycast inside gridworld cast to max_range, whatever range
+    its caller asks for."""
+    cast = gridworld.raycast
+    monkeypatch.setattr(gridworld, "raycast",
+                        lambda grid, x0, y0, angles, _: cast(grid, x0, y0, angles, max_range))
+
+
+def near_pose_pairs(grid, rng, n, max_dist=4.0):
+    """Pose pairs at most max_dist apart, the first roughly facing the second."""
+    pairs = []
+    while len(pairs) < n:
+        a, b = sample_free_pose(grid, rng), sample_free_pose(grid, rng)
+        if math.hypot(b.x - a.x, b.y - a.y) <= max_dist:
+            facing = math.atan2(b.y - a.y, b.x - a.x) + rng.uniform(-0.9, 0.9)
+            pairs.append((Pose2D(a.x, a.y, facing), b))
+    return pairs
+
+
+class TestCappedCasts:
+    """is_visible and visual_overlap cast only as far as they test; their
+    results equal those of full-range casts."""
+
+    @pytest.mark.parametrize("map_index", range(3), ids=MAP_IDS)
+    def test_is_visible_matches_full_range(self, monkeypatch, map_index):
+        g = MAPS[map_index]()
+        pairs = near_pose_pairs(g, np.random.default_rng(map_index), 150)
+        capped = [is_visible(g, a, (b.x, b.y), math.pi / 2, 5.0) for a, b in pairs]
+        full_range_raycast(monkeypatch, 5.0)
+        full = [is_visible(g, a, (b.x, b.y), math.pi / 2, 5.0) for a, b in pairs]
+        assert capped == full
+        assert 0 < sum(capped) < len(capped)
+
+    @pytest.mark.parametrize("map_index", range(3), ids=MAP_IDS)
+    def test_visual_overlap_matches_full_range(self, monkeypatch, map_index):
+        sensor = SensorConfig()
+        g = MAPS[map_index]()
+        pairs = near_pose_pairs(g, np.random.default_rng(10 + map_index), 40)
+        capped = [visual_overlap(g, a, b, sensor) for a, b in pairs]
+        full_range_raycast(monkeypatch, sensor.max_range)
+        full = [visual_overlap(g, a, b, sensor) for a, b in pairs]
+        assert capped == full
+        assert any(0.0 < v < 1.0 for v in capped)
 
 
 class TestIsVisible:

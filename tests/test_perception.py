@@ -25,7 +25,7 @@ from toponav.perception import (
     loss_total,
     save_dataset,
 )
-from toponav.se2 import Pose2D, Waypoint, relative
+from toponav.se2 import Pose2D, Waypoint, relative, waypoint_distance
 from toponav.topograph import BuildParams, TopoGraph, localize
 
 from test_gridworld import empty_room, room_with_column_wall
@@ -185,6 +185,27 @@ class TestOracleEstimator:
         labels = count_labels(monkeypatch)
         assert localize(graph, far, est, BuildParams()) is None
         assert labels == []
+
+    @given(st.floats(-20.0, 20.0), st.floats(-20.0, 20.0), st.floats(-math.pi, math.pi),
+           st.floats(-20.0, 20.0), st.floats(-20.0, 20.0),
+           st.one_of(st.floats(-1e-6, 1e-6), st.floats(-math.pi, math.pi)))
+    @settings(max_examples=500, deadline=None)
+    def test_distance_floor_bounds_waypoint_distance(self, ax, ay, ath, bx, by, dth):
+        est = OracleEstimator(empty_room(5.0, 5.0))
+        a = Observation(0, None, Pose2D(ax, ay, ath), Pose2D(ax, ay, ath))
+        b = Observation(1, None, Pose2D(bx, by, ath + dth), Pose2D(bx, by, ath + dth))
+        assert est.distance_floor(a, b) <= waypoint_distance(est.waypoint(a, b))
+
+    @pytest.mark.parametrize("noise", [NoiseConfig(pos_sigma=0.05),
+                                       NoiseConfig(theta_sigma=0.02)],
+                             ids=["pos_sigma", "theta_sigma"])
+    def test_distance_floor_is_zero_with_pose_noise(self, noise):
+        g = empty_room()
+        est = OracleEstimator(g, noise)
+        a = mk_obs(g, 0, Pose2D(2.0, 2.0, 0.0))
+        b = mk_obs(g, 1, Pose2D(5.0, 6.0, 1.0))
+        assert est.distance_floor(a, b) == 0.0
+        assert OracleEstimator(g).distance_floor(a, b) == pytest.approx(5.0)
 
     def test_waypoint_noise_magnitude(self):
         g = empty_room()

@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from toponav.errors import EdgeNotFound, InvalidInput, InvalidVertex, LoadError
+from toponav.errors import (EdgeNotFound, GraphInvariantError, InvalidInput, InvalidVertex,
+                            LoadError)
 from toponav.gridworld import DepthScan
 from toponav.perception import Observation, OracleEstimator
 from toponav.se2 import Pose2D, waypoint_distance
@@ -89,6 +90,53 @@ class TestTopoGraphStructure:
             g.remove_edge(2, 1)
         with pytest.raises(InvalidVertex):
             g.add_vertex(dummy_obs(1))
+
+    def test_adjacency_index_follows_random_mutations(self):
+        rng = np.random.default_rng(5)
+        g = TopoGraph()
+        next_id = 0
+        for _ in range(600):
+            op = rng.integers(4)
+            vids = sorted(g.vertices)
+            if op == 0 or len(vids) < 2:
+                g.add_vertex(dummy_obs(next_id))
+                next_id += 1
+            elif op == 1:
+                src, dst = (int(v) for v in rng.choice(vids, size=2, replace=False))
+                if (src, dst) not in g.edges:
+                    g.add_edge(src, dst, EdgeBelief(float(rng.uniform()), 1.0, 0.25))
+            elif op == 2 and g.edges:
+                keys = sorted(g.edges)
+                g.remove_edge(*keys[int(rng.integers(len(keys)))])
+            elif op == 3 and rng.uniform() < 0.3:
+                g.remove_vertex(int(rng.choice(vids)))
+            g.check()
+            for vid in g.vertices:
+                assert g.out_neighbors(vid) == sorted(d for (s, d) in g.edges if s == vid)
+        assert g.n_vertices > 10 and g.n_edges > 10
+
+    def test_check_rejects_inconsistent_graphs(self):
+        def graph():
+            g = TopoGraph()
+            for vid in (1, 2, 3):
+                g.add_vertex(dummy_obs(vid))
+            g.add_edge(1, 2, EdgeBelief(0.9, 1.0, 0.25))
+            g.check()
+            return g
+
+        breaks = [
+            lambda g: g.edges.__setitem__((1, 7), EdgeBelief(0.9, 1.0, 0.25)),
+            lambda g: g.edges.__setitem__((2, 3), EdgeBelief(0.9, 1.0, 0.25)),
+            lambda g: g.edges.pop((1, 2)),
+            lambda g: setattr(g.edges[(1, 2)], "p", 1.5),
+            lambda g: setattr(g.edges[(1, 2)], "sigma2", 0.0),
+            lambda g: g.vertices.pop(2),
+        ]
+        for corrupt in breaks:
+            g = graph()
+            corrupt(g)
+            with pytest.raises(GraphInvariantError):
+                g.check()
 
     def test_build_params_validated(self):
         with pytest.raises(InvalidInput):
