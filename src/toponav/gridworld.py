@@ -212,6 +212,8 @@ class GridMap:
     # -- path-distance fields --------------------------------------------
 
     def _cell_graph(self, robot_radius: float):
+        """8-connected graph over passable cells, each edge stored in both
+        directions, so a search runs on it as a directed graph."""
         key = round(robot_radius, 9)
         g = self._graph_cache.get(key)
         if g is not None:
@@ -230,9 +232,10 @@ class GridMap:
             ys, yd = shift(ny, dy)
             xs, xd = shift(nx, dx)
             m = passable[ys, xs] & passable[yd, xd]
-            rows.append(idx[ys, xs][m])
-            cols.append(idx[yd, xd][m])
-            data.append(np.full(int(m.sum()), w))
+            src, dst = idx[ys, xs][m], idx[yd, xd][m]
+            rows += [src, dst]
+            cols += [dst, src]
+            data += [np.full(len(src), w)] * 2
         g = scipy.sparse.csr_matrix(
             (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
             shape=(nx * ny, nx * ny),
@@ -240,15 +243,20 @@ class GridMap:
         self._graph_cache[key] = g
         return g
 
-    def path_distance_field(self, src_cell: tuple[int, int], robot_radius: float):
-        """Shortest 8-connected feasible distance from src_cell to every cell."""
-        key = (round(robot_radius, 9), src_cell)
+    def path_distance_field(self, src_cell: tuple[int, int], robot_radius: float,
+                            limit: float = math.inf):
+        """Shortest 8-connected feasible distance from src_cell to every cell.
+
+        The search stops at `limit`: cells farther than that read inf, and
+        every other cell its exact distance.
+        """
+        key = (round(robot_radius, 9), src_cell, limit)
         f = self._field_cache.get(key)
         if f is not None:
             return f
         g = self._cell_graph(robot_radius)
         src_flat = src_cell[1] * self.nx + src_cell[0]
-        f = scipy.sparse.csgraph.dijkstra(g, directed=False, indices=src_flat)
+        f = scipy.sparse.csgraph.dijkstra(g, directed=True, indices=src_flat, limit=limit)
         if len(self._field_cache) >= _FIELD_CACHE_CAP:
             self._field_cache.popitem(last=False)
         self._field_cache[key] = f
@@ -336,11 +344,9 @@ def _wrap_array(a: np.ndarray) -> np.ndarray:
     return np.arctan2(np.sin(a), np.cos(a))
 
 
-def _directed_overlap(grid: GridMap, src_scan: DepthScan, dst: Pose2D, sensor: SensorConfig) -> float:
-    """Fraction of src's impact points co-visible from dst."""
-    n_hits = int(src_scan.hit_mask.sum())
-    if n_hits == 0:
-        return 0.0
+def _overlap_rays(src_scan: DepthScan, dst: Pose2D, sensor: SensorConfig):
+    """Bearings and distances from dst to the impact points of src_scan
+    that lie in dst's field of view and range."""
     pts = src_scan.hit_points
     vx = pts[:, 0] - dst.x
     vy = pts[:, 1] - dst.y
@@ -349,18 +355,29 @@ def _directed_overlap(grid: GridMap, src_scan: DepthScan, dst: Pose2D, sensor: S
     cand = (np.abs(_wrap_array(bearing - dst.theta)) <= sensor.fov / 2.0 + 1e-12) & (
         dist <= sensor.max_range + 1e-12
     )
-    if not cand.any():
-        return 0.0
-    # Each ray only has to reach its impact point: a ray cast no further
-    # than the farthest one returns its cap, which passes the test below,
-    # exactly when a full-range ray would pass it.
-    dist = dist[cand]
-    r = raycast(grid, dst.x, dst.y, bearing[cand], min(sensor.max_range, dist.max()))
+    return bearing[cand], dist[cand]
+
+
+def _seen_fraction(grid: GridMap, src_scan: DepthScan, ranges: np.ndarray,
+                   dist: np.ndarray) -> float:
+    """Fraction of src_scan's impact points seen by the rays cast toward
+    them, given the ranges those rays returned and the impact distances."""
     # The impact point sits on its cell's boundary; an unobstructed ray from
     # dst enters that cell no more than one cell diagonal early.
     tol = grid.resolution * SQRT2 + 1e-9
-    seen = int((r >= dist - tol).sum())
-    return seen / n_hits
+    return int((ranges >= dist - tol).sum()) / int(src_scan.hit_mask.sum())
+
+
+def _directed_overlap(grid: GridMap, src_scan: DepthScan, dst: Pose2D, sensor: SensorConfig) -> float:
+    """Fraction of src's impact points co-visible from dst."""
+    bearing, dist = _overlap_rays(src_scan, dst, sensor)
+    if not len(dist):
+        return 0.0
+    # Each ray only has to reach its impact point: a ray cast no further
+    # than the farthest one returns its cap, which passes the seen test,
+    # exactly when a full-range ray would pass it.
+    r = raycast(grid, dst.x, dst.y, bearing, min(sensor.max_range, dist.max()))
+    return _seen_fraction(grid, src_scan, r, dist)
 
 
 def visual_overlap(grid: GridMap, a: Pose2D, b: Pose2D, sensor: SensorConfig) -> float:
@@ -396,19 +413,59 @@ def is_visible(grid: GridMap, from_pose: Pose2D, target_xy, fov: float, max_rang
     return bool(r[0] + 1e-9 >= d)
 
 
+def co_visible(grid: GridMap, a: Pose2D, b: Pose2D, sensor: SensorConfig,
+               min_overlap: float) -> bool:
+    """is_visible(grid, a, (b.x, b.y), sensor.fov, sensor.max_range) and
+    visual_overlap(grid, a, b, sensor) >= min_overlap, in at most two
+    raycast calls besides the scans of a and b, which the map caches; a
+    min_overlap that is not positive never rejects.
+
+    The first call casts from b toward a's returns, as visual_overlap does;
+    a pair that fails there never casts b's scan.  The second casts from a
+    the sight line to b together with the rays toward b's returns, capped
+    at the larger of the two distances tested.  Raising a ray's cap above
+    the distance its test compares with changes no result: a hit inside
+    the lower cap is still the first hit, and a ray clear up to the lower
+    cap returns at least that cap either way.
+    """
+    if not min_overlap > 0.0:
+        return is_visible(grid, a, (b.x, b.y), sensor.fov, sensor.max_range)
+    d = math.hypot(b.x - a.x, b.y - a.y)
+    if d > sensor.max_range:
+        return False
+    bearing = math.atan2(b.y - a.y, b.x - a.x)
+    # As in is_visible, a target at the origin is in view; its sight ray
+    # below passes whatever range it returns.
+    if d >= 1e-12 and abs(wrap_angle(bearing - a.theta)) > sensor.fov / 2.0 + 1e-12:
+        return False
+    if _directed_overlap(grid, raycast_scan(grid, a, sensor), b, sensor) < min_overlap:
+        return False
+    scan_b = raycast_scan(grid, b, sensor)
+    rays, dist = _overlap_rays(scan_b, a, sensor)
+    if not len(dist):
+        return False
+    r = raycast(grid, a.x, a.y, np.concatenate([[bearing], rays]),
+                max(d, min(sensor.max_range, dist.max())))
+    if r[0] + 1e-9 < d:
+        return False
+    return _seen_fraction(grid, scan_b, r[1:], dist) >= min_overlap
+
+
 # ---------------------------------------------------------------------------
 # Path feasibility.
 # ---------------------------------------------------------------------------
 
 
 def shortest_feasible_path(
-    grid: GridMap, a: Pose2D, b: Pose2D, robot_radius: float = DEFAULT_ROBOT_RADIUS
+    grid: GridMap, a: Pose2D, b: Pose2D, robot_radius: float = DEFAULT_ROBOT_RADIUS,
+    limit: float = math.inf,
 ) -> float:
     """Length of the shortest collision-free grid path between two poses.
 
     8-connected over cells whose centers keep the robot disc clear; axis
     steps cost one resolution, diagonal steps sqrt(2) times that.  Returns
-    math.inf when no such path exists.  Poses in the same cell score their
+    math.inf when no such path exists, or when the path is longer than
+    `limit`, which bounds the search.  Poses in the same cell score their
     euclidean distance.
     """
     if not (grid.in_bounds(a.x, a.y) and grid.in_bounds(b.x, b.y)):
@@ -420,7 +477,7 @@ def shortest_feasible_path(
     passable = grid.passable(robot_radius)
     if not (passable[ca[1], ca[0]] and passable[cb[1], cb[0]]):
         return math.inf
-    f = grid.path_distance_field(ca, robot_radius)
+    f = grid.path_distance_field(ca, robot_radius, limit)
     return float(f[cb[1] * grid.nx + cb[0]])
 
 

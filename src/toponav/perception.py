@@ -32,11 +32,10 @@ from .gridworld import (
     DepthScan,
     GridMap,
     SensorConfig,
-    is_visible,
+    co_visible,
     raycast_scan,
     sample_free_pose,
     shortest_feasible_path,
-    visual_overlap,
 )
 from .se2 import Pose2D, Waypoint, dubins_sample, relative, wrap_angle
 
@@ -123,9 +122,12 @@ def label_reachability(
     (ratio <= R_max), and the two poses co-observe enough of the same
     surfaces (visual overlap >= L_min).
 
-    Cheap geometric gates run first, so most far-apart pairs never touch the
-    map.  Degenerate near-zero separation passes the direction-dependent
-    gates trivially.
+    The label is the AND of these checks, so their order is free: the cheap
+    geometric gates run first, so most far-apart pairs never touch the map,
+    then co-visibility (at most two raycast calls), which rejects most of
+    the pairs that reach it, and the Dubins and path checks last.
+    Degenerate near-zero separation passes the direction-dependent gates
+    trivially.
     """
     c = criteria
     euclid = math.hypot(b.x - a.x, b.y - a.y)
@@ -140,16 +142,21 @@ def label_reachability(
     bearing = math.atan2(b.y - a.y, b.x - a.x)
     if abs(wrap_angle(bearing - a.theta)) > c.fov / 2.0 + 1e-12:
         return 0
-    if not is_visible(grid, a, (b.x, b.y), c.fov, c.max_range):
+    if not grid.cell_free(b.x, b.y):
+        # Dubins clearance fails at b; no ray can be cast from there.
+        return 0
+    sensor = SensorConfig(fov=c.fov, n_rays=n_rays, max_range=c.max_range)
+    if not co_visible(grid, a, b, sensor, c.L_min):
         return 0
     poses = dubins_sample(a, b, c.turn_radius, 0.5 * grid.resolution)
     if grid.disc_blocked(poses[:, 0], poses[:, 1], robot_radius).any():
         return 0
-    path_len = shortest_feasible_path(grid, a, b, robot_radius)
+    # euclid <= E_max, so a path longer than R_max * E_max fails the ratio
+    # test anyway and the search may stop there.
+    limit = c.R_max * c.E_max * (1.0 + 1e-9)
+    path_len = shortest_feasible_path(grid, a, b, robot_radius,
+                                      limit if limit >= 0.0 else math.inf)
     if not math.isfinite(path_len) or path_len / euclid > c.R_max:
-        return 0
-    sensor = SensorConfig(fov=c.fov, n_rays=n_rays, max_range=c.max_range)
-    if visual_overlap(grid, a, b, sensor) < c.L_min:
         return 0
     return 1
 

@@ -51,22 +51,26 @@ class BuildParams:
 
 class TrajectoryPool:
     """Observations collected on a trajectory but not represented in the
-    graph.  Keeps arrival order."""
+    graph, keyed by their unique ids.  Keeps arrival order."""
 
     def __init__(self, observations=()):
-        self.remaining: list[Observation] = list(observations)
+        self._obs: dict[int, Observation] = {}
+        for o in observations:
+            if o.id in self._obs:
+                raise InvalidInput(f"observation {o.id} is already in the pool")
+            self._obs[o.id] = o
 
     def __len__(self) -> int:
-        return len(self.remaining)
+        return len(self._obs)
 
     def __iter__(self):
-        return iter(self.remaining)
+        return iter(self._obs.values())
 
     def ids(self) -> list[int]:
-        return [o.id for o in self.remaining]
+        return list(self._obs)
 
     def discard(self, obs_id: int) -> None:
-        self.remaining = [o for o in self.remaining if o.id != obs_id]
+        self._obs.pop(obs_id, None)
 
 
 class TopoGraph:
@@ -214,30 +218,31 @@ def build_graph(traj, estimator, params: BuildParams = BuildParams()):
     order: mergeable observations are discarded, connectable ones become
     vertices with an edge per passing direction.  Sweeps repeat until a
     full pass adds no vertex.  Returns (graph, pool of untouched
-    observations).
+    observations).  Observation ids must be unique.
     """
-    pool = list(traj)
+    pool = TrajectoryPool(traj)
     if not pool:
         raise InvalidInput("empty trajectory")
     rng = np.random.default_rng(params.rng_seed)
     graph = TopoGraph()
     graph.build_params = params
-    first = pool.pop(int(rng.integers(len(pool))))
+    first = list(pool)[int(rng.integers(len(pool)))]
+    pool.discard(first.id)
     graph.add_vertex(first)
 
     updated = True
     while updated and pool:
         updated = False
-        order = rng.permutation(len(pool))
-        snapshot = [pool[i] for i in order]
-        for cand in snapshot:
+        snapshot = list(pool)
+        for i in rng.permutation(len(snapshot)):
+            cand = snapshot[i]
             if is_mergeable(cand, graph, estimator, params):
-                pool = [o for o in pool if o is not cand]
+                pool.discard(cand.id)
                 continue
             if connect(graph, cand, estimator, params):
-                pool = [o for o in pool if o is not cand]
+                pool.discard(cand.id)
                 updated = True
-    return graph, TrajectoryPool(pool)
+    return graph, pool
 
 
 def _best_within(graph, ids, obs, estimator, params):
@@ -380,6 +385,8 @@ def load_graph(path: str):
         obs = {}
         for ln in sections.get("[observations]", []):
             o = _parse_observation(ln)
+            if o.id in obs:
+                raise LoadError(f"observation {o.id} listed twice")
             obs[o.id] = o
         graph = TopoGraph()
         graph.build_params = params

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse
+import scipy.sparse.csgraph
 
 from toponav import gridworld
 from toponav.errors import InvalidInput, InvalidMap, InvalidPose
@@ -13,6 +15,7 @@ from toponav.gridworld import (
     GridMap,
     SensorConfig,
     VelocityCmd,
+    co_visible,
     feedback_control,
     generate_rooms_map,
     is_visible,
@@ -364,6 +367,84 @@ class TestCappedCasts:
         full = [visual_overlap(g, a, b, sensor) for a, b in pairs]
         assert capped == full
         assert any(0.0 < v < 1.0 for v in capped)
+
+
+class TestCoVisible:
+    @pytest.mark.parametrize("map_index", range(3), ids=MAP_IDS)
+    def test_equals_visibility_and_overlap(self, map_index):
+        g = MAPS[map_index]()
+        pairs = near_pose_pairs(g, np.random.default_rng(20 + map_index), 60)
+        sensors = [SensorConfig(), SensorConfig(max_range=2.0), SensorConfig(fov=1.0, n_rays=20)]
+        outcomes = set()
+        for sensor in sensors:
+            for a, b in pairs + [(a, Pose2D(a.x, a.y, a.theta + 0.7)) for a, _ in pairs[:5]]:
+                visible = is_visible(g, a, (b.x, b.y), sensor.fov, sensor.max_range)
+                overlap = visual_overlap(g, a, b, sensor)
+                for t in (-0.5, 0.0, 0.1, 0.3, 0.6, 1.0):
+                    got = co_visible(g, a, b, sensor, t)
+                    assert got == (visible and overlap >= t), (a, b, sensor, t)
+                    outcomes.add((visible, overlap >= t, got))
+        assert outcomes == {(True, True, True), (True, False, False), (False, True, False),
+                            (False, False, False)}
+
+    def test_at_most_two_raycasts(self, monkeypatch):
+        g = apartment_map()
+        sensor = SensorConfig()
+        pairs = near_pose_pairs(g, np.random.default_rng(5), 40)
+        for pose in [p for pair in pairs for p in pair]:  # cast and cache the scans first
+            raycast_scan(g, pose, sensor)
+        calls = []
+        cast = gridworld.raycast
+        monkeypatch.setattr(gridworld, "raycast",
+                            lambda *args: calls.append(1) or cast(*args))
+        counts = []
+        for a, b in pairs:
+            calls.clear()
+            co_visible(g, a, b, sensor, 0.3)
+            counts.append(len(calls))
+        assert max(counts) == 2 and 1 in counts
+
+
+class TestPathFields:
+    """Fields on the symmetric cell graph, full and bounded."""
+
+    @pytest.mark.parametrize("map_index", range(3), ids=MAP_IDS)
+    def test_symmetric_graph_fields_equal_undirected_search(self, map_index):
+        g = MAPS[map_index]()
+        r = gridworld.DEFAULT_ROBOT_RADIUS
+        graph = g._cell_graph(r)
+        assert (graph != graph.T).nnz == 0
+        # Each edge once, as the undirected search takes it.
+        upper = scipy.sparse.triu(graph, k=1).tocsr()
+        assert 2 * upper.nnz == graph.nnz
+        passable = np.argwhere(g.passable(r))
+        rng = np.random.default_rng(map_index)
+        for iy, ix in passable[rng.choice(len(passable), 50, replace=False)]:
+            got = g.path_distance_field((ix, iy), r)
+            want = scipy.sparse.csgraph.dijkstra(upper, directed=False, indices=iy * g.nx + ix)
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("map_index", range(3), ids=MAP_IDS)
+    def test_bounded_field_is_the_full_field_up_to_the_limit(self, map_index):
+        g = MAPS[map_index]()
+        r = gridworld.DEFAULT_ROBOT_RADIUS
+        passable = np.argwhere(g.passable(r))
+        rng = np.random.default_rng(10 + map_index)
+        for iy, ix in passable[rng.choice(len(passable), 20, replace=False)]:
+            full = g.path_distance_field((ix, iy), r)
+            for limit in (0.0, 1.0, 4.0 * (1 + 1e-9)):
+                bounded = g.path_distance_field((ix, iy), r, limit)
+                within = full <= limit
+                assert np.array_equal(bounded[within], full[within])
+                assert np.all(np.isinf(bounded[~within]))
+                assert within.sum() > 0 and (~within).sum() > 0
+
+    def test_bounded_path_is_inf_beyond_the_limit(self):
+        g = empty_room()
+        a, b = Pose2D(3.0, 5.0), Pose2D(7.0, 5.0)
+        d = shortest_feasible_path(g, a, b)
+        assert shortest_feasible_path(g, a, b, limit=d) == d
+        assert shortest_feasible_path(g, a, b, limit=d - 0.05) == math.inf
 
 
 class TestIsVisible:

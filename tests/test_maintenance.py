@@ -135,6 +135,7 @@ class TestApplyTraversalUpdate:
     def test_success_raises_p_and_pulls_mu(self):
         g = edge_graph()
         rep = apply_traversal_update(g, TraversalOutcome((1, 2), True, 2.0), MP)
+        g.check()
         assert rep.action == "updated"
         assert rep.new_p > rep.old_p
         assert rep.old_mu < rep.new_mu < 2.0
@@ -150,6 +151,7 @@ class TestApplyTraversalUpdate:
     def test_failure_leaves_distance_untouched(self):
         g = edge_graph(p=0.9)
         rep = apply_traversal_update(g, TraversalOutcome((1, 2), False), MP)
+        g.check()
         assert rep.action == "updated"
         assert rep.new_p == pytest.approx(9 / 17, abs=1e-12)
         assert (rep.new_mu, rep.new_sigma2) == (rep.old_mu, rep.old_sigma2)
@@ -159,6 +161,7 @@ class TestApplyTraversalUpdate:
         g = edge_graph(p=0.9)
         apply_traversal_update(g, TraversalOutcome((1, 2), False), MP)
         rep = apply_traversal_update(g, TraversalOutcome((1, 2), False), MP)
+        g.check()
         assert rep.action == "pruned"
         assert rep.new_p == pytest.approx(9 / 73, abs=1e-9)
         assert (1, 2) not in g.edges
@@ -215,6 +218,7 @@ class TestAddNovelNode:
         g = self._base_graph()
         novel = mk_obs(self.grid, 5, Pose2D(3.2, 2.5, 0.0))
         vid = add_novel_node(g, TrajectoryPool(), novel, self.est, BP)
+        g.check()
         assert vid == 5 and 5 in g.vertices
         assert (0, 5) in g.edges
         assert g.edges[(0, 5)].mu == pytest.approx(1.2, abs=1e-9)
@@ -224,6 +228,7 @@ class TestAddNovelNode:
         g = self._base_graph()
         novel = mk_obs(self.grid, 6, Pose2D(5.5, 2.5, 0.0))
         add_novel_node(g, TrajectoryPool(), novel, self.est, BP)
+        g.check()
         assert 6 in g.vertices and g.n_edges == 0
 
     def test_localizes_to_itself_afterwards(self):
@@ -281,6 +286,7 @@ class TestExpandForPlan:
         decoy = mk_obs(self.grid, 11, Pose2D(1.5, 2.5, math.pi))
         pool = TrajectoryPool([bridge, decoy])
         out = expand_for_plan(g, pool, 0, 3, self.est, BP, MP, np.random.default_rng(1))
+        g.check()
         assert out is not None
         path, kept = out
         assert kept == [10]
@@ -302,6 +308,7 @@ class TestExpandForPlan:
         save_graph(g, pool, p1)
         assert expand_for_plan(g, pool, 0, 3, est, BP, MP,
                                np.random.default_rng(2)) is None
+        g.check()
         save_graph(g, pool, p2)
         assert open(p1, "rb").read() == open(p2, "rb").read()
 

@@ -7,7 +7,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toponav.errors import InvalidInput, LoadError
-from toponav.gridworld import GridMap, SensorConfig, raycast_scan, sample_free_pose
+from toponav.fixtures import apartment_map, two_room_map
+from toponav.gridworld import (
+    DEFAULT_ROBOT_RADIUS,
+    GridMap,
+    SensorConfig,
+    generate_rooms_map,
+    is_visible,
+    raycast_scan,
+    sample_free_pose,
+    shortest_feasible_path,
+    visual_overlap,
+)
 from toponav.perception import (
     LabeledPair,
     NoiseConfig,
@@ -25,7 +36,7 @@ from toponav.perception import (
     loss_total,
     save_dataset,
 )
-from toponav.se2 import Pose2D, Waypoint, relative, waypoint_distance
+from toponav.se2 import Pose2D, Waypoint, dubins_sample, relative, waypoint_distance, wrap_angle
 from toponav.topograph import BuildParams, TopoGraph, localize
 
 from test_gridworld import empty_room, room_with_column_wall
@@ -102,6 +113,73 @@ class TestLabelReachability:
             assert base <= got, f"relaxing {name} lost positives"
             grew += len(got - base)
         assert grew > 0
+
+
+def reference_rejection(grid, a, b, c, robot_radius=DEFAULT_ROBOT_RADIUS, n_rays=64):
+    """The first check that rejects b from a, in the order the label once
+    ran them (sight line, Dubins, unbounded path ratio, overlap), or None
+    when every check passes."""
+    euclid = math.hypot(b.x - a.x, b.y - a.y)
+    if euclid > c.E_max:
+        return "E_max"
+    if abs(wrap_angle(b.theta - a.theta)) > c.Theta_max:
+        return "Theta_max"
+    if euclid < grid.resolution:
+        return None
+    if abs(wrap_angle(math.atan2(b.y - a.y, b.x - a.x) - a.theta)) > c.fov / 2.0 + 1e-12:
+        return "fov"
+    if not is_visible(grid, a, (b.x, b.y), c.fov, c.max_range):
+        return "visible"
+    poses = dubins_sample(a, b, c.turn_radius, 0.5 * grid.resolution)
+    if grid.disc_blocked(poses[:, 0], poses[:, 1], robot_radius).any():
+        return "dubins"
+    path_len = shortest_feasible_path(grid, a, b, robot_radius)
+    if not math.isfinite(path_len) or path_len / euclid > c.R_max:
+        return "path"
+    sensor = SensorConfig(fov=c.fov, n_rays=n_rays, max_range=c.max_range)
+    if visual_overlap(grid, a, b, sensor) < c.L_min:
+        return "overlap"
+    return None
+
+
+def label_test_pairs(grid, rng, n, reach):
+    """Disc-free pose pairs at most `reach` apart, the first roughly facing
+    the second and the second turned by up to 1.8 rad."""
+    pairs = []
+    while len(pairs) < n:
+        a = sample_free_pose(grid, rng)
+        r, phi = rng.uniform(0.0, reach), rng.uniform(-math.pi, math.pi)
+        bx, by = a.x + r * math.cos(phi), a.y + r * math.sin(phi)
+        if not grid.in_bounds(bx, by) or grid.disc_blocked([bx], [by], DEFAULT_ROBOT_RADIUS)[0]:
+            continue
+        theta = phi + rng.uniform(-0.9, 0.9)
+        pairs.append((Pose2D(a.x, a.y, theta), Pose2D(bx, by, theta + rng.uniform(-1.8, 1.8))))
+    return pairs
+
+
+class TestLabelMatchesReference:
+    """label_reachability runs co-visibility before the Dubins and path
+    checks and bounds the path search; every label equals the old order's."""
+
+    @pytest.mark.parametrize("crit, per_map", [
+        (CRIT, 1000),
+        (replace(CRIT, L_min=0.0), 350),
+        (replace(CRIT, max_range=2.0), 350),
+    ], ids=["default", "L_min=0", "max_range<E_max"])
+    def test_labels_equal_the_old_order(self, crit, per_map):
+        rejected_by = {}
+        for seed, make in enumerate([two_room_map, apartment_map,
+                                     lambda: generate_rooms_map(seed=3)]):
+            g = make()
+            for a, b in label_test_pairs(g, np.random.default_rng(seed), per_map,
+                                         1.05 * crit.E_max):
+                why = reference_rejection(g, a, b, crit)
+                assert label_reachability(g, a, b, crit) == (why is None), (a, b, why)
+                rejected_by[why] = rejected_by.get(why, 0) + 1
+        checks = {"E_max", "Theta_max", "fov", "visible", "dubins", "path"}
+        if crit.L_min > 0.0:
+            checks.add("overlap")
+        assert set(rejected_by) == checks | {None}, rejected_by
 
 
 class TestOracleEstimator:

@@ -374,6 +374,21 @@ class TestPlan:
             assert plan(g, start, goal) == enumerate_best_path(g, start, goal)
 
 
+class TestTrajectoryPool:
+    def test_discard_keeps_arrival_order(self):
+        pool = TrajectoryPool(dummy_obs(i) for i in (5, 2, 9, 7))
+        pool.discard(9)
+        pool.discard(42)
+        assert pool.ids() == [5, 2, 7] and len(pool) == 3
+        assert [o.id for o in pool] == [5, 2, 7]
+
+    def test_repeated_id_rejected(self):
+        with pytest.raises(InvalidInput):
+            TrajectoryPool([dummy_obs(1), dummy_obs(2), dummy_obs(1)])
+        with pytest.raises(InvalidInput):
+            build_graph([dummy_obs(1), dummy_obs(1)], None)
+
+
 class TestPersistence:
     def _fixture(self):
         g = empty_room(6.0, 5.0)
@@ -427,3 +442,14 @@ class TestPersistence:
         p.write_text("topograph/v1\n[edges]\n1 2 nonsense 0.5 0.25\n")
         with pytest.raises(LoadError):
             load_graph(str(p))
+        # A repeated id in [pool] or in [observations].
+        graph, _ = self._fixture()
+        pool = TrajectoryPool([dummy_obs(1000), dummy_obs(1001)])
+        save_graph(graph, pool, str(p))
+        lines = p.read_text().splitlines()
+        first_obs = lines.index("[observations]") + 1
+        for bad in (lines + [str(pool.ids()[0])],
+                    lines[:first_obs + 1] + lines[first_obs:]):
+            p.write_text("\n".join(bad) + "\n")
+            with pytest.raises(LoadError):
+                load_graph(str(p))
