@@ -197,7 +197,7 @@ def load_config(path: str | None) -> ExperimentConfig:
             parser.read_file(fh)
     except OSError as e:
         raise ConfigError(f"cannot read config {path}: {e}") from e
-    except configparser.Error as e:
+    except (configparser.Error, UnicodeDecodeError) as e:
         raise ConfigError(f"malformed config {path}: {e}") from e
     for section in parser.sections():
         if section not in _SECTIONS:
@@ -234,9 +234,9 @@ def make_route(cfg: ExperimentConfig) -> list[Pose2D]:
                       "set [gridworld] map = two-room or apartment")
 
 
-def make_world(cfg: ExperimentConfig, grid: GridMap) -> World:
+def make_world(cfg: ExperimentConfig, grid: GridMap, first_id: int = 0) -> World:
     return World(grid, sensor=cfg.make(SensorConfig), gains=cfg.make(ControllerGains),
-                 dt=cfg.dt, robot_radius=cfg.robot_radius)
+                 dt=cfg.dt, robot_radius=cfg.robot_radius, first_id=first_id)
 
 
 def make_estimator(cfg: ExperimentConfig, grid: GridMap, seed: int) -> OracleEstimator:
@@ -318,10 +318,10 @@ def _cmd_build(args, cfg: ExperimentConfig) -> int:
 
 def _cmd_navigate(args, cfg: ExperimentConfig) -> int:
     grid = make_grid(cfg, args.seed)
-    world = make_world(cfg, grid)
     estimator = make_estimator(cfg, grid, args.seed)
     graph, pool = load_graph(args.graph)
-    world._next_id = max(list(graph.vertices) + [o.id for o in pool], default=-1) + 1
+    world = make_world(cfg, grid, first_id=max(
+        list(graph.vertices) + [o.id for o in pool], default=-1) + 1)
     res = run_episode(world, graph, pool, estimator, _parse_pose(args.start),
                       args.goal, cfg.limits(), cfg.build_params(args.seed),
                       cfg.maint_params(), maintain=args.maintain,

@@ -570,8 +570,11 @@ def save_map(grid: GridMap, path: str) -> None:
 
 def load_map(path: str) -> GridMap:
     """Parse the text format; rejects ragged rows and bad characters."""
-    with open(path) as f:
-        lines = [ln.rstrip("\n") for ln in f if ln.strip() != ""]
+    try:
+        with open(path) as f:
+            lines = [ln.rstrip("\n") for ln in f if ln.strip() != ""]
+    except UnicodeDecodeError as e:
+        raise InvalidMap(f"{path}: not a text map: {e}") from e
     if not lines or not lines[0].startswith("resolution"):
         raise InvalidMap(f"{path}: first line must be 'resolution <meters>'")
     parts = lines[0].split()

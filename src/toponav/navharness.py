@@ -144,7 +144,7 @@ def _motion(step: "Waypoint") -> float:
     return math.hypot(step.dx, step.dy) + math.sqrt(2.0) * abs(step.dtheta)
 
 
-def collect_trajectory(world, route, loops: int, spacing: float,
+def collect_trajectory(world: World, route, loops: int, spacing: float,
                        odom_noise: OdomNoise | None = None) -> list[Observation]:
     """Drive the controller around the route and record observations.
 
@@ -154,8 +154,6 @@ def collect_trajectory(world, route, loops: int, spacing: float,
     odom_pose accumulates per-step deltas corrupted by noise scaled with
     each step's motion; with zero noise it equals the true pose.
     """
-    if isinstance(world, GridMap):
-        world = World(world)
     if loops < 1:
         raise RouteError("need at least one loop")
     if spacing <= 0.0:
@@ -216,8 +214,9 @@ def save_trajectory(observations, path: str) -> None:
 
 def load_trajectory(path: str) -> list[Observation]:
     try:
-        lines = open(path).read().splitlines()
-    except OSError as e:
+        with open(path) as fh:
+            lines = fh.read().splitlines()
+    except (OSError, UnicodeDecodeError) as e:
         raise LoadError(str(e)) from e
     if not lines or lines[0] != _TRAJ_HEADER:
         raise LoadError(f"not a {_TRAJ_HEADER} file")
@@ -255,16 +254,54 @@ def traversal_succeeded(estimator, subgoal_obs: Observation, arrival_obs: Observ
             and estimator.predict(subgoal_obs, arrival_obs).r_hat >= params.r_connect_min)
 
 
+def _pose_errors(pose: Pose2D, goal_pose: Pose2D) -> tuple[float, float]:
+    return (math.hypot(pose.x - goal_pose.x, pose.y - goal_pose.y),
+            abs(wrap_angle(pose.theta - goal_pose.theta)))
+
+
+def _within_tolerance(pose: Pose2D, goal_pose: Pose2D, limits: EpisodeLimits) -> bool:
+    pos_err, yaw_err = _pose_errors(pose, goal_pose)
+    return pos_err <= limits.pos_tol and yaw_err <= limits.yaw_tol
+
+
+def _end_reason(state: AgentState, goal_pose: Pose2D, collisions: int,
+                limits: EpisodeLimits) -> str | None:
+    """Why the episode ends at this state: "goal", "timeout" or
+    "collision_limit", tested in that order; None while it goes on."""
+    if _within_tolerance(state.pose, goal_pose, limits):
+        return "goal"
+    if state.step_count > limits.max_steps:
+        return "timeout"
+    if collisions > limits.max_collisions:
+        return "collision_limit"
+    return None
+
+
 def run_episode(world: World, graph: TopoGraph, pool, estimator, start: Pose2D,
                 goal: int, limits: EpisodeLimits, build_params: BuildParams,
                 maint_params: MaintenanceParams | None = None, maintain: bool = False,
-                expand_rng=None, obs_id_base: int | None = None) -> EpisodeResult:
+                expand_rng=None) -> EpisodeResult:
     """One navigation episode from a free pose to a graph vertex.
 
+    Each cycle observes, localizes, plans to the goal vertex and drives
+    toward the subgoal's predicted waypoint.  The episode ends at the
+    first of these tests to hold, run in this order before the first
+    cycle, after every drive step and at the end of every cycle: the goal
+    is within `pos_tol` and `yaw_tol` (success), more than `max_steps`
+    steps were taken ("timeout"), or more than `max_collisions` contact
+    events happened ("collision_limit").
+
+    A cycle that finds no vertex, finds no plan, or makes no progress
+    (stalled against an obstacle, or arrived where it started) rotates in
+    place by `recovery_rotation_step`.  After `max_recovery_rotations`
+    rotations without a clean arrival the episode ends "stuck", except
+    that with maintenance on a failed localization then adds the
+    observation as a novel vertex and the cycle goes on.
+
     maintain=False leaves graph and pool strictly untouched; with
-    maintenance on, failed localization adds a novel vertex, failed
-    planning expands from the pool, and each edge traversal updates that
-    edge's belief.
+    maintenance on, failed planning also expands from the pool, and each
+    edge traversal updates that edge's belief.  Observation ids come from
+    `world`.
     """
     if goal not in graph.vertices:
         raise InvalidGoal(f"goal vertex {goal} is not in the graph")
@@ -274,7 +311,6 @@ def run_episode(world: World, graph: TopoGraph, pool, estimator, start: Pose2D,
         expand_rng = np.random.default_rng(0)
     goal_pose = graph.vertices[goal].true_pose
     state = AgentState(pose=start)
-    counter = 0
     events: list = []
     edges_traversed = 0
     recoveries = 0
@@ -283,149 +319,98 @@ def run_episode(world: World, graph: TopoGraph, pool, estimator, start: Pose2D,
     # that presses against a wall for its whole budget is one collision.
     collisions = 0
     in_contact = False
-
-    def take_observation() -> Observation:
-        nonlocal counter
-        oid = None if obs_id_base is None else obs_id_base + counter
-        counter += 1
-        return world.observe(state.pose, oid)
-
-    def errors():
-        return (math.hypot(state.pose.x - goal_pose.x, state.pose.y - goal_pose.y),
-                abs(wrap_angle(state.pose.theta - goal_pose.theta)))
-
-    def result(success: bool, reason: str | None) -> EpisodeResult:
-        pe, ye = errors()
-        return EpisodeResult(success, reason, state.step_count, collisions,
-                             edges_traversed, events, pe, ye)
-
-    def at_goal() -> bool:
-        pe, ye = errors()
-        return pe <= limits.pos_tol and ye <= limits.yaw_tol
-
-    def recover():
-        nonlocal state, recoveries
-        if recoveries >= limits.max_recovery_rotations:
-            return False
-        state = _rotate_in_place(world, state, limits.recovery_rotation_step)
-        recoveries += 1
-        return True
-
-    if at_goal():
-        return result(True, None)
-    while True:
-        if state.step_count > limits.max_steps:
-            return result(False, "timeout")
-        if collisions > limits.max_collisions:
-            return result(False, "collision_limit")
-        obs = take_observation()
+    reason = _end_reason(state, goal_pose, collisions, limits)
+    while reason is None:
+        obs = world.observe(state.pose)
         vid = localize(graph, obs, estimator, build_params, last_path)
-        if vid is None:
-            # Rotation retries come first in both modes; only a full failed
-            # sweep marks the pose as genuinely novel.
-            if recover():
-                if at_goal():
-                    return result(True, None)
-                continue
-            if not maintain:
-                return result(False, "stuck")
+        if vid is None and maintain and recoveries >= limits.max_recovery_rotations:
+            # Only a full sweep of failed rotations marks the pose as novel.
             vid = add_novel_node(graph, pool, obs, estimator, build_params)
             recoveries = 0
-        path = plan(graph, vid, goal)
-        if path is None and maintain:
+        path = None if vid is None else plan(graph, vid, goal)
+        if path is None and vid is not None and maintain:
             expanded = expand_for_plan(graph, pool, vid, goal, estimator,
                                        build_params, maint_params, expand_rng)
             if expanded is not None:
                 path = expanded[0]
-        if path is None:
-            if recover():
-                if at_goal():
-                    return result(True, None)
-                continue
-            return result(False, "stuck")
-        subgoal = path[1] if len(path) > 1 else path[0]
-        subgoal_obs = graph.vertices[subgoal]
-        w_hat = estimator.waypoint(obs, subgoal_obs)
-        target = compose(state.pose, w_hat)
-        if subgoal != vid:
-            edges_traversed += 1
-        cycle_pose = state.pose
-        verdict = None
-        stalled = False
-        arrived = False
-        for _ in range(200):
-            cmd = feedback_control(state.pose, target, world.gains)
-            if cmd.v == 0.0 and cmd.omega == 0.0:
-                arrived = True
-                break
-            before = state.collision_count
-            prev_pose = state.pose
-            state = step_agent(world.grid, state, cmd, world.dt, world.robot_radius)
-            hit = state.collision_count > before
-            if hit and not in_contact:
-                collisions += 1
-            in_contact = hit
-            if hit and state.pose == prev_pose:
-                # Contact holds the pose, so further commands are no-ops;
-                # burning the rest of the budget in place teaches nothing.
-                stalled = True
-                break
-            if at_goal():
-                verdict = "goal"
-                break
-            if state.step_count > limits.max_steps:
-                verdict = "timeout"
-                break
-            if collisions > limits.max_collisions:
-                verdict = "collision_limit"
-                break
-        # The traversal verdict is recorded even when the drive ended the
-        # episode; failed drives are exactly the evidence pruning needs.
-        if maintain and subgoal != vid and (vid, subgoal) in graph.edges:
-            arrival = take_observation()
-            succeeded = traversal_succeeded(estimator, subgoal_obs, arrival, build_params)
-            outcome = TraversalOutcome(
-                (vid, subgoal), succeeded,
-                waypoint_distance(w_hat) if succeeded else None)
-            events.append(apply_traversal_update(graph, outcome, maint_params))
-        if verdict == "goal":
-            return result(True, None)
-        if verdict is not None:
-            return result(False, verdict)
-        if stalled or state.pose == cycle_pose:
+        progressed = False
+        if path is not None:
+            subgoal = path[1] if len(path) > 1 else path[0]
+            subgoal_obs = graph.vertices[subgoal]
+            w_hat = estimator.waypoint(obs, subgoal_obs)
+            target = compose(state.pose, w_hat)
+            if subgoal != vid:
+                edges_traversed += 1
+            cycle_pose = state.pose
+            arrived = stalled = False
+            for _ in range(200):
+                cmd = feedback_control(state.pose, target, world.gains)
+                if cmd.v == 0.0 and cmd.omega == 0.0:
+                    arrived = True
+                    break
+                before = state.collision_count
+                prev_pose = state.pose
+                state = step_agent(world.grid, state, cmd, world.dt, world.robot_radius)
+                hit = state.collision_count > before
+                if hit and not in_contact:
+                    collisions += 1
+                in_contact = hit
+                if hit and state.pose == prev_pose:
+                    # Contact holds the pose, so further commands are no-ops;
+                    # burning the rest of the budget in place teaches nothing.
+                    stalled = True
+                    break
+                reason = _end_reason(state, goal_pose, collisions, limits)
+                if reason is not None:
+                    break
+            # The traversal verdict is recorded even when the drive ended the
+            # episode; failed drives are exactly the evidence pruning needs.
+            if maintain and subgoal != vid and (vid, subgoal) in graph.edges:
+                arrival = world.observe(state.pose)
+                succeeded = traversal_succeeded(estimator, subgoal_obs, arrival, build_params)
+                outcome = TraversalOutcome(
+                    (vid, subgoal), succeeded,
+                    waypoint_distance(w_hat) if succeeded else None)
+                events.append(apply_traversal_update(graph, outcome, maint_params))
+            last_path = path
             # Wedged against an obstacle, or the controller believes it has
-            # arrived while the goal test disagrees.  Rotating breaks the
-            # repeat; a run of such cycles without a clean arrival is stuck.
-            if not recover():
-                return result(False, "stuck")
-            if at_goal():
-                return result(True, None)
-        elif arrived:
-            recoveries = 0
-        last_path = path
+            # arrived while the goal test disagrees: that is no progress.
+            progressed = not stalled and state.pose != cycle_pose
+            if progressed and arrived:
+                recoveries = 0
+        if reason is None and not progressed:
+            # Rotating breaks the repeat; a run of such cycles is stuck.
+            if recoveries >= limits.max_recovery_rotations:
+                reason = "stuck"
+            else:
+                state = _rotate_in_place(world, state, limits.recovery_rotation_step)
+                recoveries += 1
+        if reason is None:
+            reason = _end_reason(state, goal_pose, collisions, limits)
+    success = reason == "goal"
+    return EpisodeResult(success, None if success else reason, state.step_count,
+                         collisions, edges_traversed, events,
+                         *_pose_errors(state.pose, goal_pose))
 
 
 def evaluate(world: World, graph: TopoGraph, estimator, test_set, limits: EpisodeLimits,
              build_params: BuildParams):
     """Success rate of the test set against a frozen graph.
 
-    Episodes run without maintenance and with namespaced observation ids,
-    so the call is repeatable and mutates nothing.
+    Episodes run without maintenance, each in a copy of `world` whose
+    observation ids start in its own evaluation range, so the call is
+    repeatable and mutates nothing.
     """
     if not test_set:
         raise InvalidInput("empty test set")
     results = []
     for idx, (start, goal) in enumerate(test_set):
-        results.append(run_episode(
-            world, graph, None, estimator, start, goal, limits, build_params,
-            maintain=False, obs_id_base=EVAL_ID_BASE + idx * EVAL_ID_STRIDE))
+        episode_world = World(world.grid, world.sensor, world.gains, world.dt,
+                              world.robot_radius, first_id=EVAL_ID_BASE + idx * EVAL_ID_STRIDE)
+        results.append(run_episode(episode_world, graph, None, estimator, start, goal,
+                                   limits, build_params, maintain=False))
     rate = sum(r.success for r in results) / len(results)
     return rate, results
-
-
-def _within_tolerance(start: Pose2D, goal_pose: Pose2D, limits: EpisodeLimits) -> bool:
-    return (math.hypot(start.x - goal_pose.x, start.y - goal_pose.y) <= limits.pos_tol
-            and abs(wrap_angle(start.theta - goal_pose.theta)) <= limits.yaw_tol)
 
 
 def _sample_query(world: World, graph: TopoGraph, rng, limits: EpisodeLimits):

@@ -351,12 +351,11 @@ def generate_sim_dataset(
     return pairs
 
 
-def label_finetune_pairs(traj: list[Observation], H: int, criteria=None) -> list[LabeledPair]:
+def label_finetune_pairs(traj: list[Observation], H: int) -> list[LabeledPair]:
     """Self-supervised labels from one trajectory, no map access.
 
     For every ordered pair (o_i, o_j) with j > i: reachable iff the step gap
     j - i is at most the horizon H; the waypoint label is the odometry delta.
-    `criteria` is accepted for export metadata only.
     """
     if not traj:
         raise InvalidInput("trajectory is empty")
@@ -408,8 +407,11 @@ def save_dataset(pairs: list[LabeledPair], path: str, criteria: ReachabilityCrit
 
 
 def load_dataset(path: str) -> list[DatasetRecord]:
-    with open(path) as f:
-        lines = f.read().splitlines()
+    try:
+        with open(path) as f:
+            lines = f.read().splitlines()
+    except UnicodeDecodeError as e:
+        raise LoadError(f"{path}: {e}") from e
     if not lines or lines[0] != f"# {_DATASET_HEADER}":
         raise LoadError(f"{path}: not a {_DATASET_HEADER} file")
     records = []

@@ -361,8 +361,9 @@ def save_graph(graph: TopoGraph, pool: TrajectoryPool, path: str) -> None:
 def load_graph(path: str):
     """Inverse of save_graph.  Returns (graph, pool)."""
     try:
-        lines = open(path).read().splitlines()
-    except OSError as e:
+        with open(path) as fh:
+            lines = fh.read().splitlines()
+    except (OSError, UnicodeDecodeError) as e:
         raise LoadError(str(e)) from e
     if not lines or lines[0] != _GRAPH_HEADER:
         raise LoadError(f"not a {_GRAPH_HEADER} file")

@@ -208,6 +208,25 @@ def test_runtime_error_exits_one(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind, rc", [
+    ("config", 2), ("map", 1), ("trajectory", 1), ("graph", 1), ("dataset", 1)])
+def test_non_utf8_file_is_typed_error(tmp_path, capsys, kind, rc):
+    bad = tmp_path / f"bad.{kind}"
+    bad.write_bytes(b"\xff\n")
+    cfgp = tmp_path / "exp.ini"
+    cfgp.write_text(f"[gridworld]\nmap_file = {bad}\n")
+    out = str(tmp_path / "out")
+    argv = {
+        "config": ["collect", "--config", str(bad), "--out", out],
+        "map": ["collect", "--config", str(cfgp), "--out", out],
+        "trajectory": ["build", str(bad), "--out", out],
+        "graph": ["evaluate", str(bad)],
+        "dataset": ["losses", str(bad)],
+    }[kind]
+    assert main(argv) == rc
+    assert "error:" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------

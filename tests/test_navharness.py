@@ -103,34 +103,34 @@ def test_observe_matches_pose(grid):
 
 
 def test_collect_count_scales_with_spacing(grid):
-    coarse = collect_trajectory(grid, two_room_route(), loops=1, spacing=0.2)
-    fine = collect_trajectory(grid, two_room_route(), loops=1, spacing=0.1)
+    coarse = collect_trajectory(World(grid), two_room_route(), loops=1, spacing=0.2)
+    fine = collect_trajectory(World(grid), two_room_route(), loops=1, spacing=0.1)
     assert 350 <= len(coarse) <= 900
     ratio = len(fine) / len(coarse)
     assert 1.4 <= ratio <= 2.5
 
 
 def test_collect_consecutive_observations_stay_close(grid):
-    traj = collect_trajectory(grid, two_room_route(), loops=1, spacing=0.2)
+    traj = collect_trajectory(World(grid), two_room_route(), loops=1, spacing=0.2)
     gaps = [waypoint_distance(relative(a.true_pose, b.true_pose))
             for a, b in zip(traj, traj[1:])]
     assert max(gaps) <= 1.0
 
 
 def test_collect_zero_noise_odometry_is_exact(grid):
-    traj = collect_trajectory(grid, two_room_route(), loops=1, spacing=0.3)
+    traj = collect_trajectory(World(grid), two_room_route(), loops=1, spacing=0.3)
     assert all(o.odom_pose == o.true_pose for o in traj)
 
 
 def test_collect_noisy_odometry_drifts(grid):
     noise = OdomNoise(pos_sigma=0.05, theta_sigma=0.02, seed=3)
-    traj = collect_trajectory(grid, two_room_route(), loops=1, spacing=0.3,
+    traj = collect_trajectory(World(grid), two_room_route(), loops=1, spacing=0.3,
                               odom_noise=noise)
     first, last = traj[0], traj[-1]
     assert first.odom_pose == first.true_pose
     assert math.hypot(last.odom_pose.x - last.true_pose.x,
                       last.odom_pose.y - last.true_pose.y) > 1e-6
-    again = collect_trajectory(grid, two_room_route(), loops=1, spacing=0.3,
+    again = collect_trajectory(World(grid), two_room_route(), loops=1, spacing=0.3,
                                odom_noise=noise)
     assert [o.odom_pose for o in again] == [o.odom_pose for o in traj]
 
@@ -138,12 +138,12 @@ def test_collect_noisy_odometry_drifts(grid):
 def test_collect_rejects_bad_inputs(grid):
     route = two_room_route()
     with pytest.raises(RouteError):
-        collect_trajectory(grid, route, loops=0, spacing=0.2)
+        collect_trajectory(World(grid), route, loops=0, spacing=0.2)
     with pytest.raises(InvalidInput):
-        collect_trajectory(grid, route, loops=1, spacing=0.0)
+        collect_trajectory(World(grid), route, loops=1, spacing=0.0)
     blocked = route[:2] + [Pose2D(3.55, 1.0, 0.0)]
     with pytest.raises(RouteError):
-        collect_trajectory(grid, blocked, loops=1, spacing=0.2)
+        collect_trajectory(World(grid), blocked, loops=1, spacing=0.2)
 
 
 def test_collect_rejects_disconnected_route():
@@ -153,11 +153,11 @@ def test_collect_rejects_disconnected_route():
     sealed = GridMap(0.1, occ)
     route = [Pose2D(0.7, 1.5, 0.0), Pose2D(2.3, 1.5, 0.0)]
     with pytest.raises(RouteError):
-        collect_trajectory(sealed, route, loops=1, spacing=0.2)
+        collect_trajectory(World(sealed), route, loops=1, spacing=0.2)
 
 
 def test_trajectory_file_round_trip(grid, tmp_path):
-    traj = collect_trajectory(grid, two_room_route(), loops=1, spacing=0.4,
+    traj = collect_trajectory(World(grid), two_room_route(), loops=1, spacing=0.4,
                               odom_noise=OdomNoise(0.02, 0.01, seed=9))
     path = str(tmp_path / "walk.traj")
     save_trajectory(traj, path)

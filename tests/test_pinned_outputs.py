@@ -6,11 +6,14 @@ must keep these digests; a change that alters the outputs on purpose
 updates them and says why.
 """
 
+import dataclasses
 import hashlib
+from collections import Counter
 
 import numpy as np
 import pytest
 
+import toponav.navharness as navharness
 from toponav import (
     BuildParams,
     EpisodeLimits,
@@ -78,3 +81,36 @@ def test_short_lifelong_bytes(tmp_path, case):
     csv.write_text(curve.to_table())
     save_graph(graph, pool, str(csv) + ".graph")
     assert (_sha256(csv), _sha256(str(csv) + ".graph")) == (csv_sha, graph_sha)
+
+
+def test_episode_outcomes(monkeypatch):
+    # Short limits make the 30 episodes (12 maintained queries, three
+    # evaluations of 6) end for every reason, so the digest pins steps,
+    # collisions, failure reasons and maintenance reports, which the CSV
+    # and the graph bytes do not show.
+    results = []
+    run_episode = navharness.run_episode
+
+    def recorded(*args, **kwargs):
+        result = run_episode(*args, **kwargs)
+        results.append(result)
+        return result
+
+    monkeypatch.setattr(navharness, "run_episode", recorded)
+    grid = two_room_map()
+    world = World(grid)
+    traj = collect_trajectory(world, two_room_route(), loops=1, spacing=0.2)
+    est = OracleEstimator(grid, noise=NoiseConfig(false_positive_rate=0.10,
+                                                  false_negative_rate=0.15, seed=1))
+    bp, mp = BuildParams(), MaintenanceParams()
+    limits = EpisodeLimits(max_steps=300, max_collisions=3)
+    graph, leftovers = build_graph(traj[::3], est, bp)
+    held_out = [o for i, o in enumerate(traj) if i % 3]
+    pool = TrajectoryPool(sorted(held_out + list(leftovers), key=lambda o: o.id))
+    test_set = make_test_set(world, graph, 3, 6, np.random.default_rng([1, 3]), limits)
+    run_lifelong(world, graph, pool, est, 12, 6, test_set, limits, bp, mp, seed=1)
+    reasons = Counter("goal" if r.success else r.failure_reason for r in results)
+    assert set(reasons) == {"goal", "timeout", "stuck", "collision_limit"}
+    text = "\n".join(repr(dataclasses.astuple(r)) for r in results)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "12fe80f74a893293033acffb04df93f56a8266a8e866b159f99cd4ba241dcbc6")
