@@ -110,11 +110,13 @@ class RunSettings:
         for name in ("loops", "spacing", "eval_every", "n_goals", "n_episodes"):
             if not (getattr(self, name) > 0):
                 raise InvalidInput(f"{name} must be positive")
+        if not (self.odom_pos_sigma >= 0.0 and self.odom_theta_sigma >= 0.0):
+            raise InvalidInput("odometry sigmas must be non-negative")
 
 
 # INI section -> the dataclasses whose fields are its keys.  A field is a key
-# unless it is a seed (set by --seed), a controller arrival tolerance, or a
-# name an earlier class made a key: the criteria's fov and max_range.
+# unless it is a seed (set by --seed) or a controller arrival tolerance.  No
+# field name may repeat: ExperimentConfig holds one value per name.
 _SECTIONS = {
     "gridworld": (MapSettings, SensorConfig, ControllerGains),
     "perception": (NoiseConfig, ReachabilityCriteria, LossWeights),
@@ -140,12 +142,9 @@ _CASTERS = {"str": str, "str | None": str, "int": int, "float": float, "bool": _
 
 def _keys() -> dict[tuple[str, str], Field]:
     """(INI section, key) -> the dataclass field it sets."""
-    keys, seen = {}, set(_NOT_KEYS)
-    for section, classes in _SECTIONS.items():
-        for f in (f for cls in classes for f in fields(cls) if f.name not in seen):
-            seen.add(f.name)
-            keys[section, f.metadata.get("key", f.name)] = f
-    return keys
+    return {(section, f.metadata.get("key", f.name)): f
+            for section, classes in _SECTIONS.items()
+            for cls in classes for f in fields(cls) if f.name not in _NOT_KEYS}
 
 
 _KEYS = _keys()
@@ -242,19 +241,13 @@ def make_world(cfg: ExperimentConfig, grid: GridMap, first_id: int = 0) -> World
 def make_estimator(cfg: ExperimentConfig, grid: GridMap, seed: int) -> OracleEstimator:
     return OracleEstimator(grid, noise=cfg.make(NoiseConfig, seed=seed),
                            criteria=cfg.make(ReachabilityCriteria),
-                           robot_radius=cfg.robot_radius, n_rays=cfg.n_rays)
+                           sensor=cfg.make(SensorConfig), robot_radius=cfg.robot_radius)
 
 
 def _require_out(args) -> str:
     if args.out is None:
         raise ConfigError(f"{args.command} requires --out")
     return args.out
-
-
-def _odom_noise(cfg: ExperimentConfig, seed: int) -> OdomNoise | None:
-    if cfg.odom_pos_sigma == 0.0 and cfg.odom_theta_sigma == 0.0:
-        return None
-    return OdomNoise(cfg.odom_pos_sigma, cfg.odom_theta_sigma, seed)
 
 
 def _parse_pose(text: str) -> Pose2D:
@@ -296,7 +289,7 @@ def _cmd_collect(args, cfg: ExperimentConfig) -> int:
     route = make_route(cfg)
     world = make_world(cfg, grid)
     traj = collect_trajectory(world, route, cfg.loops, cfg.spacing,
-                              _odom_noise(cfg, args.seed))
+                              OdomNoise(cfg.odom_pos_sigma, cfg.odom_theta_sigma, args.seed))
     save_trajectory(traj, out)
     if args.verbose:
         print(f"wrote {len(traj)} observations to {out}")
@@ -363,7 +356,7 @@ def _cmd_lifelong(args, cfg: ExperimentConfig) -> int:
     world = make_world(cfg, grid)
     route = make_route(cfg)
     traj = collect_trajectory(world, route, cfg.loops, cfg.spacing,
-                              _odom_noise(cfg, seed))
+                              OdomNoise(cfg.odom_pos_sigma, cfg.odom_theta_sigma, seed))
     estimator = make_estimator(cfg, grid, seed)
     sigma2 = None
     if cfg.auto_variance:

@@ -65,6 +65,10 @@ class ControllerGains:
     arrive_pos_tol: float = 0.05
     arrive_yaw_tol: float = 0.1
 
+    def __post_init__(self):
+        if not (self.v_max > 0.0 and self.omega_max > 0.0):
+            raise InvalidInput("v_max and omega_max must be positive")
+
 
 @dataclass(frozen=True)
 class VelocityCmd:
@@ -650,10 +654,9 @@ def sample_free_pose(
     grid: GridMap,
     rng: np.random.Generator,
     robot_radius: float = DEFAULT_ROBOT_RADIUS,
-    max_tries: int = 1000,
 ) -> Pose2D:
-    """Uniform pose over disc-free space (rejection sampled)."""
-    for _ in range(max_tries):
+    """Uniform pose over disc-free space (rejection sampled, 1000 tries)."""
+    for _ in range(1000):
         x = rng.uniform(0.0, grid.size_x)
         y = rng.uniform(0.0, grid.size_y)
         theta = rng.uniform(-math.pi, math.pi)

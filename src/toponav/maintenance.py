@@ -10,6 +10,7 @@ thresholds.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 from .errors import EdgeNotFound, InvalidInput, InvalidVertex
@@ -29,12 +30,12 @@ class MaintenanceParams:
     def __post_init__(self):
         if not (0.0 < self.R_p < 1.0):
             raise InvalidInput("R_p must be in (0, 1)")
-        if not (self.p_s_given_r1 > self.p_s_given_r0):
-            raise InvalidInput("success must be likelier on a real edge")
+        if not (0.0 <= self.p_s_given_r0 < self.p_s_given_r1 <= 1.0):
+            raise InvalidInput("need 0 <= p_s_given_r0 < p_s_given_r1 <= 1")
         if self.relax_D_c_factor <= 1.0 or not (0.0 < self.relax_D_m_factor < 1.0):
             raise InvalidInput("relaxation factors must loosen the thresholds")
-        if self.sigma2_obs <= 0.0:
-            raise InvalidInput("sigma2_obs must be positive")
+        if not 0.0 < self.sigma2_obs < math.inf:
+            raise InvalidInput("sigma2_obs must be positive and finite")
 
 
 @dataclass(frozen=True)

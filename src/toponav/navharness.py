@@ -47,6 +47,7 @@ from .topograph import (
     _write_observation,
     localize,
     plan,
+    reach,
 )
 
 # Evaluation observations live in their own id namespace so repeated
@@ -250,8 +251,8 @@ def traversal_succeeded(estimator, subgoal_obs: Observation, arrival_obs: Observ
     its lower bound: ending up closer than D_m is a good traversal, not a
     failed one.
     """
-    return (waypoint_distance(estimator.waypoint(subgoal_obs, arrival_obs)) <= params.D_c
-            and estimator.predict(subgoal_obs, arrival_obs).r_hat >= params.r_connect_min)
+    return reach(subgoal_obs, arrival_obs, estimator, 0.0, math.nextafter(params.D_c, math.inf),
+                 params.r_connect_min) is not None
 
 
 def _pose_errors(pose: Pose2D, goal_pose: Pose2D) -> tuple[float, float]:
@@ -416,7 +417,7 @@ def evaluate(world: World, graph: TopoGraph, estimator, test_set, limits: Episod
 def _sample_query(world: World, graph: TopoGraph, rng, limits: EpisodeLimits):
     ids = sorted(graph.vertices)
     for _ in range(100):
-        start = sample_free_pose(world.grid, rng)
+        start = sample_free_pose(world.grid, rng, world.robot_radius)
         goal = ids[int(rng.integers(len(ids)))]
         if not _within_tolerance(start, graph.vertices[goal].true_pose, limits):
             return start, goal
@@ -435,7 +436,7 @@ def make_test_set(world: World, graph: TopoGraph, n_goals: int, n_episodes: int,
         goal = goals[e % n_goals]
         goal_pose = graph.vertices[goal].true_pose
         for _ in range(100):
-            start = sample_free_pose(world.grid, rng)
+            start = sample_free_pose(world.grid, rng, world.robot_radius)
             if not _within_tolerance(start, goal_pose, limits):
                 break
         pairs.append((start, goal))
@@ -473,9 +474,9 @@ def run_lifelong(world: World, graph: TopoGraph, pool: TrajectoryPool, estimator
 # ---------------------------------------------------------------------------
 
 
-def estimate_distance_variance(estimator, observations, build_params: BuildParams,
-                               max_gap: int = 5) -> float:
-    """Variance of predicted-vs-true distances over nearby validation pairs.
+def estimate_distance_variance(estimator, observations, build_params: BuildParams) -> float:
+    """Variance of predicted-vs-true distances over pairs of observations at
+    most five apart in the sequence.
 
     Feeds the initial edge variance and the observation variance of the
     Gaussian weight update.  Falls back to 0.25 when no pair qualifies and
@@ -483,7 +484,7 @@ def estimate_distance_variance(estimator, observations, build_params: BuildParam
     """
     residuals = []
     for i in range(len(observations)):
-        for j in range(i + 1, min(i + 1 + max_gap, len(observations))):
+        for j in range(i + 1, min(i + 6, len(observations))):
             pred = estimator.predict(observations[i], observations[j])
             if pred.r_hat < build_params.r_connect_min:
                 continue

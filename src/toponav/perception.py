@@ -8,12 +8,12 @@ An estimator is anything with three methods:
 * predict(src_obs, dst_obs) -> Prediction, the reachability score r_hat
   together with the same waypoint as w_hat.
 
-Callers test a pair's distance window on the floor, then on waypoint(), and
-ask predict() for the score only when the pair can still pass, so a costly
-score is only computed on demand.  The oracle implementation computes ground
-truth on the map and corrupts it with configurable noise; its randomness is
-keyed on (seed, src.id, dst.id), so a flipped label stays flipped for that
-pair for the life of a run.
+topograph.reach tests a pair's distance window on the floor, then on
+waypoint(), and asks predict() for the score only when the pair can still
+pass, so a costly score is only computed on demand.  The oracle
+implementation computes ground truth on the map and corrupts it with
+configurable noise; its randomness is keyed on (seed, src.id, dst.id), so a
+flipped label stays flipped for that pair for the life of a run.
 """
 
 from __future__ import annotations
@@ -76,8 +76,6 @@ class ReachabilityCriteria:
     E_max: float = 2.5
     Theta_max: float = math.pi / 2
     turn_radius: float = 0.3
-    fov: float = math.pi / 2
-    max_range: float = 5.0
 
 
 @dataclass(frozen=True)
@@ -111,16 +109,16 @@ def label_reachability(
     a: Pose2D,
     b: Pose2D,
     criteria: ReachabilityCriteria,
+    sensor: SensorConfig = SensorConfig(),
     robot_radius: float = DEFAULT_ROBOT_RADIUS,
-    n_rays: int = 64,
 ) -> int:
     """Ground-truth reachability of b from a.  1 iff every criterion holds:
 
-    b is near (euclidean <= E_max, heading change <= Theta_max), in front of
-    a and visible from it, a bounded-curvature path to it stays clear of
-    walls, the feasible path is not much longer than the straight line
-    (ratio <= R_max), and the two poses co-observe enough of the same
-    surfaces (visual overlap >= L_min).
+    b is near (euclidean <= E_max, heading change <= Theta_max), inside
+    a's sensor field of view and visible from it, a bounded-curvature path
+    to it stays clear of walls, the feasible path is not much longer than
+    the straight line (ratio <= R_max), and the two poses co-observe enough
+    of the same surfaces through `sensor` (visual overlap >= L_min).
 
     The label is the AND of these checks, so their order is free: the cheap
     geometric gates run first, so most far-apart pairs never touch the map,
@@ -140,12 +138,11 @@ def label_reachability(
         # direction- or view-dependent and passes trivially.
         return 1
     bearing = math.atan2(b.y - a.y, b.x - a.x)
-    if abs(wrap_angle(bearing - a.theta)) > c.fov / 2.0 + 1e-12:
+    if abs(wrap_angle(bearing - a.theta)) > sensor.fov / 2.0 + 1e-12:
         return 0
     if not grid.cell_free(b.x, b.y):
         # Dubins clearance fails at b; no ray can be cast from there.
         return 0
-    sensor = SensorConfig(fov=c.fov, n_rays=n_rays, max_range=c.max_range)
     if not co_visible(grid, a, b, sensor, c.L_min):
         return 0
     poses = dubins_sample(a, b, c.turn_radius, 0.5 * grid.resolution)
@@ -184,21 +181,21 @@ class OracleEstimator:
         grid: GridMap,
         noise: NoiseConfig = NoiseConfig(),
         criteria: ReachabilityCriteria = ReachabilityCriteria(),
+        sensor: SensorConfig = SensorConfig(),
         robot_radius: float = DEFAULT_ROBOT_RADIUS,
-        n_rays: int = 64,
     ):
         self.grid = grid
         self.noise = noise
         self.criteria = criteria
+        self.sensor = sensor
         self.robot_radius = robot_radius
-        self.n_rays = n_rays
         # Pair key -> Prediction once labelled, _PairDraws before.  Entries
         # hold no reference back to the estimator.
         self._cache: OrderedDict = OrderedDict()
 
     def true_label(self, a: Observation, b: Observation) -> int:
         return label_reachability(
-            self.grid, a.true_pose, b.true_pose, self.criteria, self.robot_radius, self.n_rays
+            self.grid, a.true_pose, b.true_pose, self.criteria, self.sensor, self.robot_radius
         )
 
     def _exact_waypoint(self, a: Observation, b: Observation) -> Waypoint:
@@ -326,7 +323,8 @@ def generate_sim_dataset(
     """Sample labeled pose pairs uniformly over free space.
 
     Each pair draws a map, then two disc-free poses; the label is ground
-    truth on that map and the waypoint is the exact relative transform.
+    truth on that map under the sensor that took the scans, and the
+    waypoint is the exact relative transform.
     Observation ids run 0..2*n_pairs-1.
     """
     if not maps:
@@ -343,7 +341,7 @@ def generate_sim_dataset(
         oa = Observation(next_id, raycast_scan(m, pa, sensor), pa, pa)
         ob = Observation(next_id + 1, raycast_scan(m, pb, sensor), pb, pb)
         next_id += 2
-        r = label_reachability(m, pa, pb, criteria, robot_radius, sensor.n_rays)
+        r = label_reachability(m, pa, pb, criteria, sensor, robot_radius)
         pairs.append(LabeledPair(oa, ob, r, relative(pa, pb)))
     pos = sum(p.r for p in pairs)
     logger.info("sim dataset: %d pairs, %d positive (%.1f%%)", len(pairs), pos,
@@ -387,10 +385,9 @@ class DatasetRecord:
 _DATASET_HEADER = "toponav-dataset/v1"
 
 
-def save_dataset(pairs: list[LabeledPair], path: str, criteria: ReachabilityCriteria,
-                 regime: str = "sim") -> None:
+def save_dataset(pairs: list[LabeledPair], path: str, criteria: ReachabilityCriteria) -> None:
     """Line-delimited export: a criteria header, then one record per line."""
-    lines = [f"# {_DATASET_HEADER}", f"# regime {regime}"]
+    lines = [f"# {_DATASET_HEADER}", "# regime sim"]
     for f in fields(ReachabilityCriteria):
         lines.append(f"# {f.name} {getattr(criteria, f.name)!r}")
     pos = sum(p.r for p in pairs)

@@ -11,6 +11,7 @@ the mean edge distances.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -45,8 +46,12 @@ class BuildParams:
     def __post_init__(self):
         if not (0.0 < self.D_m < self.D_c):
             raise InvalidInput("need 0 < D_m < D_c")
-        if self.D_loc <= 0.0:
+        if not self.D_loc > 0.0:
             raise InvalidInput("D_loc must be positive")
+        if not 0.0 <= self.r_connect_min <= 1.0:
+            raise InvalidInput("r_connect_min must be in [0, 1]")
+        if not 0.0 < self.sigma2_init < math.inf:
+            raise InvalidInput("sigma2_init must be positive and finite")
 
 
 class TrajectoryPool:
@@ -153,38 +158,40 @@ class TopoGraph:
             raise GraphInvariantError("successor index does not match the edges")
 
 
-# Every test below checks the distance window, first on the estimator's
-# distance floor and then on the waypoint's distance, before it asks the
-# estimator for a reachability score, which is the costly half of a
-# prediction; most pairs fall outside the window.
+def reach(src: Observation, dst: Observation, estimator, lo: float, hi: float,
+          r_min: float):
+    """(d, r_hat) when the estimator puts dst at waypoint distance d in
+    [lo, hi) from src with score r_hat >= r_min; None otherwise.
+
+    This is the one window test behind merging, connecting, localizing and
+    judging a traversal.  It checks the estimator's distance floor, then
+    the waypoint's distance, and only then asks for the score, which is the
+    costly half of a prediction; most pairs fall outside the window.  An
+    inclusive upper bound x is passed as math.nextafter(x, math.inf).
+    """
+    if estimator.distance_floor(src, dst) >= hi:
+        return None
+    d = waypoint_distance(estimator.waypoint(src, dst))
+    if not lo <= d < hi:
+        return None
+    r_hat = estimator.predict(src, dst).r_hat
+    return (d, r_hat) if r_hat >= r_min else None
 
 
 def is_mergeable(candidate: Observation, graph: TopoGraph, estimator, params: BuildParams) -> bool:
     """True when some vertex already covers the candidate: the estimator
     reaches it with distance below D_m."""
-    for vid in sorted(graph.vertices):
-        vobs = graph.vertices[vid]
-        if estimator.distance_floor(vobs, candidate) >= params.D_m:
-            continue
-        if (waypoint_distance(estimator.waypoint(vobs, candidate)) < params.D_m
-                and estimator.predict(vobs, candidate).r_hat >= params.r_connect_min):
-            return True
-    return False
+    return any(reach(graph.vertices[vid], candidate, estimator, 0.0, params.D_m,
+                     params.r_connect_min) is not None for vid in sorted(graph.vertices))
 
 
 def is_connectable(src: Observation, dst: Observation, estimator, params: BuildParams):
     """EdgeBelief for src -> dst when the estimator deems dst reachable at a
     distance inside [D_m, D_c]; None otherwise.  Below D_m is merge
     territory, never an edge."""
-    if estimator.distance_floor(src, dst) > params.D_c:
-        return None
-    d = waypoint_distance(estimator.waypoint(src, dst))
-    if not (params.D_m <= d <= params.D_c):
-        return None
-    r_hat = estimator.predict(src, dst).r_hat
-    if r_hat < params.r_connect_min:
-        return None
-    return EdgeBelief(p=r_hat, mu=d, sigma2=params.sigma2_init)
+    hit = reach(src, dst, estimator, params.D_m, math.nextafter(params.D_c, math.inf),
+                params.r_connect_min)
+    return None if hit is None else EdgeBelief(p=hit[1], mu=hit[0], sigma2=params.sigma2_init)
 
 
 def connect(graph: TopoGraph, obs: Observation, estimator, params: BuildParams) -> bool:
@@ -248,14 +255,10 @@ def build_graph(traj, estimator, params: BuildParams = BuildParams()):
 def _best_within(graph, ids, obs, estimator, params):
     best = None
     for vid in ids:
-        vobs = graph.vertices[vid]
-        if estimator.distance_floor(vobs, obs) >= params.D_loc:
-            continue
-        d = waypoint_distance(estimator.waypoint(vobs, obs))
-        if d >= params.D_loc or estimator.predict(vobs, obs).r_hat < params.r_connect_min:
-            continue
-        if best is None or (d, vid) < best:
-            best = (d, vid)
+        hit = reach(graph.vertices[vid], obs, estimator, 0.0, params.D_loc,
+                    params.r_connect_min)
+        if hit is not None and (best is None or (hit[0], vid) < best):
+            best = (hit[0], vid)
     return None if best is None else best[1]
 
 

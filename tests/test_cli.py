@@ -1,8 +1,10 @@
 """Exit codes, config validation, and pipeline plumbing for the CLI."""
 
+from dataclasses import fields
+
 import pytest
 
-from toponav.cli import load_config, main
+from toponav.cli import _SECTIONS, load_config, main
 from toponav.errors import ConfigError
 from toponav.fixtures import two_room_map
 from toponav.gridworld import load_map
@@ -71,14 +73,35 @@ def test_config_rejects_bad_value(tmp_path):
     "[navharness]\neval_every = 0\n",
     "[navharness]\nn_goals = 0\n",
     "[navharness]\nn_episodes = 0\n",
+    "[gridworld]\nomega_max = 0\n",
+    "[gridworld]\nv_max = 0\n",
+    "[navharness]\nodom_pos_sigma = -0.1\nodom_theta_sigma = 0.01\n",
+    "[navharness]\nodom_theta_sigma = nan\n",
+    "[topograph]\nsigma2_init = 0\n",
+    "[topograph]\nsigma2_init = inf\n",
+    "[maintenance]\nsigma2_obs = inf\n",
+    "[maintenance]\np_s_given_r1 = 1.5\n",
+    "[maintenance]\np_s_given_r0 = -0.1\n",
+    "[topograph]\nD_loc = nan\n",
+    "[topograph]\nr_connect_min = nan\n",
+    "[topograph]\nr_connect_min = 1.5\n",
 ], ids=["D_m", "max_range", "n_rays", "resolution", "false_positive_rate",
         "pos_sigma", "pos_tol", "dt", "spacing", "loops", "eval_every", "n_goals",
-        "n_episodes"])
+        "n_episodes", "omega_max", "v_max", "odom_pos_sigma", "odom_theta_sigma",
+        "sigma2_init=0", "sigma2_init=inf", "sigma2_obs", "p_s_given_r1",
+        "p_s_given_r0", "D_loc", "r_connect_min=nan", "r_connect_min>1"])
 def test_config_rejects_invalid_parameter_combination(tmp_path, text):
     p = tmp_path / "bad.ini"
     p.write_text(text)
     with pytest.raises(ConfigError):
         load_config(str(p))
+
+
+def test_no_field_name_repeats_across_sections():
+    # ExperimentConfig holds one value per field name, so a repeated name
+    # would set two parameters from one key.
+    names = [f.name for classes in _SECTIONS.values() for cls in classes for f in fields(cls)]
+    assert len(names) == len(set(names))
 
 
 # Every config key in its section, each at its default.  map_file defaults to

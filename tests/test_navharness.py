@@ -12,6 +12,7 @@ from toponav.navharness import (
     EpisodeLimits,
     OdomNoise,
     World,
+    _sample_query,
     collect_trajectory,
     estimate_distance_variance,
     evaluate,
@@ -397,6 +398,15 @@ def test_make_test_set_properties(grid, estimator):
     assert again == pairs
     with pytest.raises(InvalidInput):
         make_test_set(world, graph, 0, 3, np.random.default_rng(0), LIMITS)
+
+
+def test_sampled_starts_clear_the_world_robot_radius(grid):
+    world = World(grid, robot_radius=0.3)
+    graph, _ = chain_graph(world, [Pose2D(1.5, 2.5, 0.0), Pose2D(2.5, 2.5, 0.0)])
+    rng = np.random.default_rng(0)
+    starts = [s for s, _ in make_test_set(world, graph, 2, 100, rng, LIMITS)]
+    starts += [_sample_query(world, graph, rng, LIMITS)[0] for _ in range(100)]
+    assert all(grid.pose_free(s, world.robot_radius) for s in starts)
 
 
 def _lifelong_setup(grid, tmp_path, tag):

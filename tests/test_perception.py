@@ -93,6 +93,14 @@ class TestLabelReachability:
         a, b = Pose2D(4.0, 5.0, 0.0), Pose2D(5.0, 5.0, math.pi * 0.75)
         assert label_reachability(g, a, b, CRIT) == 0
 
+    def test_field_of_view_comes_from_the_sensor(self):
+        # b is beside a: outside the default quarter-turn view, inside a
+        # half-turn one.
+        g = empty_room(6.0, 5.0)
+        a, b = Pose2D(2.0, 2.5, 0.0), Pose2D(2.0, 3.5, math.pi / 2)
+        assert label_reachability(g, a, b, CRIT) == 0
+        assert label_reachability(g, a, b, CRIT, SensorConfig(fov=math.pi)) == 1
+
     def test_relaxing_any_threshold_grows_positive_set(self):
         from toponav.gridworld import generate_rooms_map
 
@@ -101,21 +109,22 @@ class TestLabelReachability:
         pairs = [(sample_free_pose(g, rng), sample_free_pose(g, rng)) for _ in range(250)]
         base = {i for i, (a, b) in enumerate(pairs) if label_reachability(g, a, b, CRIT)}
         relaxed = {
-            "L_min": replace(CRIT, L_min=0.0),
-            "R_max": replace(CRIT, R_max=1e9),
-            "E_max": replace(CRIT, E_max=1e9),
-            "Theta_max": replace(CRIT, Theta_max=math.pi),
-            "fov": replace(CRIT, fov=2 * math.pi),
+            "L_min": (replace(CRIT, L_min=0.0), SensorConfig()),
+            "R_max": (replace(CRIT, R_max=1e9), SensorConfig()),
+            "E_max": (replace(CRIT, E_max=1e9), SensorConfig()),
+            "Theta_max": (replace(CRIT, Theta_max=math.pi), SensorConfig()),
+            "fov": (CRIT, SensorConfig(fov=2 * math.pi)),
         }
         grew = 0
-        for name, crit in relaxed.items():
-            got = {i for i, (a, b) in enumerate(pairs) if label_reachability(g, a, b, crit)}
+        for name, (crit, sensor) in relaxed.items():
+            got = {i for i, (a, b) in enumerate(pairs)
+                   if label_reachability(g, a, b, crit, sensor)}
             assert base <= got, f"relaxing {name} lost positives"
             grew += len(got - base)
         assert grew > 0
 
 
-def reference_rejection(grid, a, b, c, robot_radius=DEFAULT_ROBOT_RADIUS, n_rays=64):
+def reference_rejection(grid, a, b, c, sensor=SensorConfig(), robot_radius=DEFAULT_ROBOT_RADIUS):
     """The first check that rejects b from a, in the order the label once
     ran them (sight line, Dubins, unbounded path ratio, overlap), or None
     when every check passes."""
@@ -126,9 +135,9 @@ def reference_rejection(grid, a, b, c, robot_radius=DEFAULT_ROBOT_RADIUS, n_rays
         return "Theta_max"
     if euclid < grid.resolution:
         return None
-    if abs(wrap_angle(math.atan2(b.y - a.y, b.x - a.x) - a.theta)) > c.fov / 2.0 + 1e-12:
+    if abs(wrap_angle(math.atan2(b.y - a.y, b.x - a.x) - a.theta)) > sensor.fov / 2.0 + 1e-12:
         return "fov"
-    if not is_visible(grid, a, (b.x, b.y), c.fov, c.max_range):
+    if not is_visible(grid, a, (b.x, b.y), sensor.fov, sensor.max_range):
         return "visible"
     poses = dubins_sample(a, b, c.turn_radius, 0.5 * grid.resolution)
     if grid.disc_blocked(poses[:, 0], poses[:, 1], robot_radius).any():
@@ -136,7 +145,6 @@ def reference_rejection(grid, a, b, c, robot_radius=DEFAULT_ROBOT_RADIUS, n_rays
     path_len = shortest_feasible_path(grid, a, b, robot_radius)
     if not math.isfinite(path_len) or path_len / euclid > c.R_max:
         return "path"
-    sensor = SensorConfig(fov=c.fov, n_rays=n_rays, max_range=c.max_range)
     if visual_overlap(grid, a, b, sensor) < c.L_min:
         return "overlap"
     return None
@@ -161,20 +169,20 @@ class TestLabelMatchesReference:
     """label_reachability runs co-visibility before the Dubins and path
     checks and bounds the path search; every label equals the old order's."""
 
-    @pytest.mark.parametrize("crit, per_map", [
-        (CRIT, 1000),
-        (replace(CRIT, L_min=0.0), 350),
-        (replace(CRIT, max_range=2.0), 350),
+    @pytest.mark.parametrize("crit, sensor, per_map", [
+        (CRIT, SensorConfig(), 1000),
+        (replace(CRIT, L_min=0.0), SensorConfig(), 350),
+        (CRIT, SensorConfig(max_range=2.0), 350),
     ], ids=["default", "L_min=0", "max_range<E_max"])
-    def test_labels_equal_the_old_order(self, crit, per_map):
+    def test_labels_equal_the_old_order(self, crit, sensor, per_map):
         rejected_by = {}
         for seed, make in enumerate([two_room_map, apartment_map,
                                      lambda: generate_rooms_map(seed=3)]):
             g = make()
             for a, b in label_test_pairs(g, np.random.default_rng(seed), per_map,
                                          1.05 * crit.E_max):
-                why = reference_rejection(g, a, b, crit)
-                assert label_reachability(g, a, b, crit) == (why is None), (a, b, why)
+                why = reference_rejection(g, a, b, crit, sensor)
+                assert label_reachability(g, a, b, crit, sensor) == (why is None), (a, b, why)
                 rejected_by[why] = rejected_by.get(why, 0) + 1
         checks = {"E_max", "Theta_max", "fov", "visible", "dubins", "path"}
         if crit.L_min > 0.0:
@@ -183,6 +191,19 @@ class TestLabelMatchesReference:
 
 
 class TestOracleEstimator:
+    def test_labels_use_the_given_sensor(self):
+        # A 2 m range drops pairs that the default 5 m sensor labels
+        # reachable; the dataset and the estimator both label with it.
+        g = two_room_map()
+        sensor = SensorConfig(max_range=2.0)
+        pairs = generate_sim_dataset([g], 500, CRIT, rng_seed=2, sensor=sensor)
+        est = OracleEstimator(g, sensor=sensor)
+        labels = [label_reachability(g, p.src.true_pose, p.dst.true_pose, CRIT, sensor)
+                  for p in pairs]
+        assert [p.r for p in pairs] == labels == [est.true_label(p.src, p.dst) for p in pairs]
+        assert labels != [label_reachability(g, p.src.true_pose, p.dst.true_pose, CRIT)
+                          for p in pairs]
+
     def test_zero_noise_scores(self):
         g = empty_room(6.0, 5.0)
         est = OracleEstimator(g)

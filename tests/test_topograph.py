@@ -7,8 +7,9 @@ import pytest
 from toponav.errors import (EdgeNotFound, GraphInvariantError, InvalidInput, InvalidVertex,
                             LoadError)
 from toponav.gridworld import DepthScan
-from toponav.perception import Observation, OracleEstimator
-from toponav.se2 import Pose2D, waypoint_distance
+from toponav.navharness import traversal_succeeded
+from toponav.perception import Observation, OracleEstimator, Prediction
+from toponav.se2 import Pose2D, Waypoint, waypoint_distance
 from toponav.topograph import (
     BuildParams,
     EdgeBelief,
@@ -21,6 +22,7 @@ from toponav.topograph import (
     load_graph,
     localize,
     plan,
+    reach,
     save_graph,
 )
 
@@ -200,6 +202,67 @@ class TestMergeAndConnect:
         a = mk_obs(g, 0, Pose2D(5.3, 5.0, 0.0))
         b = mk_obs(g, 1, Pose2D(6.9, 5.0, 0.0))
         assert is_connectable(a, b, est, PARAMS) is None
+
+
+class WindowStub:
+    """Estimator that puts every pair ending at observation i at distance
+    dist[i] with score 0.95, and its floor at that distance or at 0.0; it
+    records the ids of the pairs it gives a waypoint and a score."""
+
+    def __init__(self, dist, exact_floor=True):
+        self.dist, self.exact_floor, self.waypoints, self.scored = dist, exact_floor, [], []
+
+    def distance_floor(self, a, b):
+        return self.dist[b.id] if self.exact_floor else 0.0
+
+    def waypoint(self, a, b):
+        self.waypoints.append(b.id)
+        return Waypoint(self.dist[b.id], 0.0, 0.0)
+
+    def predict(self, a, b):
+        self.scored.append(b.id)
+        return Prediction(0.95, Waypoint(self.dist[b.id], 0.0, 0.0))
+
+
+class TestReachWindows:
+    """Merging, connecting, localizing and judging a traversal each test one
+    reach() window; the bounds are exact at the parameter values."""
+
+    def test_reach_returns_distance_and_score_inside_the_window(self):
+        est = WindowStub({1: 0.5, 2: 1.0})
+        assert reach(dummy_obs(0), dummy_obs(1), est, 0.0, 1.0, 0.5) == (0.5, 0.95)
+        assert reach(dummy_obs(0), dummy_obs(1), est, 0.0, 1.0, 0.96) is None
+        assert reach(dummy_obs(0), dummy_obs(2), est, 0.0, 1.0, 0.5) is None
+        # The floor rejects pair 2 before any waypoint or score.
+        assert est.waypoints == [1, 1] and est.scored == [1, 1]
+
+    @pytest.mark.parametrize("exact_floor", [True, False])
+    def test_window_bounds(self, exact_floor):
+        D_m, D_c, D_loc = PARAMS.D_m, PARAMS.D_c, PARAMS.D_loc
+        dist = {1: D_m, 2: math.nextafter(D_m, 0.0), 3: D_c, 4: math.nextafter(D_c, math.inf),
+                5: D_loc, 6: math.nextafter(D_loc, 0.0)}
+        assert all(waypoint_distance(Waypoint(d, 0.0, 0.0)) == d for d in dist.values())
+        est = WindowStub(dist, exact_floor)
+        graph = TopoGraph()
+        graph.add_vertex(dummy_obs(0))
+        v = graph.vertices[0]
+
+        merged = {i for i in range(1, 7) if is_mergeable(dummy_obs(i), graph, est, PARAMS)}
+        connected = {i for i in range(1, 7)
+                     if is_connectable(v, dummy_obs(i), est, PARAMS) is not None}
+        localized = {i for i in range(1, 7)
+                     if localize(graph, dummy_obs(i), est, PARAMS) == 0}
+        traversed = {i for i in range(1, 7)
+                     if traversal_succeeded(est, v, dummy_obs(i), PARAMS)}
+        assert merged == {2}
+        assert connected == {1, 3, 5, 6}
+        assert localized == {1, 2, 6}
+        assert traversed == {1, 2, 3, 5, 6}
+        assert is_connectable(v, dummy_obs(1), est, PARAMS).mu == D_m
+        # Only pairs inside a window are ever scored.
+        inside = len(merged) + len(connected) + 1 + len(localized) + len(traversed)
+        assert len(est.scored) == inside
+        assert 4 not in est.scored
 
 
 class TestBuildGraph:
