@@ -82,6 +82,8 @@ class MapSettings:
             raise InvalidInput("map resolution must be positive and finite")
         if not (self.dt > 0.0):
             raise InvalidInput("dt must be positive")
+        if not (0.0 <= self.robot_radius < math.inf):
+            raise InvalidInput("robot_radius must be non-negative and finite")
 
 
 @dataclass(frozen=True)
@@ -316,7 +318,7 @@ def _cmd_navigate(args, cfg: ExperimentConfig) -> int:
     world = make_world(cfg, grid, first_id=max(
         list(graph.vertices) + [o.id for o in pool], default=-1) + 1)
     res = run_episode(world, graph, pool, estimator, _parse_pose(args.start),
-                      args.goal, cfg.limits(), cfg.build_params(args.seed),
+                      args.goal, cfg.limits(), graph.build_params,
                       cfg.maint_params(), maintain=args.maintain,
                       expand_rng=np.random.default_rng([args.seed, 2]))
     print(_episode_line(f"episode goal={args.goal}", res))
@@ -336,8 +338,7 @@ def _cmd_evaluate(args, cfg: ExperimentConfig) -> int:
     limits = cfg.limits()
     test_set = make_test_set(world, graph, cfg.n_goals, cfg.n_episodes,
                              np.random.default_rng([args.seed, 3]), limits)
-    rate, results = evaluate(world, graph, estimator, test_set, limits,
-                             cfg.build_params(args.seed))
+    rate, results = evaluate(world, graph, estimator, test_set, limits, graph.build_params)
     lines = [_episode_line(f"episode={i} goal={goal}", r)
              for i, ((_, goal), r) in enumerate(zip(test_set, results))]
     lines.append(f"success_rate={rate:.6f} episodes={len(results)}")

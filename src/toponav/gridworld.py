@@ -175,37 +175,40 @@ class GridMap:
 
         Built from a k-times upsampled euclidean distance transform; the check
         is conservative by at most one subcell half-diagonal (~2 cm at 0.1 m
-        resolution).
+        resolution).  Radii equal to 9 decimals share one mask, which is
+        also cached under the radius as given, so that a repeated radius
+        skips the rounding.
         """
-        key = round(radius, 9)
-        hit = self._clearance_cache.get(key)
+        hit = self._clearance_cache.get(radius)
         if hit is not None:
             return hit
-        k = max(1, int(round(self.resolution / _SUBCELL_TARGET)))
-        occ_up = np.kron(self.occupied, np.ones((k, k), dtype=bool))
-        sub = self.resolution / k
-        dist = scipy.ndimage.distance_transform_edt(~occ_up) * sub
-        blocked = dist < radius + sub * SQRT2 / 2.0
-        blocked.setflags(write=False)
-        out = (k, blocked)
-        self._clearance_cache[key] = out
-        return out
+        key = round(radius, 9)
+        hit = self._clearance_cache.get(key)
+        if hit is None:
+            k = max(1, int(round(self.resolution / _SUBCELL_TARGET)))
+            occ_up = np.kron(self.occupied, np.ones((k, k), dtype=bool))
+            sub = self.resolution / k
+            dist = scipy.ndimage.distance_transform_edt(~occ_up) * sub
+            blocked = dist < radius + sub * SQRT2 / 2.0
+            blocked.setflags(write=False)
+            hit = self._clearance_cache[key] = (k, blocked)
+        self._clearance_cache[radius] = hit
+        return hit
 
-    def disc_blocked(self, xs, ys, radius: float):
-        """Vectorized: True where a robot disc centered at (x, y) collides."""
+    def disc_blocked(self, x: float, y: float, radius: float) -> bool:
+        """True when a robot disc of `radius` centered at (x, y) hits a wall;
+        a point off the map, NaN or infinite, is blocked.  The bounds are
+        compared on floats, so no NaN is ever made an index."""
         k, blocked = self._disc_blocked_mask(radius)
-        xs = np.atleast_1d(np.asarray(xs, dtype=float))
-        ys = np.atleast_1d(np.asarray(ys, dtype=float))
+        ny, nx = blocked.shape
         sub = self.resolution / k
-        ix = np.floor(xs / sub).astype(int)
-        iy = np.floor(ys / sub).astype(int)
-        out = np.ones(len(ix), dtype=bool)
-        ok = (ix >= 0) & (ix < blocked.shape[1]) & (iy >= 0) & (iy < blocked.shape[0])
-        out[ok] = blocked[iy[ok], ix[ok]]
-        return out
+        fx, fy = x / sub, y / sub
+        if not (0.0 <= fx < nx and 0.0 <= fy < ny):
+            return True
+        return bool(blocked[int(fy), int(fx)])
 
     def pose_free(self, pose: Pose2D, robot_radius: float = DEFAULT_ROBOT_RADIUS) -> bool:
-        return not bool(self.disc_blocked([pose.x], [pose.y], robot_radius)[0])
+        return not self.disc_blocked(pose.x, pose.y, robot_radius)
 
     def passable(self, robot_radius: float):
         """Cell mask for path planning: centers that keep the disc clear."""
@@ -490,18 +493,15 @@ def shortest_feasible_path(
 # ---------------------------------------------------------------------------
 
 
-def _arc_points(pose: Pose2D, v: float, omega: float, taus: np.ndarray):
-    """Exact unicycle integration at the given time offsets."""
+def _arc_point(pose: Pose2D, v: float, omega: float, tau: float) -> tuple[float, float, float]:
+    """Exact unicycle integration at time offset tau."""
     if abs(omega) < 1e-12:
-        xs = pose.x + v * taus * math.cos(pose.theta)
-        ys = pose.y + v * taus * math.sin(pose.theta)
-        ths = np.full(len(taus), pose.theta)
-    else:
-        ths = pose.theta + omega * taus
-        k = v / omega
-        xs = pose.x + k * (np.sin(ths) - math.sin(pose.theta))
-        ys = pose.y - k * (np.cos(ths) - math.cos(pose.theta))
-    return xs, ys, ths
+        return (pose.x + v * tau * math.cos(pose.theta),
+                pose.y + v * tau * math.sin(pose.theta), pose.theta)
+    th = pose.theta + omega * tau
+    k = v / omega
+    return (pose.x + k * (math.sin(th) - math.sin(pose.theta)),
+            pose.y - k * (math.cos(th) - math.cos(pose.theta)), th)
 
 
 def step_agent(
@@ -513,25 +513,23 @@ def step_agent(
 ) -> AgentState:
     """Advance one control period along an exact circular arc.
 
-    The swept disc is checked at half-resolution spacing; on contact the
-    agent is held at the last clear sample and the collision counter
-    increments.  Pure rotation cannot collide (the disc does not move).
+    The swept disc is checked at the times np.linspace(dt / n, dt, n), half
+    a resolution of travel apart at most; on contact the agent is held at the
+    last clear sample and the collision counter increments.  Pure rotation
+    cannot collide (the disc does not move).
     """
     if not (dt > 0.0):
         raise InvalidInput("dt must be positive")
     arc_len = abs(cmd.v) * dt
     n = max(1, int(math.ceil(arc_len / (0.5 * grid.resolution))))
-    taus = np.linspace(dt / n, dt, n)
-    xs, ys, ths = _arc_points(state.pose, cmd.v, cmd.omega, taus)
-    blocked = grid.disc_blocked(xs, ys, robot_radius)
-    if blocked.any():
-        first = int(np.argmax(blocked))
-        if first == 0:
-            pose = state.pose
-        else:
-            pose = Pose2D(float(xs[first - 1]), float(ys[first - 1]), float(ths[first - 1]))
-        return AgentState(pose, state.collision_count + 1, state.step_count + 1)
-    pose = Pose2D(float(xs[-1]), float(ys[-1]), float(ths[-1]))
+    step = (dt - dt / n) / (n - 1) if n > 1 else 0.0
+    pose = state.pose
+    for i in range(n):
+        tau = dt if i == n - 1 else i * step + dt / n
+        x, y, th = _arc_point(state.pose, cmd.v, cmd.omega, tau)
+        if grid.disc_blocked(x, y, robot_radius):
+            return AgentState(pose, state.collision_count + 1, state.step_count + 1)
+        pose = Pose2D(x, y, th)
     return AgentState(pose, state.collision_count, state.step_count + 1)
 
 
@@ -548,13 +546,13 @@ def feedback_control(current: Pose2D, target: Pose2D, gains: ControllerGains) ->
     if rho < gains.arrive_pos_tol:
         if abs(yaw_err) < gains.arrive_yaw_tol:
             return VelocityCmd(0.0, 0.0)
-        return VelocityCmd(0.0, float(np.clip(gains.k_alpha * yaw_err, -om_cap, om_cap)))
+        return VelocityCmd(0.0, min(max(gains.k_alpha * yaw_err, -om_cap), om_cap))
     alpha = wrap_angle(math.atan2(dyw, dxw) - current.theta)
     if abs(alpha) > math.pi / 2.0:
-        return VelocityCmd(0.0, float(np.clip(gains.k_alpha * alpha, -om_cap, om_cap)))
+        return VelocityCmd(0.0, min(max(gains.k_alpha * alpha, -om_cap), om_cap))
     beta = wrap_angle(target.theta - current.theta - alpha)
-    v = float(np.clip(gains.k_rho * rho, 0.0, gains.v_max))
-    omega = float(np.clip(gains.k_alpha * alpha + gains.k_beta * beta, -om_cap, om_cap))
+    v = min(max(gains.k_rho * rho, 0.0), gains.v_max)
+    omega = min(max(gains.k_alpha * alpha + gains.k_beta * beta, -om_cap), om_cap)
     return VelocityCmd(v, omega)
 
 
@@ -660,7 +658,7 @@ def sample_free_pose(
         x = rng.uniform(0.0, grid.size_x)
         y = rng.uniform(0.0, grid.size_y)
         theta = rng.uniform(-math.pi, math.pi)
-        if not grid.disc_blocked([x], [y], robot_radius)[0]:
+        if not grid.disc_blocked(x, y, robot_radius):
             return Pose2D(x, y, theta)
     raise InvalidMap("no free pose found; map has no clearance for the robot")
 

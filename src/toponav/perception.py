@@ -77,6 +77,16 @@ class ReachabilityCriteria:
     Theta_max: float = math.pi / 2
     turn_radius: float = 0.3
 
+    def __post_init__(self):
+        if not (0.0 <= self.L_min <= 1.0):
+            raise InvalidInput("L_min must be in [0, 1]")
+        if not (self.R_max > 0.0 and self.E_max > 0.0):
+            raise InvalidInput("R_max and E_max must be positive")
+        if not (self.Theta_max >= 0.0):
+            raise InvalidInput("Theta_max must be non-negative")
+        if not (0.0 < self.turn_radius < math.inf):
+            raise InvalidInput("turn_radius must be positive and finite")
+
 
 @dataclass(frozen=True)
 class NoiseConfig:
@@ -146,7 +156,7 @@ def label_reachability(
     if not co_visible(grid, a, b, sensor, c.L_min):
         return 0
     poses = dubins_sample(a, b, c.turn_radius, 0.5 * grid.resolution)
-    if grid.disc_blocked(poses[:, 0], poses[:, 1], robot_radius).any():
+    if any(grid.disc_blocked(x, y, robot_radius) for x, y in poses[:, :2].tolist()):
         return 0
     # euclid <= E_max, so a path longer than R_max * E_max fails the ratio
     # test anyway and the search may stop there.

@@ -45,9 +45,6 @@ class Pose2D:
     def __post_init__(self):
         object.__setattr__(self, "theta", wrap_angle(self.theta))
 
-    def position(self) -> np.ndarray:
-        return np.array([self.x, self.y])
-
 
 @dataclass(frozen=True)
 class Waypoint:

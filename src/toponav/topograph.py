@@ -32,6 +32,11 @@ class EdgeBelief:
     sigma2: float
 
 
+def _belief_valid(b: EdgeBelief) -> bool:
+    """p in [0, 1], a finite mu >= 0 and a finite sigma2 > 0."""
+    return 0.0 <= b.p <= 1.0 and 0.0 <= b.mu < math.inf and 0.0 < b.sigma2 < math.inf
+
+
 @dataclass(frozen=True)
 class BuildParams:
     # D_m and D_c bound the merge and connect zones; D_loc bounds
@@ -112,7 +117,7 @@ class TopoGraph:
             raise InvalidInput("self-edges not allowed")
         if (src, dst) in self.edges:
             raise InvalidInput(f"duplicate edge ({src}, {dst})")
-        if not (0.0 <= belief.p <= 1.0) or belief.sigma2 <= 0.0 or belief.mu < 0.0:
+        if not _belief_valid(belief):
             raise InvalidInput("edge belief out of range")
         self.edges[(src, dst)] = belief
         self._succ[src].add(dst)
@@ -142,17 +147,16 @@ class TopoGraph:
 
     def check(self) -> None:
         """Raise GraphInvariantError unless every edge joins two vertices
-        and has p in [0, 1] and sigma2 > 0, and the successor index is
-        exactly what a scan of the edges gives."""
+        and has a valid belief (p in [0, 1], finite mu >= 0, finite
+        sigma2 > 0), and the successor index is exactly what a scan of the
+        edges gives."""
         scan: dict[int, set[int]] = {vid: set() for vid in self.vertices}
         for (src, dst), belief in self.edges.items():
             if src not in self.vertices or dst not in self.vertices:
                 raise GraphInvariantError(f"edge ({src}, {dst}) has an endpoint "
                                           "that is not a vertex")
-            if not 0.0 <= belief.p <= 1.0:
-                raise GraphInvariantError(f"edge ({src}, {dst}) has p = {belief.p!r}")
-            if not belief.sigma2 > 0.0:
-                raise GraphInvariantError(f"edge ({src}, {dst}) has sigma2 = {belief.sigma2!r}")
+            if not _belief_valid(belief):
+                raise GraphInvariantError(f"edge ({src}, {dst}) has belief {belief!r}")
             scan[src].add(dst)
         if self._succ != scan:
             raise GraphInvariantError("successor index does not match the edges")
@@ -330,6 +334,8 @@ def _parse_observation(line: str) -> Observation:
     rest = [float(v) for v in parts[9:]]
     if len(rest) != 2 * n:
         raise LoadError(f"observation {oid}: expected {2 * n} ray values")
+    if not all(map(math.isfinite, [tx, ty, tth, ox, oy, oth, max_range] + rest)):
+        raise LoadError(f"observation {oid}: non-finite value")
     scan = DepthScan.from_ranges(tx, ty, np.array(rest[:n]), np.array(rest[n:]), max_range)
     return Observation(oid, scan, Pose2D(tx, ty, tth), Pose2D(ox, oy, oth))
 

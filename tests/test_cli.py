@@ -85,11 +85,22 @@ def test_config_rejects_bad_value(tmp_path):
     "[topograph]\nD_loc = nan\n",
     "[topograph]\nr_connect_min = nan\n",
     "[topograph]\nr_connect_min = 1.5\n",
+    "[perception]\nL_min = nan\n",
+    "[perception]\nL_min = 1.5\n",
+    "[perception]\nR_max = 0\n",
+    "[perception]\nE_max = nan\n",
+    "[perception]\nTheta_max = -0.1\n",
+    "[perception]\nturn_radius = 0\n",
+    "[perception]\nturn_radius = inf\n",
+    "[gridworld]\nrobot_radius = -1\n",
+    "[gridworld]\nrobot_radius = nan\n",
 ], ids=["D_m", "max_range", "n_rays", "resolution", "false_positive_rate",
         "pos_sigma", "pos_tol", "dt", "spacing", "loops", "eval_every", "n_goals",
         "n_episodes", "omega_max", "v_max", "odom_pos_sigma", "odom_theta_sigma",
         "sigma2_init=0", "sigma2_init=inf", "sigma2_obs", "p_s_given_r1",
-        "p_s_given_r0", "D_loc", "r_connect_min=nan", "r_connect_min>1"])
+        "p_s_given_r0", "D_loc", "r_connect_min=nan", "r_connect_min>1", "L_min=nan",
+        "L_min>1", "R_max", "E_max", "Theta_max", "turn_radius=0", "turn_radius=inf",
+        "robot_radius<0", "robot_radius=nan"])
 def test_config_rejects_invalid_parameter_combination(tmp_path, text):
     p = tmp_path / "bad.ini"
     p.write_text(text)
@@ -326,6 +337,24 @@ def test_evaluate_writes_report(tmp_path, capsys):
     assert text.count("episode=") == 3
     assert "success_rate=" in text.splitlines()[-1]
     assert capsys.readouterr().out == text
+
+
+def test_evaluate_uses_the_graph_files_build_params(tmp_path, capsys):
+    # [topograph] sets how a graph is built; a built graph file carries its
+    # own [params], and evaluate localizes and judges arrivals with those.
+    traj = str(tmp_path / "w.traj")
+    gpath = str(tmp_path / "w.graph")
+    plain, tuned = tmp_path / "plain.ini", tmp_path / "tuned.ini"
+    plain.write_text("[navharness]\nn_goals = 2\nn_episodes = 4\n")
+    tuned.write_text(plain.read_text() + "[topograph]\nD_loc = 0.05\nD_c = 1.0\n")
+    assert main(["collect", "--out", traj]) == 0
+    assert main(["build", traj, "--out", gpath]) == 0
+    capsys.readouterr()
+    reports = []
+    for cfgp in (plain, tuned):
+        assert main(["evaluate", gpath, "--config", str(cfgp)]) == 0
+        reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1]
 
 
 def test_lifelong_runs_are_byte_identical(tmp_path):

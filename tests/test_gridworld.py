@@ -600,6 +600,164 @@ class TestFeedbackControl:
         assert s.collision_count == 0
 
 
+# ---------------------------------------------------------------------------
+# The scalar motion step against the array step it replaced.
+# ---------------------------------------------------------------------------
+
+
+def reference_disc_blocked(grid, xs, ys, radius):
+    """The array disc test: one subcell-mask lookup per point, and a point
+    off the mask (NaN and inf included) blocked."""
+    k, blocked = grid._disc_blocked_mask(radius)
+    xs = np.atleast_1d(np.asarray(xs, dtype=float))
+    ys = np.atleast_1d(np.asarray(ys, dtype=float))
+    sub = grid.resolution / k
+    with np.errstate(invalid="ignore"):
+        ix = np.floor(xs / sub).astype(int)
+        iy = np.floor(ys / sub).astype(int)
+    out = np.ones(len(ix), dtype=bool)
+    ok = (ix >= 0) & (ix < blocked.shape[1]) & (iy >= 0) & (iy < blocked.shape[0])
+    out[ok] = blocked[iy[ok], ix[ok]]
+    return out
+
+
+def reference_step_agent(grid, state, cmd, dt, robot_radius=gridworld.DEFAULT_ROBOT_RADIUS):
+    """The array step: every sample time from np.linspace, the arc through
+    numpy, the first blocked sample found with argmax."""
+    n = max(1, int(math.ceil(abs(cmd.v) * dt / (0.5 * grid.resolution))))
+    taus = np.linspace(dt / n, dt, n)
+    p = state.pose
+    if abs(cmd.omega) < 1e-12:
+        xs = p.x + cmd.v * taus * math.cos(p.theta)
+        ys = p.y + cmd.v * taus * math.sin(p.theta)
+        ths = np.full(n, p.theta)
+    else:
+        ths = p.theta + cmd.omega * taus
+        k = cmd.v / cmd.omega
+        xs = p.x + k * (np.sin(ths) - math.sin(p.theta))
+        ys = p.y - k * (np.cos(ths) - math.cos(p.theta))
+    blocked = reference_disc_blocked(grid, xs, ys, robot_radius)
+    if blocked.any():
+        first = int(np.argmax(blocked))
+        if first == 0:
+            pose = state.pose
+        else:
+            pose = Pose2D(float(xs[first - 1]), float(ys[first - 1]), float(ths[first - 1]))
+        return AgentState(pose, state.collision_count + 1, state.step_count + 1)
+    pose = Pose2D(float(xs[-1]), float(ys[-1]), float(ths[-1]))
+    return AgentState(pose, state.collision_count, state.step_count + 1)
+
+
+def reference_feedback_control(current, target, gains):
+    """The feedback law with every clamp through np.clip."""
+    dxw, dyw = target.x - current.x, target.y - current.y
+    rho = math.hypot(dxw, dyw)
+    yaw_err = wrap_angle(target.theta - current.theta)
+    om_cap = gains.omega_max
+    if rho < gains.arrive_pos_tol:
+        if abs(yaw_err) < gains.arrive_yaw_tol:
+            return VelocityCmd(0.0, 0.0)
+        return VelocityCmd(0.0, float(np.clip(gains.k_alpha * yaw_err, -om_cap, om_cap)))
+    alpha = wrap_angle(math.atan2(dyw, dxw) - current.theta)
+    if abs(alpha) > math.pi / 2.0:
+        return VelocityCmd(0.0, float(np.clip(gains.k_alpha * alpha, -om_cap, om_cap)))
+    beta = wrap_angle(target.theta - current.theta - alpha)
+    v = float(np.clip(gains.k_rho * rho, 0.0, gains.v_max))
+    omega = float(np.clip(gains.k_alpha * alpha + gains.k_beta * beta, -om_cap, om_cap))
+    return VelocityCmd(v, omega)
+
+
+def state_bits(state):
+    p = state.pose
+    return (p.x.hex(), p.y.hex(), p.theta.hex(), state.collision_count, state.step_count)
+
+
+SPECIAL = [0.0, -0.0, math.nan, math.inf, -math.inf]
+
+
+class TestScalarMotion:
+    MAPS = {"two-room": two_room_map, "apartment": apartment_map}
+
+    @pytest.mark.parametrize("name", sorted(MAPS))
+    def test_step_matches_the_array_step_bit_for_bit(self, name):
+        grid = self.MAPS[name]()
+        rng = np.random.default_rng(17)
+        multi, held, partial = 0, 0, 0
+        for i in range(5000):
+            if i % 5 == 0:
+                # Any start, walls included: a blocked first sample holds it.
+                pose = Pose2D(rng.uniform(0.0, grid.size_x), rng.uniform(0.0, grid.size_y),
+                              rng.uniform(-math.pi, math.pi))
+            else:
+                pose = sample_free_pose(grid, rng)
+            v = [0.0, 0.5, -0.5, rng.uniform(-3.0, 3.0)][i % 4]
+            omega = [0.0, 1e-13, rng.uniform(-3.0, 3.0)][i % 3]
+            dt = [0.1, rng.uniform(0.01, 0.5)][i % 2]
+            state = AgentState(pose, int(rng.integers(3)), int(rng.integers(100)))
+            cmd = VelocityCmd(v, omega)
+            got = step_agent(grid, state, cmd, dt)
+            assert state_bits(got) == state_bits(reference_step_agent(grid, state, cmd, dt))
+            multi += abs(v) * dt > 0.5 * grid.resolution
+            if got.collision_count > state.collision_count:
+                held += got.pose is pose
+                partial += got.pose is not pose
+        assert multi > 1000 and held > 100 and partial > 50
+
+    @pytest.mark.parametrize("name", sorted(MAPS))
+    def test_disc_blocked_matches_the_array_lookup(self, name):
+        grid = self.MAPS[name]()
+        rng = np.random.default_rng(4)
+        edges = [0.0, -0.0, -1e-300, grid.resolution / 8, grid.size_x, grid.size_y,
+                 math.nextafter(grid.size_x, 0.0), math.nextafter(grid.size_y, 0.0)]
+        coords = (list(rng.uniform(-1.0, grid.size_x + 1.0, 400)) + edges + SPECIAL)
+        others = list(rng.uniform(0.0, min(grid.size_x, grid.size_y), len(coords)))
+        points = list(zip(coords, others)) + list(zip(others, coords))
+        for radius in (0.0, 0.18, 0.3):
+            want = reference_disc_blocked(grid, *zip(*points), radius)
+            got = [grid.disc_blocked(x, y, radius) for x, y in points]
+            assert all(type(b) is bool for b in got)
+            assert got == want.tolist()
+        assert 0 < sum(got) < len(got)
+
+    def test_radii_equal_to_nine_decimals_share_one_mask(self):
+        grid = two_room_map()
+        first = grid._disc_blocked_mask(0.18 + 1e-12)
+        assert grid._disc_blocked_mask(0.18) is first
+        assert grid._disc_blocked_mask(0.18 - 1e-12) is first
+        assert grid._disc_blocked_mask(0.181) is not first
+
+    def test_sample_free_pose_makes_the_same_draws(self):
+        grid = apartment_map()
+        rng, ref = np.random.default_rng(8), np.random.default_rng(8)
+        for _ in range(200):
+            got = sample_free_pose(grid, rng)
+            while True:
+                x, y = ref.uniform(0.0, grid.size_x), ref.uniform(0.0, grid.size_y)
+                theta = ref.uniform(-math.pi, math.pi)
+                if not reference_disc_blocked(grid, [x], [y], gridworld.DEFAULT_ROBOT_RADIUS)[0]:
+                    break
+            assert got == Pose2D(x, y, theta)
+            assert grid.pose_free(got)
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("k", SPECIAL + [0.5, 1.5, -1.5, 2.0])
+    def test_feedback_clamps_as_np_clip(self, k):
+        # Gains that put every clamp input at a signed zero, NaN, an
+        # infinity or exactly on a bound (k * 1.0 with a 1.5 or 0.5 cap).
+        rng = np.random.default_rng(6)
+        targets = [(Pose2D(0, 0, 0), Pose2D(0, 0, 1.0)), (Pose2D(0, 0, 0), Pose2D(1, 0, 0)),
+                   (Pose2D(0, 0, 0), Pose2D(-1, 0, 0)), (Pose2D(0, 0, 0), Pose2D(1, 0, 1.0))]
+        targets += [(Pose2D(*rng.uniform(-2, 2, 2), rng.uniform(-3, 3)),
+                     Pose2D(*rng.uniform(-2, 2, 2), rng.uniform(-3, 3))) for _ in range(100)]
+        for gains in (ControllerGains(k_rho=k, k_alpha=k, k_beta=k),
+                      ControllerGains(k_rho=k, k_alpha=1.0, k_beta=0.0),
+                      ControllerGains(k_rho=1.0, k_alpha=k, k_beta=-k)):
+            for current, target in targets:
+                got = feedback_control(current, target, gains)
+                want = reference_feedback_control(current, target, gains)
+                assert (got.v.hex(), got.omega.hex()) == (want.v.hex(), want.omega.hex())
+
+
 class TestHelpers:
     def test_sample_free_pose_is_free(self):
         g = generate_rooms_map(seed=11)

@@ -180,6 +180,20 @@ def test_load_trajectory_rejects_garbage(tmp_path):
         load_trajectory(str(p))
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("field", [1, 3, 5, 7, 9, -1],
+                         ids=["x", "theta", "odom_y", "max_range", "angle", "range"])
+def test_load_trajectory_rejects_non_finite_values(grid, tmp_path, field, value):
+    path = tmp_path / "w.traj"
+    save_trajectory([World(grid).observe(Pose2D(1.5, 1.5, 0.0))], str(path))
+    header, line = path.read_text().splitlines()
+    parts = line.split()
+    parts[field] = value
+    path.write_text(f"{header}\n{' '.join(parts)}\n")
+    with pytest.raises(LoadError):
+        load_trajectory(str(path))
+
+
 # ---------------------------------------------------------------------------
 # Episodes
 # ---------------------------------------------------------------------------

@@ -140,7 +140,7 @@ def reference_rejection(grid, a, b, c, sensor=SensorConfig(), robot_radius=DEFAU
     if not is_visible(grid, a, (b.x, b.y), sensor.fov, sensor.max_range):
         return "visible"
     poses = dubins_sample(a, b, c.turn_radius, 0.5 * grid.resolution)
-    if grid.disc_blocked(poses[:, 0], poses[:, 1], robot_radius).any():
+    if any(grid.disc_blocked(x, y, robot_radius) for x, y in poses[:, :2].tolist()):
         return "dubins"
     path_len = shortest_feasible_path(grid, a, b, robot_radius)
     if not math.isfinite(path_len) or path_len / euclid > c.R_max:
@@ -158,7 +158,7 @@ def label_test_pairs(grid, rng, n, reach):
         a = sample_free_pose(grid, rng)
         r, phi = rng.uniform(0.0, reach), rng.uniform(-math.pi, math.pi)
         bx, by = a.x + r * math.cos(phi), a.y + r * math.sin(phi)
-        if not grid.in_bounds(bx, by) or grid.disc_blocked([bx], [by], DEFAULT_ROBOT_RADIUS)[0]:
+        if not grid.in_bounds(bx, by) or grid.disc_blocked(bx, by, DEFAULT_ROBOT_RADIUS):
             continue
         theta = phi + rng.uniform(-0.9, 0.9)
         pairs.append((Pose2D(a.x, a.y, theta), Pose2D(bx, by, theta + rng.uniform(-1.8, 1.8))))

@@ -140,6 +140,20 @@ class TestTopoGraphStructure:
             with pytest.raises(GraphInvariantError):
                 g.check()
 
+    @pytest.mark.parametrize("mu, sigma2", [
+        (math.nan, 0.25), (math.inf, 0.25), (-1.0, 0.25), (1.0, math.nan), (1.0, math.inf),
+    ])
+    def test_non_finite_or_negative_beliefs_rejected(self, mu, sigma2):
+        g = TopoGraph()
+        for vid in (1, 2):
+            g.add_vertex(dummy_obs(vid))
+        with pytest.raises(InvalidInput):
+            g.add_edge(1, 2, EdgeBelief(0.9, mu, sigma2))
+        g.add_edge(1, 2, EdgeBelief(0.9, 1.0, 0.25))
+        g.edges[(1, 2)].mu, g.edges[(1, 2)].sigma2 = mu, sigma2
+        with pytest.raises(GraphInvariantError):
+            g.check()
+
     def test_build_params_validated(self):
         with pytest.raises(InvalidInput):
             BuildParams(D_m=3.0, D_c=2.0)
@@ -497,6 +511,33 @@ class TestPersistence:
     def test_wrong_version_rejected(self, tmp_path):
         p = tmp_path / "g.txt"
         p.write_text("topograph/v9\n[params]\n")
+        with pytest.raises(LoadError):
+            load_graph(str(p))
+
+    @pytest.mark.parametrize("column, value", [(3, "nan"), (4, "inf")], ids=["mu", "sigma2"])
+    def test_non_finite_edge_rejected(self, tmp_path, column, value):
+        graph, pool = self._fixture()
+        p = tmp_path / "g.txt"
+        save_graph(graph, pool, str(p))
+        lines = p.read_text().splitlines()
+        i = lines.index("[edges]") + 1
+        parts = lines[i].split()
+        parts[column] = value
+        lines[i] = " ".join(parts)
+        p.write_text("\n".join(lines) + "\n")
+        with pytest.raises(LoadError):
+            load_graph(str(p))
+
+    def test_non_finite_observation_rejected(self, tmp_path):
+        graph, pool = self._fixture()
+        p = tmp_path / "g.txt"
+        save_graph(graph, pool, str(p))
+        lines = p.read_text().splitlines()
+        i = lines.index("[observations]") + 1
+        parts = lines[i].split()
+        parts[1] = "nan"
+        lines[i] = " ".join(parts)
+        p.write_text("\n".join(lines) + "\n")
         with pytest.raises(LoadError):
             load_graph(str(p))
 
