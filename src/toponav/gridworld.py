@@ -35,6 +35,9 @@ _FIELD_CACHE_CAP = 1024
 # One depth scan per simulated observation; keep a bounded FIFO of them.
 _SCAN_CACHE_CAP = 4096
 
+# raycast's rows of gridline offsets for a ray going + on x and on y.
+_AXIS_ROWS = np.array([0, 2])
+
 
 @dataclass(frozen=True)
 class SensorConfig:
@@ -47,10 +50,10 @@ class SensorConfig:
     def __post_init__(self):
         if self.n_rays < 1:
             raise InvalidInput("n_rays must be >= 1")
-        if not (self.fov >= 0.0):
-            raise InvalidInput("fov must be non-negative")
-        if not (self.max_range > 0.0):
-            raise InvalidInput("max_range must be positive")
+        if not (0.0 <= self.fov < math.inf):
+            raise InvalidInput("fov must be non-negative and finite")
+        if not (0.0 < self.max_range < math.inf):
+            raise InvalidInput("max_range must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -136,6 +139,7 @@ class GridMap:
         self.occupied = occ
         self.occupied.setflags(write=False)
         self._clearance_cache: dict = {}
+        self._passable_cache: dict = {}
         self._scan_cache: OrderedDict = OrderedDict()
         self._graph_cache: dict = {}
         self._field_cache: OrderedDict = OrderedDict()
@@ -211,10 +215,16 @@ class GridMap:
         return not self.disc_blocked(pose.x, pose.y, robot_radius)
 
     def passable(self, robot_radius: float):
-        """Cell mask for path planning: centers that keep the disc clear."""
-        k, blocked = self._disc_blocked_mask(robot_radius)
-        centers = blocked[k // 2 :: k, k // 2 :: k]
-        return ~centers
+        """Read-only cell mask for path planning: centers that keep the disc
+        clear.  Cached per radius to 9 decimals, as the clearance mask is."""
+        key = round(robot_radius, 9)
+        mask = self._passable_cache.get(key)
+        if mask is None:
+            k, blocked = self._disc_blocked_mask(robot_radius)
+            mask = ~blocked[k // 2 :: k, k // 2 :: k]
+            mask.setflags(write=False)
+            self._passable_cache[key] = mask
+        return mask
 
     # -- path-distance fields --------------------------------------------
 
@@ -280,8 +290,8 @@ def raycast(grid: GridMap, x0: float, y0: float, angles, max_range: float) -> np
 
     Returns the distance to the first occupied-cell boundary along each
     bearing, capped at max_range.  The origin cell must be free.  The cost
-    grows with max_range, so a caller that only asks whether a ray reaches
-    some distance should cast to that distance.
+    grows with max_range, up to the size of the grid, so a caller that only
+    asks whether a ray reaches some distance should cast to that distance.
 
     The parameters of every gridline crossing within range are computed up
     front and stably sorted, x crossings ahead of y crossings, so the whole
@@ -292,37 +302,53 @@ def raycast(grid: GridMap, x0: float, y0: float, angles, max_range: float) -> np
     if not grid.cell_free(x0, y0):
         raise InvalidPose(f"ray origin ({x0:.3f}, {y0:.3f}) is not in free space")
     angles = np.atleast_1d(np.asarray(angles, dtype=float))
+    n_rays = len(angles)
     res = grid.resolution
-    dirx, diry = np.cos(angles), np.sin(angles)
     ix0, iy0 = grid.cell_of(x0, y0)
-    k = np.arange(int(max_range / res) + 2)
-    t = np.concatenate([_crossings(x0, ix0, dirx, k, res),
-                        _crossings(y0, iy0, diry, k, res)], axis=1)
+    # The closed border is entered within nx - 1 crossings on x and ny - 1
+    # on y, so crossings past max(nx, ny) + 1 per axis never decide a range.
+    n_k = int(min(max_range / res, max(grid.nx, grid.ny) - 1)) + 2
+    width = 2 * n_k
+    # Offsets from the origin to the gridlines around it, in increasing
+    # order: the k-th gridline ahead of the origin cell on an axis is at
+    # index n_k + k, the k-th behind it at n_k - 1 - k.
+    lines = np.arange(1 - n_k, n_k + 1)
+    grid_x = (ix0 + lines) * res - x0
+    grid_y = (iy0 + lines) * res - y0
+    # One row per direction of travel, x+, x-, y+ and y-, and a last row
+    # for rays parallel to an axis, which cross none of its gridlines.
+    offsets = np.empty((5, n_k))
+    offsets[0], offsets[1] = grid_x[n_k:], grid_x[n_k - 1 :: -1]
+    offsets[2], offsets[3] = grid_y[n_k:], grid_y[n_k - 1 :: -1]
+    offsets[4] = np.inf
+    d = np.empty((n_rays, 2))
+    np.cos(angles, out=d[:, 0])
+    np.sin(angles, out=d[:, 1])
+    parallel = d == 0.0
+    row = (d <= 0.0) + _AXIS_ROWS
+    row[parallel] = 4
+    t = (offsets[row] * (1.0 / np.where(parallel, 1.0, d))[:, :, None]).reshape(n_rays, width)
     order = np.argsort(t, axis=1, kind="stable")
-    rows = np.arange(len(angles))[:, None]
-    ts = t[rows, order]
 
     # Cell entered at the m-th crossing: the start cell advanced once per
-    # crossing so far on each axis, as a flat index into the grid.
-    n_x = np.cumsum(order < len(k), axis=1)
-    step_x = np.sign(dirx).astype(int)[:, None]
-    step_y = np.sign(diry).astype(int)[:, None] * grid.nx
-    flat = (iy0 * grid.nx + ix0 + step_y * np.arange(1, t.shape[1] + 1)) + (step_x - step_y) * n_x
+    # crossing so far on each axis, as a flat index into the grid.  Each
+    # axis's crossings keep their own order in the stable sort, so x
+    # crossing k is the (k + 1)-th on x, and y crossing j at position m
+    # has m - j crossings on x before it.
+    m = np.arange(1, width + 1)
+    n_x = np.where(order < n_k, order + 1, (m + (n_k - 1)) - order)
+    step = np.sign(d).astype(int)
+    step_x, step_y = step[:, :1], step[:, 1:] * grid.nx
+    flat = (iy0 * grid.nx + ix0 + step_y * m) + (step_x - step_y) * n_x
     # An index past the grid is clipped, but the closed border is always hit
     # first, so such a cell never decides a range.
-    hit = np.take(grid.occupied.ravel(), flat, mode="clip") & (ts <= max_range)
-    first = hit.argmax(axis=1)[:, None]
-    return np.where(hit[rows, first], ts[rows, first], float(max_range))[:, 0]
-
-
-def _crossings(p0: float, i0: int, d: np.ndarray, k: np.ndarray, res: float) -> np.ndarray:
-    """Ray parameter at the k-th gridline crossed along one axis, one row per
-    ray; inf for rays parallel to the axis's gridlines."""
-    parallel = d == 0.0
-    lines = np.where((d > 0.0)[:, None], (i0 + 1 + k) * res, (i0 - k) * res)
-    t = (lines - p0) * (1.0 / np.where(parallel, 1.0, d))[:, None]
-    t[parallel] = np.inf
-    return t
+    hit = np.take(grid.occupied.ravel(), flat, mode="clip")
+    # The crossings are sorted, so when the first occupied cell lies past
+    # max_range, so does every later one.
+    row_start = np.arange(0, n_rays * width, width)
+    first = hit.argmax(axis=1) + row_start
+    t_first = np.take(t, np.take(order, first) + row_start)
+    return np.where(np.take(hit, first) & (t_first <= max_range), t_first, float(max_range))
 
 
 def scan_angles(theta: float, sensor: SensorConfig) -> np.ndarray:
@@ -372,14 +398,25 @@ def _seen_fraction(grid: GridMap, src_scan: DepthScan, ranges: np.ndarray,
     # The impact point sits on its cell's boundary; an unobstructed ray from
     # dst enters that cell no more than one cell diagonal early.
     tol = grid.resolution * SQRT2 + 1e-9
-    return int((ranges >= dist - tol).sum()) / int(src_scan.hit_mask.sum())
+    return int((ranges >= dist - tol).sum()) / len(src_scan.hit_points)
 
 
-def _directed_overlap(grid: GridMap, src_scan: DepthScan, dst: Pose2D, sensor: SensorConfig) -> float:
-    """Fraction of src's impact points co-visible from dst."""
+def _in_view_share(src_scan: DepthScan, dist: np.ndarray) -> float:
+    """Share of src_scan's impact points that are in view, given the
+    distances to those in view: an upper bound of _seen_fraction, which
+    divides at most len(dist) by the same count, as an int over an int
+    rounds monotonically."""
+    return len(dist) / len(src_scan.hit_points) if len(dist) else 0.0
+
+
+def _directed_overlap(grid: GridMap, src_scan: DepthScan, dst: Pose2D, sensor: SensorConfig,
+                      floor: float = 0.0) -> float:
+    """Fraction of src's impact points co-visible from dst; when the share
+    of them in view is already below floor, that share, without a cast."""
     bearing, dist = _overlap_rays(src_scan, dst, sensor)
-    if not len(dist):
-        return 0.0
+    share = _in_view_share(src_scan, dist)
+    if not len(dist) or share < floor:
+        return share
     # Each ray only has to reach its impact point: a ray cast no further
     # than the farthest one returns its cap, which passes the seen test,
     # exactly when a full-range ray would pass it.
@@ -433,7 +470,9 @@ def co_visible(grid: GridMap, a: Pose2D, b: Pose2D, sensor: SensorConfig,
     at the larger of the two distances tested.  Raising a ray's cap above
     the distance its test compares with changes no result: a hit inside
     the lower cap is still the first hit, and a ray clear up to the lower
-    cap returns at least that cap either way.
+    cap returns at least that cap either way.  Neither call is made when
+    the returns in view are too few to reach min_overlap even if all are
+    seen.
     """
     if not min_overlap > 0.0:
         return is_visible(grid, a, (b.x, b.y), sensor.fov, sensor.max_range)
@@ -445,11 +484,12 @@ def co_visible(grid: GridMap, a: Pose2D, b: Pose2D, sensor: SensorConfig,
     # below passes whatever range it returns.
     if d >= 1e-12 and abs(wrap_angle(bearing - a.theta)) > sensor.fov / 2.0 + 1e-12:
         return False
-    if _directed_overlap(grid, raycast_scan(grid, a, sensor), b, sensor) < min_overlap:
+    scan_a = raycast_scan(grid, a, sensor)
+    if _directed_overlap(grid, scan_a, b, sensor, min_overlap) < min_overlap:
         return False
     scan_b = raycast_scan(grid, b, sensor)
     rays, dist = _overlap_rays(scan_b, a, sensor)
-    if not len(dist):
+    if _in_view_share(scan_b, dist) < min_overlap:
         return False
     r = raycast(grid, a.x, a.y, np.concatenate([[bearing], rays]),
                 max(d, min(sensor.max_range, dist.max())))
@@ -486,6 +526,34 @@ def shortest_feasible_path(
         return math.inf
     f = grid.path_distance_field(ca, robot_radius, limit)
     return float(f[cb[1] * grid.nx + cb[0]])
+
+
+def staircase_length(grid: GridMap, a: Pose2D, b: Pose2D,
+                     robot_radius: float = DEFAULT_ROBOT_RADIUS) -> float:
+    """Length of the staircase of cells from a's cell to b's when every cell
+    on it is passable; math.inf when one is not, when the poses share a
+    cell, or when either lies off the map.
+
+    The staircase rounds the straight line between the two cells to the
+    nearest cell at each of max(|dx|, |dy|) steps, min(|dx|, |dy|) of them
+    diagonal.  Its length is the octile distance between the cells: no
+    8-connected path is shorter, and a clear staircase is a path of the
+    cell graph, whose diagonal steps need only their two ends passable.
+    """
+    if not (grid.in_bounds(a.x, a.y) and grid.in_bounds(b.x, b.y)):
+        return math.inf
+    (ax, ay), (bx, by) = grid.cell_of(a.x, a.y), grid.cell_of(b.x, b.y)
+    dx, dy = bx - ax, by - ay
+    n = max(abs(dx), abs(dy))
+    if n == 0:
+        return math.inf
+    i = np.arange(n + 1)
+    xs = ax + (2 * dx * i + n) // (2 * n)
+    ys = ay + (2 * dy * i + n) // (2 * n)
+    if not grid.passable(robot_radius)[ys, xs].all():
+        return math.inf
+    diagonal = min(abs(dx), abs(dy))
+    return (n - diagonal) * grid.resolution + diagonal * (grid.resolution * SQRT2)
 
 
 # ---------------------------------------------------------------------------

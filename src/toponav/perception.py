@@ -36,6 +36,7 @@ from .gridworld import (
     raycast_scan,
     sample_free_pose,
     shortest_feasible_path,
+    staircase_length,
 )
 from .se2 import Pose2D, Waypoint, dubins_sample, relative, wrap_angle
 
@@ -133,7 +134,9 @@ def label_reachability(
     The label is the AND of these checks, so their order is free: the cheap
     geometric gates run first, so most far-apart pairs never touch the map,
     then co-visibility (at most two raycast calls), which rejects most of
-    the pairs that reach it, and the Dubins and path checks last.
+    the pairs that reach it, and the Dubins and path checks last.  The path
+    search runs only when the straightest staircase of cells between the
+    two poses is blocked or too long to decide the ratio.
     Degenerate near-zero separation passes the direction-dependent gates
     trivially.
     """
@@ -158,11 +161,17 @@ def label_reachability(
     poses = dubins_sample(a, b, c.turn_radius, 0.5 * grid.resolution)
     if any(grid.disc_blocked(x, y, robot_radius) for x, y in poses[:, :2].tolist()):
         return 0
+    # A clear staircase between the two cells is a path of the cell graph
+    # that no path undercuts, so the search below could only return its
+    # octile length, summed in another order.  A sum over the steps of any
+    # path across the grid rounds by far less than a relative 1e-9, so with
+    # that margin the search's length would pass the ratio test.
+    if staircase_length(grid, a, b, robot_radius) * (1.0 + 1e-9) <= c.R_max * euclid:
+        return 1
     # euclid <= E_max, so a path longer than R_max * E_max fails the ratio
     # test anyway and the search may stop there.
-    limit = c.R_max * c.E_max * (1.0 + 1e-9)
     path_len = shortest_feasible_path(grid, a, b, robot_radius,
-                                      limit if limit >= 0.0 else math.inf)
+                                      c.R_max * c.E_max * (1.0 + 1e-9))
     if not math.isfinite(path_len) or path_len / euclid > c.R_max:
         return 0
     return 1
@@ -221,8 +230,10 @@ class OracleEstimator:
         """The pair's draws from its own stream: label flip, score wobble,
         then the waypoint noise."""
         rng = np.random.default_rng([self.noise.seed, a.id, b.id])
-        u_flip = rng.uniform()
-        wobble = rng.uniform(-0.04, 0.04)
+        # Generator.uniform(lo, hi) is lo + (hi - lo) * random(), one double
+        # each, so these are the draws of uniform() and uniform(-0.04, 0.04).
+        u_flip, u = rng.random(2).tolist()
+        wobble = -0.04 + (0.04 - -0.04) * u
         if not self._noisy_waypoints():
             return _PairDraws(self._exact_waypoint(a, b), u_flip, wobble)
         w_true = relative(a.true_pose, b.true_pose)

@@ -94,13 +94,15 @@ def test_config_rejects_bad_value(tmp_path):
     "[perception]\nturn_radius = inf\n",
     "[gridworld]\nrobot_radius = -1\n",
     "[gridworld]\nrobot_radius = nan\n",
+    "[gridworld]\nfov = inf\n",
+    "[gridworld]\nmax_range = inf\n",
 ], ids=["D_m", "max_range", "n_rays", "resolution", "false_positive_rate",
         "pos_sigma", "pos_tol", "dt", "spacing", "loops", "eval_every", "n_goals",
         "n_episodes", "omega_max", "v_max", "odom_pos_sigma", "odom_theta_sigma",
         "sigma2_init=0", "sigma2_init=inf", "sigma2_obs", "p_s_given_r1",
         "p_s_given_r0", "D_loc", "r_connect_min=nan", "r_connect_min>1", "L_min=nan",
         "L_min>1", "R_max", "E_max", "Theta_max", "turn_radius=0", "turn_radius=inf",
-        "robot_radius<0", "robot_radius=nan"])
+        "robot_radius<0", "robot_radius=nan", "fov=inf", "max_range=inf"])
 def test_config_rejects_invalid_parameter_combination(tmp_path, text):
     p = tmp_path / "bad.ini"
     p.write_text(text)

@@ -26,6 +26,7 @@ from toponav.gridworld import (
     sample_free_pose,
     save_map,
     shortest_feasible_path,
+    staircase_length,
     step_agent,
     visual_overlap,
 )
@@ -199,6 +200,21 @@ class TestRaycast:
                 assert np.array_equal(got, want), (x0, y0, max_range)
                 n_rays += len(angles)
         assert n_rays > 5000
+
+    @pytest.mark.parametrize("map_index", range(3), ids=MAP_IDS)
+    def test_ranges_past_the_map_cast_to_the_border(self, map_index):
+        # Crossings are capped at the size of the grid, which the closed
+        # border always stops a ray within.
+        g = MAPS[map_index]()
+        rng = np.random.default_rng(30 + map_index)
+        angles = np.concatenate([rng.uniform(-math.pi, math.pi, 40),
+                                 np.arange(-4, 5) * (math.pi / 4)])
+        for pose in [sample_free_pose(g, rng) for _ in range(6)]:
+            for max_range in (1e3, 1e300):
+                got = raycast(g, pose.x, pose.y, angles, max_range)
+                want = reference_raycast(g, pose.x, pose.y, angles, max_range)
+                assert np.array_equal(got, want), (pose, max_range)
+                assert got.max() < math.hypot(g.size_x, g.size_y)
 
     def test_exact_corner_tie_enters_the_x_side_cell_first(self):
         # Find an origin on the diagonal whose first x and y crossings along a
@@ -403,6 +419,70 @@ class TestCoVisible:
             co_visible(g, a, b, sensor, 0.3)
             counts.append(len(calls))
         assert max(counts) == 2 and 1 in counts
+
+    def test_too_few_returns_in_view_cast_nothing(self, monkeypatch):
+        # A direction whose in-view returns cannot reach the threshold
+        # decides the pair without a cast: none for a's returns, one for
+        # b's, after the cast toward a's.
+        g = apartment_map()
+        sensor, t = SensorConfig(), 0.3
+        pairs = near_pose_pairs(g, np.random.default_rng(6), 150)
+        expected = {}
+        for i, (a, b) in enumerate(pairs):
+            d = math.hypot(b.x - a.x, b.y - a.y)
+            bearing = math.atan2(b.y - a.y, b.x - a.x)
+            if d > sensor.max_range or abs(wrap_angle(bearing - a.theta)) > sensor.fov / 2:
+                continue
+            scan_a, scan_b = raycast_scan(g, a, sensor), raycast_scan(g, b, sensor)
+            in_view_a = len(gridworld._overlap_rays(scan_a, b, sensor)[1])
+            in_view_b = len(gridworld._overlap_rays(scan_b, a, sensor)[1])
+            if in_view_a < t * len(scan_a.hit_points):
+                assert gridworld._directed_overlap(g, scan_a, b, sensor) < t
+                expected[i] = 0
+            elif (gridworld._directed_overlap(g, scan_a, b, sensor) >= t
+                  and in_view_b < t * len(scan_b.hit_points)):
+                expected[i] = 1
+        calls = []
+        cast = gridworld.raycast
+        monkeypatch.setattr(gridworld, "raycast",
+                            lambda *args: calls.append(1) or cast(*args))
+        for i, n_casts in expected.items():
+            calls.clear()
+            assert not co_visible(g, *pairs[i], sensor, t)
+            assert len(calls) == n_casts, pairs[i]
+        assert set(expected.values()) == {0, 1}
+
+
+class TestStaircase:
+    @pytest.mark.parametrize("map_index", range(3), ids=MAP_IDS)
+    def test_a_clear_staircase_is_the_search_length(self, map_index):
+        g = MAPS[map_index]()
+        pairs = near_pose_pairs(g, np.random.default_rng(40 + map_index), 300, max_dist=3.0)
+        clear = 0
+        for a, b in pairs:
+            stair = staircase_length(g, a, b)
+            path = shortest_feasible_path(g, a, b)
+            if g.cell_of(a.x, a.y) == g.cell_of(b.x, b.y):
+                assert stair == math.inf
+            elif math.isfinite(stair):
+                assert abs(path - stair) <= 1e-9 * stair, (a, b)
+                clear += 1
+        assert 0 < clear < len(pairs)
+
+    def test_a_wall_blocks_the_staircase_but_not_the_search(self):
+        # Poses at cell centres; the wall is the cell column from x = 6.0.
+        g = room_with_column_wall(6.0, gap=(6.0, 7.0))
+        a, b = Pose2D(5.05, 5.05), Pose2D(7.05, 5.05)
+        assert staircase_length(g, a, b) == math.inf
+        assert 2.0 < shortest_feasible_path(g, a, b) < math.inf
+        assert staircase_length(g, a, Pose2D(5.95, 5.05)) == math.inf  # in the wall's margin
+        assert staircase_length(g, a, Pose2D(5.55, 5.05)) == pytest.approx(0.5)
+        assert staircase_length(g, a, Pose2D(5.35, 5.25)) == pytest.approx(0.1 + 0.2 * math.sqrt(2))
+
+    def test_off_the_map_is_inf(self):
+        g = empty_room()
+        assert staircase_length(g, Pose2D(5.0, 5.0), Pose2D(-0.05, 5.0)) == math.inf
+        assert staircase_length(g, Pose2D(10.5, 5.0), Pose2D(5.0, 5.0)) == math.inf
 
 
 class TestPathFields:

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from toponav import perception
 from toponav.errors import InvalidInput, LoadError
 from toponav.fixtures import apartment_map, two_room_map
 from toponav.gridworld import (
@@ -39,7 +41,7 @@ from toponav.perception import (
 from toponav.se2 import Pose2D, Waypoint, dubins_sample, relative, waypoint_distance, wrap_angle
 from toponav.topograph import BuildParams, TopoGraph, localize
 
-from test_gridworld import empty_room, room_with_column_wall
+from test_gridworld import MAPS, empty_room, room_with_column_wall
 
 CRIT = ReachabilityCriteria()
 
@@ -190,6 +192,41 @@ class TestLabelMatchesReference:
         assert set(rejected_by) == checks | {None}, rejected_by
 
 
+class TestStaircaseAccept:
+    """label_reachability accepts the path ratio on a clear staircase of
+    cells without searching; every label equals a search's."""
+
+    # Outcomes as (staircase clear, searched, label).  A blocked staircase
+    # falls back to the search, which finds a detour under R_max = 3; under
+    # R_max < 1 most clear staircases are too long to accept.
+    @pytest.mark.parametrize("crit, per_map, outcomes", [
+        (CRIT, 800, {(True, False, 1), (True, True, 0), (False, True, 0)}),
+        (replace(CRIT, R_max=0.98), 500, {(True, False, 1), (True, True, 0), (False, True, 0)}),
+        (replace(CRIT, R_max=3.0, L_min=0.05), 500,
+         {(True, False, 1), (False, True, 0), (False, True, 1)}),
+    ], ids=["default", "R_max<1", "R_max=3"])
+    def test_labels_equal_a_search_on_every_pair(self, monkeypatch, crit, per_map, outcomes):
+        pairs = [(g, a, b) for seed, make in enumerate(MAPS) for g in [make()]
+                 for a, b in label_test_pairs(g, np.random.default_rng(50 + seed), per_map,
+                                              1.05 * crit.E_max)]
+        with monkeypatch.context() as m:
+            m.setattr(perception, "staircase_length", lambda *args: math.inf)
+            want = [label_reachability(g, a, b, crit) for g, a, b in pairs]
+        seen = {}
+        stair, search = perception.staircase_length, perception.shortest_feasible_path
+        monkeypatch.setattr(perception, "staircase_length",
+                            lambda *args: seen.setdefault("stair", stair(*args)))
+        monkeypatch.setattr(perception, "shortest_feasible_path",
+                            lambda *args: seen.setdefault("search", search(*args)))
+        got = Counter()
+        for (g, a, b), label in zip(pairs, want):
+            seen.clear()
+            assert label_reachability(g, a, b, crit) == label, (a, b)
+            if "stair" in seen:
+                got[math.isfinite(seen["stair"]), "search" in seen, label] += 1
+        assert set(got) == outcomes, got
+
+
 class TestOracleEstimator:
     def test_labels_use_the_given_sensor(self):
         # A 2 m range drops pairs that the default 5 m sensor labels
@@ -203,6 +240,27 @@ class TestOracleEstimator:
         assert [p.r for p in pairs] == labels == [est.true_label(p.src, p.dst) for p in pairs]
         assert labels != [label_reachability(g, p.src.true_pose, p.dst.true_pose, CRIT)
                           for p in pairs]
+
+    def test_pair_draws_are_two_uniform_calls_then_the_normals(self):
+        g = empty_room()
+        scan = raycast_scan(g, Pose2D(5.0, 5.0, 0.0), SensorConfig())
+        rng = np.random.default_rng(11)
+        noisy = NoiseConfig(pos_sigma=0.05, theta_sigma=0.03)
+        for i in range(1000):
+            seed, ia, ib = rng.integers(0, 2**32 if i % 2 else 50, 3).tolist()
+            pa, pb = (Pose2D(*rng.uniform(-3.0, 3.0, 3).tolist()) for _ in range(2))
+            a, b = Observation(ia, scan, pa, pa), Observation(ib, scan, pb, pb)
+            for noise in (replace(noisy, seed=seed), NoiseConfig(seed=seed)):
+                got = OracleEstimator(g, noise=noise)._draw(a, b)
+                ref = np.random.default_rng([seed, ia, ib])
+                assert got.u_flip == ref.uniform()
+                assert got.wobble == ref.uniform(-0.04, 0.04)
+                if noise.pos_sigma:
+                    w = relative(pa, pb)
+                    assert got.w_hat == Waypoint(
+                        w.dx + ref.normal(0.0, noise.pos_sigma),
+                        w.dy + ref.normal(0.0, noise.pos_sigma),
+                        wrap_angle(w.dtheta + ref.normal(0.0, noise.theta_sigma)))
 
     def test_zero_noise_scores(self):
         g = empty_room(6.0, 5.0)
