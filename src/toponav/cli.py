@@ -80,6 +80,11 @@ class MapSettings:
                                "expected two-room, apartment, or generated")
         if not (0.0 < self.map_resolution < math.inf):
             raise InvalidInput("map resolution must be positive and finite")
+        for name in ("width", "height", "door_width"):
+            if not (0.0 < getattr(self, name) < math.inf):
+                raise InvalidInput(f"{name} must be positive and finite")
+        if not (self.rooms_x >= 1 and self.rooms_y >= 1):
+            raise InvalidInput("rooms_x and rooms_y must be at least 1")
         if not (self.dt > 0.0):
             raise InvalidInput("dt must be positive")
         if not (0.0 <= self.robot_radius < math.inf):
@@ -112,6 +117,8 @@ class RunSettings:
         for name in ("loops", "spacing", "eval_every", "n_goals", "n_episodes"):
             if not (getattr(self, name) > 0):
                 raise InvalidInput(f"{name} must be positive")
+        if not (self.n_queries >= 0):
+            raise InvalidInput("n_queries must be non-negative")
         if not (self.odom_pos_sigma >= 0.0 and self.odom_theta_sigma >= 0.0):
             raise InvalidInput("odometry sigmas must be non-negative")
 

@@ -3,8 +3,8 @@
 The world is a closed rectangle of square cells (border always occupied).
 Everything here is a pure function of its inputs; the only mutable state an
 agent carries is its pose and its collision/step counters.  Caches on GridMap
-(scans, clearance masks, path-distance fields) are memoization only and never
-change observable behavior.
+(scans, clearance masks, passable masks, cell graphs) are memoization only and
+never change observable behavior; each path search runs on demand.
 """
 
 from __future__ import annotations
@@ -28,9 +28,6 @@ DEFAULT_ROBOT_RADIUS = 0.18
 # Subcell size targeted by the clearance mask; collision checks resolve wall
 # distance to roughly this precision.
 _SUBCELL_TARGET = 0.025
-
-# Path-distance fields are ~the map size each; keep a bounded FIFO of them.
-_FIELD_CACHE_CAP = 1024
 
 # One depth scan per simulated observation; keep a bounded FIFO of them.
 _SCAN_CACHE_CAP = 4096
@@ -142,7 +139,6 @@ class GridMap:
         self._passable_cache: dict = {}
         self._scan_cache: OrderedDict = OrderedDict()
         self._graph_cache: dict = {}
-        self._field_cache: OrderedDict = OrderedDict()
 
     @property
     def ny(self) -> int:
@@ -226,7 +222,7 @@ class GridMap:
             self._passable_cache[key] = mask
         return mask
 
-    # -- path-distance fields --------------------------------------------
+    # -- cell graph ------------------------------------------------------
 
     def _cell_graph(self, robot_radius: float):
         """8-connected graph over passable cells, each edge stored in both
@@ -259,25 +255,6 @@ class GridMap:
         )
         self._graph_cache[key] = g
         return g
-
-    def path_distance_field(self, src_cell: tuple[int, int], robot_radius: float,
-                            limit: float = math.inf):
-        """Shortest 8-connected feasible distance from src_cell to every cell.
-
-        The search stops at `limit`: cells farther than that read inf, and
-        every other cell its exact distance.
-        """
-        key = (round(robot_radius, 9), src_cell, limit)
-        f = self._field_cache.get(key)
-        if f is not None:
-            return f
-        g = self._cell_graph(robot_radius)
-        src_flat = src_cell[1] * self.nx + src_cell[0]
-        f = scipy.sparse.csgraph.dijkstra(g, directed=True, indices=src_flat, limit=limit)
-        if len(self._field_cache) >= _FIELD_CACHE_CAP:
-            self._field_cache.popitem(last=False)
-        self._field_cache[key] = f
-        return f
 
 
 # ---------------------------------------------------------------------------
@@ -512,8 +489,9 @@ def shortest_feasible_path(
     8-connected over cells whose centers keep the robot disc clear; axis
     steps cost one resolution, diagonal steps sqrt(2) times that.  Returns
     math.inf when no such path exists, or when the path is longer than
-    `limit`, which bounds the search.  Poses in the same cell score their
-    euclidean distance.
+    `limit`, which bounds the search; a path no longer than `limit` gets the
+    length an unbounded search would give.  Poses in the same cell score
+    their euclidean distance.
     """
     if not (grid.in_bounds(a.x, a.y) and grid.in_bounds(b.x, b.y)):
         return math.inf
@@ -524,7 +502,8 @@ def shortest_feasible_path(
     passable = grid.passable(robot_radius)
     if not (passable[ca[1], ca[0]] and passable[cb[1], cb[0]]):
         return math.inf
-    f = grid.path_distance_field(ca, robot_radius, limit)
+    f = scipy.sparse.csgraph.dijkstra(grid._cell_graph(robot_radius), directed=True,
+                                      indices=ca[1] * grid.nx + ca[0], limit=limit)
     return float(f[cb[1] * grid.nx + cb[0]])
 
 

@@ -32,7 +32,7 @@ class MaintenanceParams:
             raise InvalidInput("R_p must be in (0, 1)")
         if not (0.0 <= self.p_s_given_r0 < self.p_s_given_r1 <= 1.0):
             raise InvalidInput("need 0 <= p_s_given_r0 < p_s_given_r1 <= 1")
-        if self.relax_D_c_factor <= 1.0 or not (0.0 < self.relax_D_m_factor < 1.0):
+        if not (1.0 < self.relax_D_c_factor < math.inf and 0.0 < self.relax_D_m_factor < 1.0):
             raise InvalidInput("relaxation factors must loosen the thresholds")
         if not 0.0 < self.sigma2_obs < math.inf:
             raise InvalidInput("sigma2_obs must be positive and finite")

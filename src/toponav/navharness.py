@@ -429,6 +429,8 @@ def make_test_set(world: World, graph: TopoGraph, n_goals: int, n_episodes: int,
     """Static (start pose, goal vertex) pairs cycling over sampled goals."""
     if n_goals < 1 or n_episodes < 1:
         raise InvalidInput("need at least one goal and one episode")
+    if not graph.vertices:
+        raise InvalidInput("the graph has no vertices to take goals from")
     ids = sorted(graph.vertices)
     goals = [ids[int(rng.integers(len(ids)))] for _ in range(n_goals)]
     pairs = []

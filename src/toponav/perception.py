@@ -100,8 +100,8 @@ class NoiseConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not (self.pos_sigma >= 0.0 and self.theta_sigma >= 0.0):
-            raise InvalidInput("noise sigmas must be non-negative")
+        if not (0.0 <= self.pos_sigma < math.inf and 0.0 <= self.theta_sigma < math.inf):
+            raise InvalidInput("noise sigmas must be non-negative and finite")
         if not (0.0 <= self.false_positive_rate <= 1.0
                 and 0.0 <= self.false_negative_rate <= 1.0):
             raise InvalidInput("label flip rates must be in [0, 1]")
@@ -168,11 +168,12 @@ def label_reachability(
     # that margin the search's length would pass the ratio test.
     if staircase_length(grid, a, b, robot_radius) * (1.0 + 1e-9) <= c.R_max * euclid:
         return 1
-    # euclid <= E_max, so a path longer than R_max * E_max fails the ratio
-    # test anyway and the search may stop there.
+    # A path longer than R_max * euclid fails the ratio test, so the search
+    # stops there, with a margin for rounding; beyond it reads inf, which
+    # fails the test too.
     path_len = shortest_feasible_path(grid, a, b, robot_radius,
-                                      c.R_max * c.E_max * (1.0 + 1e-9))
-    if not math.isfinite(path_len) or path_len / euclid > c.R_max:
+                                      c.R_max * euclid * (1.0 + 1e-9))
+    if path_len / euclid > c.R_max:
         return 0
     return 1
 

@@ -11,7 +11,7 @@ from toponav.gridworld import load_map
 from toponav.navharness import World, save_trajectory
 from toponav.perception import ReachabilityCriteria, generate_sim_dataset, save_dataset
 from toponav.se2 import Pose2D
-from toponav.topograph import load_graph
+from toponav.topograph import TopoGraph, TrajectoryPool, load_graph, save_graph
 
 
 # ---------------------------------------------------------------------------
@@ -96,13 +96,23 @@ def test_config_rejects_bad_value(tmp_path):
     "[gridworld]\nrobot_radius = nan\n",
     "[gridworld]\nfov = inf\n",
     "[gridworld]\nmax_range = inf\n",
+    "[gridworld]\nmap = generated\nwidth = nan\n",
+    "[gridworld]\nheight = 0\n",
+    "[gridworld]\nrooms_x = 0\n",
+    "[gridworld]\nrooms_y = 0\n",
+    "[gridworld]\ndoor_width = -1\n",
+    "[navharness]\nn_queries = -5\n",
+    "[maintenance]\nrelax_D_c_factor = nan\n",
+    "[perception]\npos_sigma = inf\n",
 ], ids=["D_m", "max_range", "n_rays", "resolution", "false_positive_rate",
         "pos_sigma", "pos_tol", "dt", "spacing", "loops", "eval_every", "n_goals",
         "n_episodes", "omega_max", "v_max", "odom_pos_sigma", "odom_theta_sigma",
         "sigma2_init=0", "sigma2_init=inf", "sigma2_obs", "p_s_given_r1",
         "p_s_given_r0", "D_loc", "r_connect_min=nan", "r_connect_min>1", "L_min=nan",
         "L_min>1", "R_max", "E_max", "Theta_max", "turn_radius=0", "turn_radius=inf",
-        "robot_radius<0", "robot_radius=nan", "fov=inf", "max_range=inf"])
+        "robot_radius<0", "robot_radius=nan", "fov=inf", "max_range=inf", "width=nan",
+        "height", "rooms_x", "rooms_y", "door_width", "n_queries", "relax_D_c_factor=nan",
+        "pos_sigma=inf"])
 def test_config_rejects_invalid_parameter_combination(tmp_path, text):
     p = tmp_path / "bad.ini"
     p.write_text(text)
@@ -339,6 +349,13 @@ def test_evaluate_writes_report(tmp_path, capsys):
     assert text.count("episode=") == 3
     assert "success_rate=" in text.splitlines()[-1]
     assert capsys.readouterr().out == text
+
+
+def test_evaluate_empty_graph_exits_one(tmp_path, capsys):
+    gpath = str(tmp_path / "empty.graph")
+    save_graph(TopoGraph(), TrajectoryPool(), gpath)
+    assert main(["evaluate", gpath]) == 1
+    assert "error:" in capsys.readouterr().err
 
 
 def test_evaluate_uses_the_graph_files_build_params(tmp_path, capsys):

@@ -485,8 +485,12 @@ class TestStaircase:
         assert staircase_length(g, Pose2D(10.5, 5.0), Pose2D(5.0, 5.0)) == math.inf
 
 
+def cell_centre(g, ix, iy):
+    return Pose2D((ix + 0.5) * g.resolution, (iy + 0.5) * g.resolution)
+
+
 class TestPathFields:
-    """Fields on the symmetric cell graph, full and bounded."""
+    """Path searches on the symmetric cell graph, full and bounded."""
 
     @pytest.mark.parametrize("map_index", range(3), ids=MAP_IDS)
     def test_symmetric_graph_fields_equal_undirected_search(self, map_index):
@@ -500,9 +504,10 @@ class TestPathFields:
         passable = np.argwhere(g.passable(r))
         rng = np.random.default_rng(map_index)
         for iy, ix in passable[rng.choice(len(passable), 50, replace=False)]:
-            got = g.path_distance_field((ix, iy), r)
             want = scipy.sparse.csgraph.dijkstra(upper, directed=False, indices=iy * g.nx + ix)
-            assert np.array_equal(got, want)
+            for jy, jx in passable[rng.choice(len(passable), 10, replace=False)]:
+                got = shortest_feasible_path(g, cell_centre(g, ix, iy), cell_centre(g, jx, jy), r)
+                assert got == want[jy * g.nx + jx]
 
     @pytest.mark.parametrize("map_index", range(3), ids=MAP_IDS)
     def test_bounded_field_is_the_full_field_up_to_the_limit(self, map_index):
@@ -510,14 +515,17 @@ class TestPathFields:
         r = gridworld.DEFAULT_ROBOT_RADIUS
         passable = np.argwhere(g.passable(r))
         rng = np.random.default_rng(10 + map_index)
-        for iy, ix in passable[rng.choice(len(passable), 20, replace=False)]:
-            full = g.path_distance_field((ix, iy), r)
-            for limit in (0.0, 1.0, 4.0 * (1 + 1e-9)):
-                bounded = g.path_distance_field((ix, iy), r, limit)
-                within = full <= limit
-                assert np.array_equal(bounded[within], full[within])
-                assert np.all(np.isinf(bounded[~within]))
-                assert within.sum() > 0 and (~within).sum() > 0
+        outcomes = set()
+        for (iy, ix), (jy, jx) in passable[rng.choice(len(passable), (100, 2))]:
+            a, b = cell_centre(g, ix, iy), cell_centre(g, jx, jy)
+            if (ix, iy) == (jx, jy):
+                continue
+            full = shortest_feasible_path(g, a, b, r)
+            for limit in (0.0, 1.0, 4.0 * (1 + 1e-9), full):
+                bounded = shortest_feasible_path(g, a, b, r, limit)
+                assert bounded == (full if full <= limit else math.inf)
+                outcomes.add((limit == full, full <= limit))
+        assert outcomes == {(False, False), (False, True), (True, True)}
 
     def test_bounded_path_is_inf_beyond_the_limit(self):
         g = empty_room()

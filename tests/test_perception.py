@@ -175,7 +175,9 @@ class TestLabelMatchesReference:
         (CRIT, SensorConfig(), 1000),
         (replace(CRIT, L_min=0.0), SensorConfig(), 350),
         (CRIT, SensorConfig(max_range=2.0), 350),
-    ], ids=["default", "L_min=0", "max_range<E_max"])
+        (replace(CRIT, R_max=0.98), SensorConfig(), 350),
+        (replace(CRIT, R_max=3.0, L_min=0.05), SensorConfig(), 350),
+    ], ids=["default", "L_min=0", "max_range<E_max", "R_max<1", "R_max=3"])
     def test_labels_equal_the_old_order(self, crit, sensor, per_map):
         rejected_by = {}
         for seed, make in enumerate([two_room_map, apartment_map,
@@ -190,6 +192,23 @@ class TestLabelMatchesReference:
         if crit.L_min > 0.0:
             checks.add("overlap")
         assert set(rejected_by) == checks | {None}, rejected_by
+
+    def test_a_path_at_exactly_the_ratio_passes(self):
+        # R_max is each pair's own path ratio, so the staircase cannot
+        # accept and the search, bounded at R_max * euclid, must still
+        # return the path that the unbounded reference finds.
+        passed = 0
+        for seed, make in enumerate(MAPS):
+            g = make()
+            for a, b in label_test_pairs(g, np.random.default_rng(seed), 350, CRIT.E_max):
+                ratio = shortest_feasible_path(g, a, b) / math.hypot(b.x - a.x, b.y - a.y)
+                if not math.isfinite(ratio):
+                    continue
+                crit = replace(CRIT, R_max=ratio, L_min=0.05)
+                why = reference_rejection(g, a, b, crit)
+                assert label_reachability(g, a, b, crit) == (why is None), (a, b, why)
+                passed += why is None
+        assert passed > 0
 
 
 class TestStaircaseAccept:
