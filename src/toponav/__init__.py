@@ -6,11 +6,14 @@ estimator (perception), the topological graph with sampling-based
 construction and belief-weighted planning (topograph), Bayesian edge
 maintenance and graph expansion (maintenance), and the episode/lifelong
 experiment harness plus CLI (navharness, cli).
+
+The top level holds the names the pipeline's users import: build a graph
+from a driven trajectory, localize and plan on it, and run the lifelong
+experiment.  Every other name is imported from its module.
 """
 
 from .se2 import (
     Pose2D,
-    Twist,
     Waypoint,
     compose,
     dubins_length,
@@ -19,32 +22,14 @@ from .se2 import (
     se2_log,
     waypoint_distance,
     waypoint_matrix,
-    wrap_angle,
 )
-from .gridworld import (
-    AgentState,
-    ControllerGains,
-    GridMap,
-    SensorConfig,
-    VelocityCmd,
-    feedback_control,
-    generate_rooms_map,
-    raycast,
-    raycast_scan,
-    sample_free_pose,
-    step_agent,
-)
+from .gridworld import AgentState, feedback_control, sample_free_pose, step_agent
 from .perception import (
-    DepthScan,
     NoiseConfig,
     Observation,
     OracleEstimator,
-    Prediction,
     ReachabilityCriteria,
     label_reachability,
-    loss_position,
-    loss_reachability,
-    loss_rotation,
     loss_total,
 )
 from .topograph import (
@@ -58,94 +43,60 @@ from .topograph import (
     plan,
     save_graph,
 )
-from .maintenance import (
-    MaintenanceParams,
-    TraversalOutcome,
-    add_novel_node,
-    apply_traversal_update,
-    bayes_connectivity_update,
-    expand_for_plan,
-    gaussian_weight_update,
-)
+from .maintenance import MaintenanceParams
 from .navharness import (
     EpisodeLimits,
-    EpisodeResult,
-    LifelongCurve,
-    OdomNoise,
     World,
     collect_trajectory,
     evaluate,
     load_trajectory,
     make_test_set,
-    estimate_distance_variance,
     run_episode,
     run_lifelong,
     save_trajectory,
-    traversal_succeeded,
     wall_crossing_edges,
 )
 
 __all__ = [
     "AgentState",
     "BuildParams",
-    "ControllerGains",
-    "DepthScan",
     "EdgeBelief",
     "EpisodeLimits",
-    "EpisodeResult",
-    "GridMap",
-    "LifelongCurve",
     "MaintenanceParams",
     "NoiseConfig",
     "Observation",
-    "OdomNoise",
     "OracleEstimator",
     "Pose2D",
-    "Prediction",
     "ReachabilityCriteria",
-    "SensorConfig",
     "TopoGraph",
     "TrajectoryPool",
-    "TraversalOutcome",
-    "Twist",
-    "VelocityCmd",
     "Waypoint",
     "World",
-    "add_novel_node",
-    "apply_traversal_update",
-    "bayes_connectivity_update",
     "build_graph",
     "collect_trajectory",
     "compose",
     "dubins_length",
-    "estimate_distance_variance",
     "evaluate",
-    "expand_for_plan",
     "feedback_control",
-    "gaussian_weight_update",
-    "generate_rooms_map",
     "label_reachability",
     "load_graph",
     "load_trajectory",
     "localize",
-    "loss_position",
-    "loss_reachability",
-    "loss_rotation",
     "loss_total",
     "make_test_set",
     "plan",
-    "raycast",
-    "raycast_scan",
+    "relative",
     "run_episode",
     "run_lifelong",
     "sample_free_pose",
     "save_graph",
     "save_trajectory",
+    "se2_exp",
+    "se2_log",
     "step_agent",
-    "traversal_succeeded",
     "wall_crossing_edges",
+    "waypoint_distance",
     "waypoint_matrix",
-    "wrap_angle",
 ]
 
 __version__ = "0.1.0"

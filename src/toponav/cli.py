@@ -119,8 +119,9 @@ class RunSettings:
                 raise InvalidInput(f"{name} must be positive")
         if not (self.n_queries >= 0):
             raise InvalidInput("n_queries must be non-negative")
-        if not (self.odom_pos_sigma >= 0.0 and self.odom_theta_sigma >= 0.0):
-            raise InvalidInput("odometry sigmas must be non-negative")
+        if self.n_queries % self.eval_every != 0:
+            raise InvalidInput("eval_every must divide n_queries")
+        OdomNoise(self.odom_pos_sigma, self.odom_theta_sigma)
 
 
 # INI section -> the dataclasses whose fields are its keys.  A field is a key

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.ndimage
@@ -90,13 +90,12 @@ class DepthScan:
     """One sweep of range returns.
 
     angles are absolute world bearings, ranges are capped at max_range, and
-    hit_points holds the world-frame impact points of rays with hit_mask set,
-    in ray order.  Impact points lie on occupied-cell boundaries.
+    hit_points holds the world-frame impact points of the rays that hit, in
+    ray order.  Impact points lie on occupied-cell boundaries.
     """
 
     angles: np.ndarray
     ranges: np.ndarray
-    hit_mask: np.ndarray
     hit_points: np.ndarray
     max_range: float
 
@@ -111,8 +110,7 @@ class DepthScan:
              y + ranges[hit_mask] * np.sin(angles[hit_mask])],
             axis=-1,
         ) if hit_mask.any() else np.zeros((0, 2))
-        return cls(angles=angles, ranges=ranges, hit_mask=hit_mask,
-                   hit_points=pts, max_range=max_range)
+        return cls(angles=angles, ranges=ranges, hit_points=pts, max_range=max_range)
 
 
 class GridMap:
@@ -175,15 +173,9 @@ class GridMap:
 
         Built from a k-times upsampled euclidean distance transform; the check
         is conservative by at most one subcell half-diagonal (~2 cm at 0.1 m
-        resolution).  Radii equal to 9 decimals share one mask, which is
-        also cached under the radius as given, so that a repeated radius
-        skips the rounding.
+        resolution).  Cached per radius as given.
         """
         hit = self._clearance_cache.get(radius)
-        if hit is not None:
-            return hit
-        key = round(radius, 9)
-        hit = self._clearance_cache.get(key)
         if hit is None:
             k = max(1, int(round(self.resolution / _SUBCELL_TARGET)))
             occ_up = np.kron(self.occupied, np.ones((k, k), dtype=bool))
@@ -191,8 +183,7 @@ class GridMap:
             dist = scipy.ndimage.distance_transform_edt(~occ_up) * sub
             blocked = dist < radius + sub * SQRT2 / 2.0
             blocked.setflags(write=False)
-            hit = self._clearance_cache[key] = (k, blocked)
-        self._clearance_cache[radius] = hit
+            hit = self._clearance_cache[radius] = (k, blocked)
         return hit
 
     def disc_blocked(self, x: float, y: float, radius: float) -> bool:
@@ -212,14 +203,13 @@ class GridMap:
 
     def passable(self, robot_radius: float):
         """Read-only cell mask for path planning: centers that keep the disc
-        clear.  Cached per radius to 9 decimals, as the clearance mask is."""
-        key = round(robot_radius, 9)
-        mask = self._passable_cache.get(key)
+        clear.  Cached per radius, as the clearance mask is."""
+        mask = self._passable_cache.get(robot_radius)
         if mask is None:
             k, blocked = self._disc_blocked_mask(robot_radius)
             mask = ~blocked[k // 2 :: k, k // 2 :: k]
             mask.setflags(write=False)
-            self._passable_cache[key] = mask
+            self._passable_cache[robot_radius] = mask
         return mask
 
     # -- cell graph ------------------------------------------------------
@@ -227,8 +217,7 @@ class GridMap:
     def _cell_graph(self, robot_radius: float):
         """8-connected graph over passable cells, each edge stored in both
         directions, so a search runs on it as a directed graph."""
-        key = round(robot_radius, 9)
-        g = self._graph_cache.get(key)
+        g = self._graph_cache.get(robot_radius)
         if g is not None:
             return g
 
@@ -253,7 +242,7 @@ class GridMap:
             (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
             shape=(nx * ny, nx * ny),
         )
-        self._graph_cache[key] = g
+        self._graph_cache[robot_radius] = g
         return g
 
 

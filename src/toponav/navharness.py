@@ -117,6 +117,10 @@ class OdomNoise:
     theta_sigma: float = 0.0
     seed: int = 0
 
+    def __post_init__(self):
+        if not (0.0 <= self.pos_sigma < math.inf and 0.0 <= self.theta_sigma < math.inf):
+            raise InvalidInput("odometry sigmas must be non-negative and finite")
+
 
 @dataclass
 class LifelongCurve:

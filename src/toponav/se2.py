@@ -84,12 +84,6 @@ def relative(a: Pose2D, b: Pose2D) -> Waypoint:
     return Waypoint(c * dx_w + s * dy_w, -s * dx_w + c * dy_w, b.theta - a.theta)
 
 
-def inverse(w: Waypoint) -> Waypoint:
-    """Waypoint from the target back to the source."""
-    c, s = math.cos(w.dtheta), math.sin(w.dtheta)
-    return Waypoint(-(c * w.dx + s * w.dy), -(-s * w.dx + c * w.dy), -w.dtheta)
-
-
 def waypoint_matrix(w: Waypoint) -> np.ndarray:
     """Homogeneous 3x3 transform T(w)."""
     c, s = math.cos(w.dtheta), math.sin(w.dtheta)

@@ -14,7 +14,6 @@ import scipy.linalg
 
 from toponav import (
     BuildParams,
-    DepthScan,
     EdgeBelief,
     EpisodeLimits,
     MaintenanceParams,
@@ -22,19 +21,14 @@ from toponav import (
     Observation,
     OracleEstimator,
     Pose2D,
-    Prediction,
     TopoGraph,
     TrajectoryPool,
     Waypoint,
     World,
-    bayes_connectivity_update,
     build_graph,
     collect_trajectory,
     evaluate,
-    gaussian_weight_update,
     localize,
-    loss_reachability,
-    loss_rotation,
     loss_total,
     make_test_set,
     plan,
@@ -45,7 +39,6 @@ from toponav import (
     wall_crossing_edges,
     waypoint_distance,
     waypoint_matrix,
-    wrap_angle,
 )
 from toponav.cli import main
 from toponav.fixtures import (
@@ -54,6 +47,10 @@ from toponav.fixtures import (
     two_room_map,
     two_room_route,
 )
+from toponav.gridworld import DepthScan
+from toponav.maintenance import bayes_connectivity_update, gaussian_weight_update
+from toponav.perception import Prediction, loss_reachability, loss_rotation
+from toponav.se2 import wrap_angle
 
 
 def _logm_distance(w: Waypoint) -> float:
@@ -62,8 +59,7 @@ def _logm_distance(w: Waypoint) -> float:
 
 
 def _dummy_obs(oid: int) -> Observation:
-    scan = DepthScan(np.zeros(1), np.full(1, 5.0), np.zeros(1, dtype=bool),
-                     np.zeros((0, 2)), 5.0)
+    scan = DepthScan(np.zeros(1), np.full(1, 5.0), np.zeros((0, 2)), 5.0)
     p = Pose2D(0.0, 0.0, 0.0)
     return Observation(oid, scan, p, p)
 

@@ -4,11 +4,25 @@ from dataclasses import fields
 
 import pytest
 
-from toponav.cli import _SECTIONS, load_config, main
+from toponav.cli import (
+    _SECTIONS,
+    load_config,
+    main,
+    make_estimator,
+    make_grid,
+    make_route,
+    make_world,
+)
 from toponav.errors import ConfigError
 from toponav.fixtures import two_room_map
 from toponav.gridworld import load_map
-from toponav.navharness import World, save_trajectory
+from toponav.navharness import (
+    OdomNoise,
+    World,
+    collect_trajectory,
+    estimate_distance_variance,
+    save_trajectory,
+)
 from toponav.perception import ReachabilityCriteria, generate_sim_dataset, save_dataset
 from toponav.se2 import Pose2D
 from toponav.topograph import TopoGraph, TrajectoryPool, load_graph, save_graph
@@ -104,6 +118,9 @@ def test_config_rejects_bad_value(tmp_path):
     "[navharness]\nn_queries = -5\n",
     "[maintenance]\nrelax_D_c_factor = nan\n",
     "[perception]\npos_sigma = inf\n",
+    "[navharness]\nodom_pos_sigma = inf\n",
+    "[navharness]\nodom_theta_sigma = inf\n",
+    "[navharness]\nn_queries = 10\neval_every = 25\n",
 ], ids=["D_m", "max_range", "n_rays", "resolution", "false_positive_rate",
         "pos_sigma", "pos_tol", "dt", "spacing", "loops", "eval_every", "n_goals",
         "n_episodes", "omega_max", "v_max", "odom_pos_sigma", "odom_theta_sigma",
@@ -112,7 +129,8 @@ def test_config_rejects_bad_value(tmp_path):
         "L_min>1", "R_max", "E_max", "Theta_max", "turn_radius=0", "turn_radius=inf",
         "robot_radius<0", "robot_radius=nan", "fov=inf", "max_range=inf", "width=nan",
         "height", "rooms_x", "rooms_y", "door_width", "n_queries", "relax_D_c_factor=nan",
-        "pos_sigma=inf"])
+        "pos_sigma=inf", "odom_pos_sigma=inf", "odom_theta_sigma=inf",
+        "eval_every_not_dividing"])
 def test_config_rejects_invalid_parameter_combination(tmp_path, text):
     p = tmp_path / "bad.ini"
     p.write_text(text)
@@ -390,6 +408,37 @@ def test_lifelong_runs_are_byte_identical(tmp_path):
     lines = open(one).read().splitlines()
     assert lines[0] == "queries,success_rate,n_vertices,n_edges"
     assert len(lines) == 4  # header + evals at 0, 2, 4
+
+
+def test_lifelong_auto_variance_sets_sigma2_init(tmp_path):
+    cfgp = tmp_path / "exp.ini"
+    cfgp.write_text(
+        "[perception]\npos_sigma = 0.05\n"
+        "[navharness]\nauto_variance = yes\nn_queries = 2\neval_every = 1\n"
+        "n_goals = 1\nn_episodes = 2\n")
+    out = str(tmp_path / "curve.csv")
+    assert main(["lifelong", "--config", str(cfgp), "--seed", "4", "--out", out]) == 0
+    graph, _ = load_graph(out + ".graph")
+    # The same trajectory and a fresh estimator, as the command makes them.
+    cfg = load_config(str(cfgp))
+    grid = make_grid(cfg, 4)
+    traj = collect_trajectory(make_world(cfg, grid), make_route(cfg), cfg.loops, cfg.spacing,
+                              OdomNoise(cfg.odom_pos_sigma, cfg.odom_theta_sigma, 4))
+    want = estimate_distance_variance(make_estimator(cfg, grid, 4), traj, cfg.build_params(4))
+    assert graph.build_params.sigma2_init == want != cfg.sigma2_init
+
+
+@pytest.mark.parametrize("command, text", [
+    ("collect", "[navharness]\nodom_pos_sigma = inf\n"),
+    ("lifelong", "[navharness]\nn_queries = 10\neval_every = 25\n"),
+], ids=["odom_pos_sigma=inf", "eval_every_not_dividing"])
+def test_bad_run_settings_exit_two_before_any_work(tmp_path, capsys, command, text):
+    cfgp = tmp_path / "bad.ini"
+    cfgp.write_text(text)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfgp), "--out", str(out)]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [cfgp]
 
 
 def test_losses_reports_means(tmp_path, capsys):

@@ -136,6 +136,12 @@ def test_collect_noisy_odometry_drifts(grid):
     assert [o.odom_pose for o in again] == [o.odom_pose for o in traj]
 
 
+@pytest.mark.parametrize("sigmas", [dict(pos_sigma=math.inf), dict(theta_sigma=math.inf)])
+def test_odom_noise_rejects_bad_sigmas(sigmas):
+    with pytest.raises(InvalidInput):
+        OdomNoise(**sigmas)
+
+
 def test_collect_rejects_bad_inputs(grid):
     route = two_room_route()
     with pytest.raises(RouteError):

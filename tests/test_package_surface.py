@@ -1,0 +1,47 @@
+"""The package's top level: the names the demos, the README and the benchmark
+import from `toponav`, and nothing else.
+
+A name that leaves the top level while a demo still imports it, or one that
+is imported but not listed in `__all__`, fails here instead of in a user's
+script.
+"""
+
+import ast
+import re
+from pathlib import Path
+
+import toponav
+import toponav.cli  # noqa: F401  (the benchmark binds toponav.cli too)
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _imported_from_toponav(source: str) -> set[str]:
+    return {alias.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom) and node.module == "toponav"
+            for alias in node.names}
+
+
+def test_all_lists_exactly_the_bound_public_names():
+    tree = ast.parse(Path(toponav.__file__).read_text())
+    bound = {alias.asname or alias.name for node in tree.body
+             if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert sorted(toponav.__all__) == sorted(n for n in bound if not n.startswith("_"))
+
+
+def test_demos_and_readme_import_only_listed_names():
+    sources = [p.read_text() for p in sorted((ROOT / "demos").glob("*.py"))]
+    sources += re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    used = set().union(*map(_imported_from_toponav, sources))
+    assert {"World", "build_graph", "run_lifelong"} <= used
+    assert sorted(used - set(toponav.__all__)) == []
+
+
+def test_bench_uses_existing_top_level_names():
+    used = set()
+    for path in sorted((ROOT / "bench").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        used |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+                 and isinstance(node.value, ast.Name) and node.value.id == "toponav"}
+    assert {"BuildParams", "OracleEstimator", "load_graph"} <= used
+    assert sorted(n for n in used if not hasattr(toponav, n)) == []

@@ -10,7 +10,6 @@ from toponav.errors import InvalidInput
 from toponav.se2 import (
     DUBINS_WORDS,
     Pose2D,
-    Twist,
     Waypoint,
     _SOLVERS,
     _mod2pi,
@@ -18,7 +17,6 @@ from toponav.se2 import (
     dubins_length,
     dubins_sample,
     dubins_segments,
-    inverse,
     relative,
     se2_exp,
     se2_log,
@@ -94,9 +92,10 @@ class TestComposeRelative:
     @given(coords, coords, angles)
     @settings(max_examples=100)
     def test_inverse_round_trip(self, dx, dy, dth):
-        w = Waypoint(dx, dy, dth)
-        wi = inverse(w)
-        back = compose(compose(Pose2D(0, 0, 0), w), wi)
+        # The waypoint from b back to the origin undoes the one that led to b.
+        origin = Pose2D(0, 0, 0)
+        b = compose(origin, Waypoint(dx, dy, dth))
+        back = compose(b, relative(b, origin))
         assert back.x == pytest.approx(0.0, abs=1e-9)
         assert back.y == pytest.approx(0.0, abs=1e-9)
         assert abs(back.theta) < 1e-9
@@ -128,8 +127,9 @@ class TestLogExpDistance:
         assert waypoint_distance(Waypoint(1e-3, 0.0, 0.0)) > 0.0
 
     def test_distance_symmetric_under_inversion(self):
-        w = Waypoint(0.8, -0.4, 1.9)
-        assert waypoint_distance(w) == pytest.approx(waypoint_distance(inverse(w)), abs=1e-9)
+        a, b = Pose2D(0.3, 1.1, -0.7), Pose2D(1.1, 0.2, 1.2)
+        assert waypoint_distance(relative(a, b)) == pytest.approx(
+            waypoint_distance(relative(b, a)), abs=1e-9)
 
     def test_exp_log_round_trip_bulk(self):
         rng = np.random.default_rng(7)

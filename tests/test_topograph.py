@@ -33,8 +33,7 @@ PARAMS = BuildParams()
 
 
 def dummy_obs(oid):
-    scan = DepthScan(np.zeros(1), np.full(1, 5.0), np.zeros(1, dtype=bool),
-                     np.zeros((0, 2)), 5.0)
+    scan = DepthScan(np.zeros(1), np.full(1, 5.0), np.zeros((0, 2)), 5.0)
     p = Pose2D(0.0, 0.0, 0.0)
     return Observation(oid, scan, p, p)
 
@@ -489,7 +488,6 @@ class TestPersistence:
             assert lo.true_pose == o.true_pose and lo.odom_pose == o.odom_pose
             assert np.array_equal(lo.scan.angles, o.scan.angles)
             assert np.array_equal(lo.scan.ranges, o.scan.ranges)
-            assert np.array_equal(lo.scan.hit_mask, o.scan.hit_mask)
             assert np.array_equal(lo.scan.hit_points, o.scan.hit_points)
 
     def test_save_load_save_is_byte_identical(self, tmp_path):
