@@ -23,7 +23,7 @@ def drive(start, goal, budget=800):
         cmd = feedback_control(state.pose, goal, world.gains)
         if cmd.v == 0.0 and cmd.omega == 0.0:
             break
-        state = step_agent(world.grid, state, cmd, world.dt, world.robot_radius)
+        state = step_agent(world.grid, state, cmd, world.dt)
         trace.append(state.pose)
     return state, trace
 

@@ -85,8 +85,8 @@ class MapSettings:
                 raise InvalidInput(f"{name} must be positive and finite")
         if not (self.rooms_x >= 1 and self.rooms_y >= 1):
             raise InvalidInput("rooms_x and rooms_y must be at least 1")
-        if not (self.dt > 0.0):
-            raise InvalidInput("dt must be positive")
+        if not (0.0 < self.dt < math.inf):
+            raise InvalidInput("dt must be positive and finite")
         if not (0.0 <= self.robot_radius < math.inf):
             raise InvalidInput("robot_radius must be non-negative and finite")
 
@@ -224,14 +224,17 @@ def load_config(path: str | None) -> ExperimentConfig:
 
 
 def make_grid(cfg: ExperimentConfig, seed: int) -> GridMap:
+    """The configured map, holding the configured robot radius."""
     if cfg.map_file is not None:
-        return load_map(cfg.map_file)
-    if cfg.map_kind == "two-room":
-        return two_room_map(cfg.map_resolution)
-    if cfg.map_kind == "apartment":
-        return apartment_map(cfg.map_resolution)
-    return generate_rooms_map(cfg.width, cfg.height, cfg.map_resolution,
-                              cfg.rooms_x, cfg.rooms_y, cfg.door_width, seed)
+        grid = load_map(cfg.map_file)
+    elif cfg.map_kind == "two-room":
+        grid = two_room_map(cfg.map_resolution)
+    elif cfg.map_kind == "apartment":
+        grid = apartment_map(cfg.map_resolution)
+    else:
+        grid = generate_rooms_map(cfg.width, cfg.height, cfg.map_resolution,
+                                  cfg.rooms_x, cfg.rooms_y, cfg.door_width, seed)
+    return GridMap(grid.resolution, grid.occupied, cfg.robot_radius)
 
 
 def make_route(cfg: ExperimentConfig) -> list[Pose2D]:
@@ -245,13 +248,13 @@ def make_route(cfg: ExperimentConfig) -> list[Pose2D]:
 
 def make_world(cfg: ExperimentConfig, grid: GridMap, first_id: int = 0) -> World:
     return World(grid, sensor=cfg.make(SensorConfig), gains=cfg.make(ControllerGains),
-                 dt=cfg.dt, robot_radius=cfg.robot_radius, first_id=first_id)
+                 dt=cfg.dt, first_id=first_id)
 
 
 def make_estimator(cfg: ExperimentConfig, grid: GridMap, seed: int) -> OracleEstimator:
     return OracleEstimator(grid, noise=cfg.make(NoiseConfig, seed=seed),
                            criteria=cfg.make(ReachabilityCriteria),
-                           sensor=cfg.make(SensorConfig), robot_radius=cfg.robot_radius)
+                           sensor=cfg.make(SensorConfig))
 
 
 def _require_out(args) -> str:

@@ -2,9 +2,11 @@
 
 The world is a closed rectangle of square cells (border always occupied).
 Everything here is a pure function of its inputs; the only mutable state an
-agent carries is its pose and its collision/step counters.  Caches on GridMap
-(scans, clearance masks, passable masks, cell graphs) are memoization only and
-never change observable behavior; each path search runs on demand.
+agent carries is its pose and its collision/step counters.  A GridMap holds
+the robot's radius, so every disc check, path query and sampled pose on it
+clears the same robot.  Caches on GridMap (scans, and once per map the
+clearance mask, passable mask and cell graph) are memoization only and never
+change observable behavior; each path search runs on demand.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import math
 from collections import OrderedDict
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.ndimage
@@ -66,8 +69,10 @@ class ControllerGains:
     arrive_yaw_tol: float = 0.1
 
     def __post_init__(self):
-        if not (self.v_max > 0.0 and self.omega_max > 0.0):
-            raise InvalidInput("v_max and omega_max must be positive")
+        if not all(map(math.isfinite, (self.k_rho, self.k_alpha, self.k_beta))):
+            raise InvalidInput("k_rho, k_alpha and k_beta must be finite")
+        if not (0.0 < self.v_max < math.inf and self.omega_max > 0.0):
+            raise InvalidInput("v_max must be positive and finite, omega_max positive")
 
 
 @dataclass(frozen=True)
@@ -118,10 +123,12 @@ class GridMap:
 
     Row 0 of `occupied` is the y = 0 edge; cell (row, col) covers
     [col*res, (col+1)*res) x [row*res, (row+1)*res).  The border must be
-    fully occupied so every ray terminates.
+    fully occupied so every ray terminates.  Every collision check, path
+    query and sampled pose on the map clears a disc of the robot's radius.
     """
 
-    def __init__(self, resolution: float, occupied: np.ndarray):
+    def __init__(self, resolution: float, occupied: np.ndarray,
+                 robot_radius: float = DEFAULT_ROBOT_RADIUS):
         if not (resolution > 0.0) or not math.isfinite(resolution):
             raise InvalidMap(f"resolution must be positive, got {resolution!r}")
         occ = np.asarray(occupied, dtype=bool)
@@ -130,13 +137,13 @@ class GridMap:
         border = np.concatenate([occ[0], occ[-1], occ[:, 0], occ[:, -1]])
         if not border.all():
             raise InvalidMap("border cells must all be occupied (closed world)")
+        if not (0.0 <= robot_radius < math.inf):
+            raise InvalidInput("robot_radius must be non-negative and finite")
         self.resolution = float(resolution)
         self.occupied = occ
         self.occupied.setflags(write=False)
-        self._clearance_cache: dict = {}
-        self._passable_cache: dict = {}
+        self.robot_radius = robot_radius
         self._scan_cache: OrderedDict = OrderedDict()
-        self._graph_cache: dict = {}
 
     @property
     def ny(self) -> int:
@@ -168,29 +175,28 @@ class GridMap:
 
     # -- clearance / disc collision -------------------------------------
 
-    def _disc_blocked_mask(self, radius: float):
-        """Boolean subcell mask of positions where a disc of `radius` hits a wall.
+    @cached_property
+    def _blocked(self):
+        """(k, mask): the subcell mask of positions where the robot disc hits
+        a wall, at k subcells per cell.
 
         Built from a k-times upsampled euclidean distance transform; the check
         is conservative by at most one subcell half-diagonal (~2 cm at 0.1 m
-        resolution).  Cached per radius as given.
+        resolution).
         """
-        hit = self._clearance_cache.get(radius)
-        if hit is None:
-            k = max(1, int(round(self.resolution / _SUBCELL_TARGET)))
-            occ_up = np.kron(self.occupied, np.ones((k, k), dtype=bool))
-            sub = self.resolution / k
-            dist = scipy.ndimage.distance_transform_edt(~occ_up) * sub
-            blocked = dist < radius + sub * SQRT2 / 2.0
-            blocked.setflags(write=False)
-            hit = self._clearance_cache[radius] = (k, blocked)
-        return hit
+        k = max(1, int(round(self.resolution / _SUBCELL_TARGET)))
+        occ_up = np.kron(self.occupied, np.ones((k, k), dtype=bool))
+        sub = self.resolution / k
+        dist = scipy.ndimage.distance_transform_edt(~occ_up) * sub
+        blocked = dist < self.robot_radius + sub * SQRT2 / 2.0
+        blocked.setflags(write=False)
+        return k, blocked
 
-    def disc_blocked(self, x: float, y: float, radius: float) -> bool:
-        """True when a robot disc of `radius` centered at (x, y) hits a wall;
-        a point off the map, NaN or infinite, is blocked.  The bounds are
-        compared on floats, so no NaN is ever made an index."""
-        k, blocked = self._disc_blocked_mask(radius)
+    def disc_blocked(self, x: float, y: float) -> bool:
+        """True when the robot disc centered at (x, y) hits a wall; a point
+        off the map, NaN or infinite, is blocked.  The bounds are compared on
+        floats, so no NaN is ever made an index."""
+        k, blocked = self._blocked
         ny, nx = blocked.shape
         sub = self.resolution / k
         fx, fy = x / sub, y / sub
@@ -198,34 +204,30 @@ class GridMap:
             return True
         return bool(blocked[int(fy), int(fx)])
 
-    def pose_free(self, pose: Pose2D, robot_radius: float = DEFAULT_ROBOT_RADIUS) -> bool:
-        return not self.disc_blocked(pose.x, pose.y, robot_radius)
+    def pose_free(self, pose: Pose2D) -> bool:
+        return not self.disc_blocked(pose.x, pose.y)
 
-    def passable(self, robot_radius: float):
+    @cached_property
+    def passable(self) -> np.ndarray:
         """Read-only cell mask for path planning: centers that keep the disc
-        clear.  Cached per radius, as the clearance mask is."""
-        mask = self._passable_cache.get(robot_radius)
-        if mask is None:
-            k, blocked = self._disc_blocked_mask(robot_radius)
-            mask = ~blocked[k // 2 :: k, k // 2 :: k]
-            mask.setflags(write=False)
-            self._passable_cache[robot_radius] = mask
+        clear."""
+        k, blocked = self._blocked
+        mask = ~blocked[k // 2 :: k, k // 2 :: k]
+        mask.setflags(write=False)
         return mask
 
     # -- cell graph ------------------------------------------------------
 
-    def _cell_graph(self, robot_radius: float):
+    @cached_property
+    def _cell_graph(self):
         """8-connected graph over passable cells, each edge stored in both
         directions, so a search runs on it as a directed graph."""
-        g = self._graph_cache.get(robot_radius)
-        if g is not None:
-            return g
 
         def shift(n, d):
             # (source, destination) index ranges for a step of d along an axis
             return slice(max(0, -d), n - max(0, d)), slice(max(0, d), n - max(0, -d))
 
-        passable = self.passable(robot_radius)
+        passable = self.passable
         ny, nx = passable.shape
         idx = np.arange(nx * ny).reshape(ny, nx)
         rows, cols, data = [], [], []
@@ -238,12 +240,10 @@ class GridMap:
             rows += [src, dst]
             cols += [dst, src]
             data += [np.full(len(src), w)] * 2
-        g = scipy.sparse.csr_matrix(
+        return scipy.sparse.csr_matrix(
             (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
             shape=(nx * ny, nx * ny),
         )
-        self._graph_cache[robot_radius] = g
-        return g
 
 
 # ---------------------------------------------------------------------------
@@ -469,10 +469,8 @@ def co_visible(grid: GridMap, a: Pose2D, b: Pose2D, sensor: SensorConfig,
 # ---------------------------------------------------------------------------
 
 
-def shortest_feasible_path(
-    grid: GridMap, a: Pose2D, b: Pose2D, robot_radius: float = DEFAULT_ROBOT_RADIUS,
-    limit: float = math.inf,
-) -> float:
+def shortest_feasible_path(grid: GridMap, a: Pose2D, b: Pose2D,
+                           limit: float = math.inf) -> float:
     """Length of the shortest collision-free grid path between two poses.
 
     8-connected over cells whose centers keep the robot disc clear; axis
@@ -488,16 +486,15 @@ def shortest_feasible_path(
     cb = grid.cell_of(b.x, b.y)
     if ca == cb:
         return math.hypot(b.x - a.x, b.y - a.y)
-    passable = grid.passable(robot_radius)
+    passable = grid.passable
     if not (passable[ca[1], ca[0]] and passable[cb[1], cb[0]]):
         return math.inf
-    f = scipy.sparse.csgraph.dijkstra(grid._cell_graph(robot_radius), directed=True,
+    f = scipy.sparse.csgraph.dijkstra(grid._cell_graph, directed=True,
                                       indices=ca[1] * grid.nx + ca[0], limit=limit)
     return float(f[cb[1] * grid.nx + cb[0]])
 
 
-def staircase_length(grid: GridMap, a: Pose2D, b: Pose2D,
-                     robot_radius: float = DEFAULT_ROBOT_RADIUS) -> float:
+def staircase_length(grid: GridMap, a: Pose2D, b: Pose2D) -> float:
     """Length of the staircase of cells from a's cell to b's when every cell
     on it is passable; math.inf when one is not, when the poses share a
     cell, or when either lies off the map.
@@ -518,7 +515,7 @@ def staircase_length(grid: GridMap, a: Pose2D, b: Pose2D,
     i = np.arange(n + 1)
     xs = ax + (2 * dx * i + n) // (2 * n)
     ys = ay + (2 * dy * i + n) // (2 * n)
-    if not grid.passable(robot_radius)[ys, xs].all():
+    if not grid.passable[ys, xs].all():
         return math.inf
     diagonal = min(abs(dx), abs(dy))
     return (n - diagonal) * grid.resolution + diagonal * (grid.resolution * SQRT2)
@@ -540,13 +537,7 @@ def _arc_point(pose: Pose2D, v: float, omega: float, tau: float) -> tuple[float,
             pose.y - k * (math.cos(th) - math.cos(pose.theta)), th)
 
 
-def step_agent(
-    grid: GridMap,
-    state: AgentState,
-    cmd: VelocityCmd,
-    dt: float,
-    robot_radius: float = DEFAULT_ROBOT_RADIUS,
-) -> AgentState:
+def step_agent(grid: GridMap, state: AgentState, cmd: VelocityCmd, dt: float) -> AgentState:
     """Advance one control period along an exact circular arc.
 
     The swept disc is checked at the times np.linspace(dt / n, dt, n), half
@@ -563,7 +554,7 @@ def step_agent(
     for i in range(n):
         tau = dt if i == n - 1 else i * step + dt / n
         x, y, th = _arc_point(state.pose, cmd.v, cmd.omega, tau)
-        if grid.disc_blocked(x, y, robot_radius):
+        if grid.disc_blocked(x, y):
             return AgentState(pose, state.collision_count + 1, state.step_count + 1)
         pose = Pose2D(x, y, th)
     return AgentState(pose, state.collision_count, state.step_count + 1)
@@ -684,17 +675,13 @@ def generate_rooms_map(
     return GridMap(resolution, occ)
 
 
-def sample_free_pose(
-    grid: GridMap,
-    rng: np.random.Generator,
-    robot_radius: float = DEFAULT_ROBOT_RADIUS,
-) -> Pose2D:
+def sample_free_pose(grid: GridMap, rng: np.random.Generator) -> Pose2D:
     """Uniform pose over disc-free space (rejection sampled, 1000 tries)."""
     for _ in range(1000):
         x = rng.uniform(0.0, grid.size_x)
         y = rng.uniform(0.0, grid.size_y)
         theta = rng.uniform(-math.pi, math.pi)
-        if not grid.disc_blocked(x, y, robot_radius):
+        if not grid.disc_blocked(x, y):
             return Pose2D(x, y, theta)
     raise InvalidMap("no free pose found; map has no clearance for the robot")
 

@@ -17,7 +17,6 @@ import numpy as np
 
 from .errors import InvalidGoal, InvalidInput, RouteError, LoadError
 from .gridworld import (
-    DEFAULT_ROBOT_RADIUS,
     AgentState,
     ControllerGains,
     GridMap,
@@ -65,12 +64,11 @@ class World:
 
     def __init__(self, grid: GridMap, sensor: SensorConfig = SensorConfig(),
                  gains: ControllerGains = ControllerGains(), dt: float = 0.1,
-                 robot_radius: float = DEFAULT_ROBOT_RADIUS, first_id: int = 0):
+                 first_id: int = 0):
         self.grid = grid
         self.sensor = sensor
         self.gains = gains
         self.dt = dt
-        self.robot_radius = robot_radius
         self._next_id = first_id
 
     def observe(self, pose: Pose2D, oid: int | None = None) -> Observation:
@@ -95,6 +93,10 @@ class EpisodeLimits:
                                    self.yaw_tol, self.recovery_rotation_step,
                                    self.max_recovery_rotations)):
             raise InvalidInput("episode limits must be positive")
+        if not (self.recovery_rotation_step <= 2.0 * math.pi):
+            # A larger step only repeats full turns, at one simulator step
+            # per omega_max * dt radians.
+            raise InvalidInput("recovery_rotation_step must be at most 2*pi")
 
 
 @dataclass
@@ -165,11 +167,11 @@ def collect_trajectory(world: World, route, loops: int, spacing: float,
         raise InvalidInput("spacing must be positive")
     grid = world.grid
     for p in route:
-        if not grid.pose_free(p, world.robot_radius):
+        if not grid.pose_free(p):
             raise RouteError(f"route pose ({p.x:.2f}, {p.y:.2f}) is not free")
     ring = list(route) + [route[0]]
     for a, b in zip(ring, ring[1:]):
-        if not math.isfinite(shortest_feasible_path(grid, a, b, world.robot_radius)):
+        if not math.isfinite(shortest_feasible_path(grid, a, b)):
             raise RouteError("route legs must be connected in free space")
 
     noisy = odom_noise is not None and (odom_noise.pos_sigma > 0 or odom_noise.theta_sigma > 0)
@@ -188,7 +190,7 @@ def collect_trajectory(world: World, route, loops: int, spacing: float,
             if cmd.v == 0.0 and cmd.omega == 0.0:
                 break
             prev = state.pose
-            state = step_agent(grid, state, cmd, world.dt, world.robot_radius)
+            state = step_agent(grid, state, cmd, world.dt)
             delta = relative(prev, state.pose)
             if noisy:
                 m = _motion(delta)
@@ -241,8 +243,7 @@ def _rotate_in_place(world, state: AgentState, angle: float) -> AgentState:
     per_step = world.gains.omega_max * world.dt
     while abs(remaining) > 1e-9:
         w = math.copysign(min(abs(remaining), per_step), remaining)
-        state = step_agent(world.grid, state, VelocityCmd(0.0, w / world.dt), world.dt,
-                           world.robot_radius)
+        state = step_agent(world.grid, state, VelocityCmd(0.0, w / world.dt), world.dt)
         remaining -= w
     return state
 
@@ -355,7 +356,7 @@ def run_episode(world: World, graph: TopoGraph, pool, estimator, start: Pose2D,
                     break
                 before = state.collision_count
                 prev_pose = state.pose
-                state = step_agent(world.grid, state, cmd, world.dt, world.robot_radius)
+                state = step_agent(world.grid, state, cmd, world.dt)
                 hit = state.collision_count > before
                 if hit and not in_contact:
                     collisions += 1
@@ -411,7 +412,7 @@ def evaluate(world: World, graph: TopoGraph, estimator, test_set, limits: Episod
     results = []
     for idx, (start, goal) in enumerate(test_set):
         episode_world = World(world.grid, world.sensor, world.gains, world.dt,
-                              world.robot_radius, first_id=EVAL_ID_BASE + idx * EVAL_ID_STRIDE)
+                              first_id=EVAL_ID_BASE + idx * EVAL_ID_STRIDE)
         results.append(run_episode(episode_world, graph, None, estimator, start, goal,
                                    limits, build_params, maintain=False))
     rate = sum(r.success for r in results) / len(results)
@@ -421,7 +422,7 @@ def evaluate(world: World, graph: TopoGraph, estimator, test_set, limits: Episod
 def _sample_query(world: World, graph: TopoGraph, rng, limits: EpisodeLimits):
     ids = sorted(graph.vertices)
     for _ in range(100):
-        start = sample_free_pose(world.grid, rng, world.robot_radius)
+        start = sample_free_pose(world.grid, rng)
         goal = ids[int(rng.integers(len(ids)))]
         if not _within_tolerance(start, graph.vertices[goal].true_pose, limits):
             return start, goal
@@ -442,7 +443,7 @@ def make_test_set(world: World, graph: TopoGraph, n_goals: int, n_episodes: int,
         goal = goals[e % n_goals]
         goal_pose = graph.vertices[goal].true_pose
         for _ in range(100):
-            start = sample_free_pose(world.grid, rng, world.robot_radius)
+            start = sample_free_pose(world.grid, rng)
             if not _within_tolerance(start, goal_pose, limits):
                 break
         pairs.append((start, goal))

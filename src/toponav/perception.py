@@ -28,7 +28,6 @@ import numpy as np
 
 from .errors import InvalidInput, LoadError
 from .gridworld import (
-    DEFAULT_ROBOT_RADIUS,
     DepthScan,
     GridMap,
     SensorConfig,
@@ -121,15 +120,15 @@ def label_reachability(
     b: Pose2D,
     criteria: ReachabilityCriteria,
     sensor: SensorConfig = SensorConfig(),
-    robot_radius: float = DEFAULT_ROBOT_RADIUS,
 ) -> int:
     """Ground-truth reachability of b from a.  1 iff every criterion holds:
 
     b is near (euclidean <= E_max, heading change <= Theta_max), inside
     a's sensor field of view and visible from it, a bounded-curvature path
-    to it stays clear of walls, the feasible path is not much longer than
-    the straight line (ratio <= R_max), and the two poses co-observe enough
-    of the same surfaces through `sensor` (visual overlap >= L_min).
+    to it keeps the map's robot disc clear of walls, the feasible path is
+    not much longer than the straight line (ratio <= R_max), and the two
+    poses co-observe enough of the same surfaces through `sensor` (visual
+    overlap >= L_min).
 
     The label is the AND of these checks, so their order is free: the cheap
     geometric gates run first, so most far-apart pairs never touch the map,
@@ -159,20 +158,19 @@ def label_reachability(
     if not co_visible(grid, a, b, sensor, c.L_min):
         return 0
     poses = dubins_sample(a, b, c.turn_radius, 0.5 * grid.resolution)
-    if any(grid.disc_blocked(x, y, robot_radius) for x, y in poses[:, :2].tolist()):
+    if any(grid.disc_blocked(x, y) for x, y in poses[:, :2].tolist()):
         return 0
     # A clear staircase between the two cells is a path of the cell graph
     # that no path undercuts, so the search below could only return its
     # octile length, summed in another order.  A sum over the steps of any
     # path across the grid rounds by far less than a relative 1e-9, so with
     # that margin the search's length would pass the ratio test.
-    if staircase_length(grid, a, b, robot_radius) * (1.0 + 1e-9) <= c.R_max * euclid:
+    if staircase_length(grid, a, b) * (1.0 + 1e-9) <= c.R_max * euclid:
         return 1
     # A path longer than R_max * euclid fails the ratio test, so the search
     # stops there, with a margin for rounding; beyond it reads inf, which
     # fails the test too.
-    path_len = shortest_feasible_path(grid, a, b, robot_radius,
-                                      c.R_max * euclid * (1.0 + 1e-9))
+    path_len = shortest_feasible_path(grid, a, b, c.R_max * euclid * (1.0 + 1e-9))
     if path_len / euclid > c.R_max:
         return 0
     return 1
@@ -202,21 +200,17 @@ class OracleEstimator:
         noise: NoiseConfig = NoiseConfig(),
         criteria: ReachabilityCriteria = ReachabilityCriteria(),
         sensor: SensorConfig = SensorConfig(),
-        robot_radius: float = DEFAULT_ROBOT_RADIUS,
     ):
         self.grid = grid
         self.noise = noise
         self.criteria = criteria
         self.sensor = sensor
-        self.robot_radius = robot_radius
         # Pair key -> Prediction once labelled, _PairDraws before.  Entries
         # hold no reference back to the estimator.
         self._cache: OrderedDict = OrderedDict()
 
     def true_label(self, a: Observation, b: Observation) -> int:
-        return label_reachability(
-            self.grid, a.true_pose, b.true_pose, self.criteria, self.sensor, self.robot_radius
-        )
+        return label_reachability(self.grid, a.true_pose, b.true_pose, self.criteria, self.sensor)
 
     def _exact_waypoint(self, a: Observation, b: Observation) -> Waypoint:
         # + 0.0 turns a -0.0 component into +0.0, as adding a zero-sigma
@@ -340,7 +334,6 @@ def generate_sim_dataset(
     criteria: ReachabilityCriteria,
     rng_seed: int,
     sensor: SensorConfig = SensorConfig(),
-    robot_radius: float = DEFAULT_ROBOT_RADIUS,
 ) -> list[LabeledPair]:
     """Sample labeled pose pairs uniformly over free space.
 
@@ -358,12 +351,12 @@ def generate_sim_dataset(
     next_id = 0
     for _ in range(n_pairs):
         m = maps[int(rng.integers(len(maps)))]
-        pa = sample_free_pose(m, rng, robot_radius)
-        pb = sample_free_pose(m, rng, robot_radius)
+        pa = sample_free_pose(m, rng)
+        pb = sample_free_pose(m, rng)
         oa = Observation(next_id, raycast_scan(m, pa, sensor), pa, pa)
         ob = Observation(next_id + 1, raycast_scan(m, pb, sensor), pb, pb)
         next_id += 2
-        r = label_reachability(m, pa, pb, criteria, sensor, robot_radius)
+        r = label_reachability(m, pa, pb, criteria, sensor)
         pairs.append(LabeledPair(oa, ob, r, relative(pa, pb)))
     pos = sum(p.r for p in pairs)
     logger.info("sim dataset: %d pairs, %d positive (%.1f%%)", len(pairs), pos,
@@ -441,16 +434,14 @@ def load_dataset(path: str) -> list[DatasetRecord]:
         if len(parts) != 12:
             raise LoadError(f"{path}: malformed record {ln!r}")
         try:
-            records.append(
-                DatasetRecord(
-                    int(parts[0]),
-                    int(parts[1]),
-                    Pose2D(float(parts[2]), float(parts[3]), float(parts[4])),
-                    Pose2D(float(parts[5]), float(parts[6]), float(parts[7])),
-                    int(parts[8]),
-                    Waypoint(float(parts[9]), float(parts[10]), float(parts[11])),
-                )
-            )
+            src_id, dst_id, r = int(parts[0]), int(parts[1]), int(parts[8])
+            v = [float(x) for x in parts[2:8] + parts[9:]]
         except ValueError as e:
             raise LoadError(f"{path}: malformed record {ln!r}") from e
+        if r not in (0, 1):
+            raise LoadError(f"{path}: label must be 0 or 1 in record {ln!r}")
+        if not all(map(math.isfinite, v)):
+            raise LoadError(f"{path}: non-finite value in record {ln!r}")
+        records.append(DatasetRecord(src_id, dst_id, Pose2D(*v[0:3]), Pose2D(*v[3:6]), r,
+                                     Waypoint(*v[6:9])))
     return records

@@ -8,6 +8,8 @@ refactor drops or renames one of them, instead of the benchmark run.
 import importlib
 import importlib.util
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import toponav.cli
@@ -46,3 +48,13 @@ def test_workloads_use_existing_cli_names():
     assert {"build_params", "limits", "loops"} <= attrs
     cfg = load_config(None)
     assert [a for a in attrs if not hasattr(cfg, a)] == []
+
+
+def test_benchmark_self_check_passes():
+    # bench/checks.py builds observations, graphs and beliefs with the
+    # package's constructors, which no other test runs through the bench.
+    run = subprocess.run([sys.executable, str(BENCH / "run.py"), "--self-check"],
+                         cwd=BENCH.parent, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stdout + run.stderr
+    verdicts = [ln.split()[-1] for ln in run.stdout.splitlines() if ln.startswith("self-check")]
+    assert verdicts == ["ok"] * 5

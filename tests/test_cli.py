@@ -121,6 +121,13 @@ def test_config_rejects_bad_value(tmp_path):
     "[navharness]\nodom_pos_sigma = inf\n",
     "[navharness]\nodom_theta_sigma = inf\n",
     "[navharness]\nn_queries = 10\neval_every = 25\n",
+    "[gridworld]\nk_rho = nan\n",
+    "[gridworld]\nk_alpha = inf\n",
+    "[gridworld]\nk_beta = -inf\n",
+    "[gridworld]\nv_max = inf\n",
+    "[gridworld]\ndt = inf\n",
+    "[navharness]\nrecovery_rotation_step = inf\n",
+    "[navharness]\nrecovery_rotation_step = 1e6\n",
 ], ids=["D_m", "max_range", "n_rays", "resolution", "false_positive_rate",
         "pos_sigma", "pos_tol", "dt", "spacing", "loops", "eval_every", "n_goals",
         "n_episodes", "omega_max", "v_max", "odom_pos_sigma", "odom_theta_sigma",
@@ -130,7 +137,8 @@ def test_config_rejects_bad_value(tmp_path):
         "robot_radius<0", "robot_radius=nan", "fov=inf", "max_range=inf", "width=nan",
         "height", "rooms_x", "rooms_y", "door_width", "n_queries", "relax_D_c_factor=nan",
         "pos_sigma=inf", "odom_pos_sigma=inf", "odom_theta_sigma=inf",
-        "eval_every_not_dividing"])
+        "eval_every_not_dividing", "k_rho=nan", "k_alpha=inf", "k_beta=-inf", "v_max=inf",
+        "dt=inf", "recovery_rotation_step=inf", "recovery_rotation_step=1e6"])
 def test_config_rejects_invalid_parameter_combination(tmp_path, text):
     p = tmp_path / "bad.ini"
     p.write_text(text)
@@ -449,6 +457,22 @@ def test_losses_reports_means(tmp_path, capsys):
     assert main(["losses", dataset]) == 0
     out = capsys.readouterr().out
     assert "pairs=40" in out and "mean_total=" in out
+
+
+@pytest.mark.parametrize("column, value", [(8, "5"), (8, "-1"), (9, "nan"), (2, "nan"), (7, "inf")],
+                         ids=["label=5", "label=-1", "waypoint=nan", "pose=nan", "pose=inf"])
+def test_losses_rejects_out_of_range_record(tmp_path, capsys, column, value):
+    # Columns: ids, source pose, target pose, label, waypoint.
+    pairs = generate_sim_dataset([two_room_map()], 5, ReachabilityCriteria(), rng_seed=5)
+    path = tmp_path / "pairs.dataset"
+    save_dataset(pairs, str(path), ReachabilityCriteria())
+    lines = path.read_text().splitlines()
+    parts = lines[-1].split()
+    parts[column] = value
+    lines[-1] = " ".join(parts)
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["losses", str(path)]) == 1
+    assert "error:" in capsys.readouterr().err
 
 
 def test_losses_rejects_garbage_dataset(tmp_path, capsys):

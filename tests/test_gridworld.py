@@ -1,5 +1,6 @@
 import heapq
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -494,34 +495,32 @@ class TestPathFields:
     @pytest.mark.parametrize("map_index", range(3), ids=MAP_IDS)
     def test_symmetric_graph_fields_equal_undirected_search(self, map_index):
         g = MAPS[map_index]()
-        r = gridworld.DEFAULT_ROBOT_RADIUS
-        graph = g._cell_graph(r)
+        graph = g._cell_graph
         assert (graph != graph.T).nnz == 0
         # Each edge once, as the undirected search takes it.
         upper = scipy.sparse.triu(graph, k=1).tocsr()
         assert 2 * upper.nnz == graph.nnz
-        passable = np.argwhere(g.passable(r))
+        passable = np.argwhere(g.passable)
         rng = np.random.default_rng(map_index)
         for iy, ix in passable[rng.choice(len(passable), 50, replace=False)]:
             want = scipy.sparse.csgraph.dijkstra(upper, directed=False, indices=iy * g.nx + ix)
             for jy, jx in passable[rng.choice(len(passable), 10, replace=False)]:
-                got = shortest_feasible_path(g, cell_centre(g, ix, iy), cell_centre(g, jx, jy), r)
+                got = shortest_feasible_path(g, cell_centre(g, ix, iy), cell_centre(g, jx, jy))
                 assert got == want[jy * g.nx + jx]
 
     @pytest.mark.parametrize("map_index", range(3), ids=MAP_IDS)
     def test_bounded_field_is_the_full_field_up_to_the_limit(self, map_index):
         g = MAPS[map_index]()
-        r = gridworld.DEFAULT_ROBOT_RADIUS
-        passable = np.argwhere(g.passable(r))
+        passable = np.argwhere(g.passable)
         rng = np.random.default_rng(10 + map_index)
         outcomes = set()
         for (iy, ix), (jy, jx) in passable[rng.choice(len(passable), (100, 2))]:
             a, b = cell_centre(g, ix, iy), cell_centre(g, jx, jy)
             if (ix, iy) == (jx, jy):
                 continue
-            full = shortest_feasible_path(g, a, b, r)
+            full = shortest_feasible_path(g, a, b)
             for limit in (0.0, 1.0, 4.0 * (1 + 1e-9), full):
-                bounded = shortest_feasible_path(g, a, b, r, limit)
+                bounded = shortest_feasible_path(g, a, b, limit)
                 assert bounded == (full if full <= limit else math.inf)
                 outcomes.add((limit == full, full <= limit))
         assert outcomes == {(False, False), (False, True), (True, True)}
@@ -572,7 +571,7 @@ class TestShortestFeasiblePath:
         a, b = Pose2D(5.0, 2.0), Pose2D(7.0, 2.0)
         d = shortest_feasible_path(g, a, b)
         assert d >= 3.0 * math.hypot(2.0, 0.0)
-        passable = g.passable(0.18)
+        passable = g.passable
         oracle = hand_dijkstra(passable, g.cell_of(a.x, a.y), g.cell_of(b.x, b.y), RES)
         assert d == pytest.approx(oracle, abs=1e-9)
 
@@ -692,10 +691,10 @@ class TestFeedbackControl:
 # ---------------------------------------------------------------------------
 
 
-def reference_disc_blocked(grid, xs, ys, radius):
+def reference_disc_blocked(grid, xs, ys):
     """The array disc test: one subcell-mask lookup per point, and a point
     off the mask (NaN and inf included) blocked."""
-    k, blocked = grid._disc_blocked_mask(radius)
+    k, blocked = grid._blocked
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     ys = np.atleast_1d(np.asarray(ys, dtype=float))
     sub = grid.resolution / k
@@ -708,7 +707,7 @@ def reference_disc_blocked(grid, xs, ys, radius):
     return out
 
 
-def reference_step_agent(grid, state, cmd, dt, robot_radius=gridworld.DEFAULT_ROBOT_RADIUS):
+def reference_step_agent(grid, state, cmd, dt):
     """The array step: every sample time from np.linspace, the arc through
     numpy, the first blocked sample found with argmax."""
     n = max(1, int(math.ceil(abs(cmd.v) * dt / (0.5 * grid.resolution))))
@@ -723,7 +722,7 @@ def reference_step_agent(grid, state, cmd, dt, robot_radius=gridworld.DEFAULT_RO
         k = cmd.v / cmd.omega
         xs = p.x + k * (np.sin(ths) - math.sin(p.theta))
         ys = p.y - k * (np.cos(ths) - math.cos(p.theta))
-    blocked = reference_disc_blocked(grid, xs, ys, robot_radius)
+    blocked = reference_disc_blocked(grid, xs, ys)
     if blocked.any():
         first = int(np.argmax(blocked))
         if first == 0:
@@ -800,24 +799,20 @@ class TestScalarMotion:
         others = list(rng.uniform(0.0, min(grid.size_x, grid.size_y), len(coords)))
         points = list(zip(coords, others)) + list(zip(others, coords))
         for radius in (0.0, 0.18, 0.3):
-            want = reference_disc_blocked(grid, *zip(*points), radius)
-            got = [grid.disc_blocked(x, y, radius) for x, y in points]
+            disc = GridMap(grid.resolution, grid.occupied, radius)
+            want = reference_disc_blocked(disc, *zip(*points))
+            got = [disc.disc_blocked(x, y) for x, y in points]
             assert all(type(b) is bool for b in got)
             assert got == want.tolist()
         assert 0 < sum(got) < len(got)
 
-    def test_radius_answers_do_not_depend_on_call_order(self):
-        # At this point the disc of radius r clears the wall and the disc of
-        # r + 1e-10 does not, so a cache shared by near radii would answer
-        # for r with whichever mask it made first.
-        x, y, r = 3.3625, 2.0125, 0.13439139372779182
-        fresh, asked = two_room_map(), two_room_map()
-        assert asked.disc_blocked(x, y, r + 1e-10)
-        asked.passable(r + 1e-10)
-        asked._cell_graph(r + 1e-10)
-        assert asked.disc_blocked(x, y, r) is fresh.disc_blocked(x, y, r) is False
-        assert np.array_equal(asked.passable(r), fresh.passable(r))
-        assert (asked._cell_graph(r) != fresh._cell_graph(r)).nnz == 0
+    @pytest.mark.parametrize("radius", [math.nan, -1.0, math.inf])
+    def test_map_rejects_a_nan_negative_or_infinite_radius(self, radius):
+        # A NaN radius would read every wall subcell as free.
+        occ = two_room_map().occupied
+        with pytest.raises(InvalidInput):
+            GridMap(RES, occ, radius)
+        assert GridMap(RES, occ, 0.0).robot_radius == 0.0
 
     def test_sample_free_pose_makes_the_same_draws(self):
         grid = apartment_map()
@@ -827,7 +822,7 @@ class TestScalarMotion:
             while True:
                 x, y = ref.uniform(0.0, grid.size_x), ref.uniform(0.0, grid.size_y)
                 theta = ref.uniform(-math.pi, math.pi)
-                if not reference_disc_blocked(grid, [x], [y], gridworld.DEFAULT_ROBOT_RADIUS)[0]:
+                if not reference_disc_blocked(grid, [x], [y])[0]:
                     break
             assert got == Pose2D(x, y, theta)
             assert grid.pose_free(got)
@@ -842,9 +837,12 @@ class TestScalarMotion:
                    (Pose2D(0, 0, 0), Pose2D(-1, 0, 0)), (Pose2D(0, 0, 0), Pose2D(1, 0, 1.0))]
         targets += [(Pose2D(*rng.uniform(-2, 2, 2), rng.uniform(-3, 3)),
                      Pose2D(*rng.uniform(-2, 2, 2), rng.uniform(-3, 3))) for _ in range(100)]
-        for gains in (ControllerGains(k_rho=k, k_alpha=k, k_beta=k),
-                      ControllerGains(k_rho=k, k_alpha=1.0, k_beta=0.0),
-                      ControllerGains(k_rho=1.0, k_alpha=k, k_beta=-k)):
+        # ControllerGains rejects a non-finite gain, so the law gets the
+        # same fields unchecked.
+        base = vars(ControllerGains())
+        for gains in (SimpleNamespace(**{**base, "k_rho": k, "k_alpha": k, "k_beta": k}),
+                      SimpleNamespace(**{**base, "k_rho": k, "k_alpha": 1.0, "k_beta": 0.0}),
+                      SimpleNamespace(**{**base, "k_rho": 1.0, "k_alpha": k, "k_beta": -k})):
             for current, target in targets:
                 got = feedback_control(current, target, gains)
                 want = reference_feedback_control(current, target, gains)

@@ -25,7 +25,7 @@ from toponav.navharness import (
     wall_crossing_edges,
 )
 from toponav.maintenance import MaintenanceParams
-from toponav.perception import OracleEstimator
+from toponav.perception import OracleEstimator, ReachabilityCriteria, label_reachability
 from toponav.se2 import Pose2D, relative, waypoint_distance
 from toponav.topograph import (
     BuildParams,
@@ -420,13 +420,35 @@ def test_make_test_set_properties(grid, estimator):
         make_test_set(world, graph, 0, 3, np.random.default_rng(0), LIMITS)
 
 
-def test_sampled_starts_clear_the_world_robot_radius(grid):
-    world = World(grid, robot_radius=0.3)
+def wall_distance(grid, x, y):
+    """Distance from (x, y) to the nearest occupied cell, measured to the
+    cells themselves rather than through the clearance mask."""
+    iy, ix = np.nonzero(grid.occupied)
+    res = grid.resolution
+    dx = np.maximum(np.maximum(ix * res - x, x - (ix + 1) * res), 0.0)
+    dy = np.maximum(np.maximum(iy * res - y, y - (iy + 1) * res), 0.0)
+    return float(np.hypot(dx, dy).min())
+
+
+def test_one_map_radius_drives_starts_labels_and_the_oracle(grid):
+    wide = GridMap(grid.resolution, grid.occupied, 0.3)
+    world = World(wide)
     graph, _ = chain_graph(world, [Pose2D(1.5, 2.5, 0.0), Pose2D(2.5, 2.5, 0.0)])
     rng = np.random.default_rng(0)
     starts = [s for s, _ in make_test_set(world, graph, 2, 100, rng, LIMITS)]
     starts += [_sample_query(world, graph, rng, LIMITS)[0] for _ in range(100)]
-    assert all(grid.pose_free(s, world.robot_radius) for s in starts)
+    assert all(wide.pose_free(s) for s in starts)
+    # The clearance mask resolves wall distance to about one subcell
+    # half-diagonal (under 2 cm), well short of the 0.12 m between radii.
+    assert min(wall_distance(wide, s.x, s.y) for s in starts) > 0.3 - 0.02
+    # 0.25 m from the bottom wall: the default 0.18 m disc clears it, a
+    # 0.3 m disc does not, so the pair is reachable on one map only.
+    a, b = Pose2D(1.0, 0.35, 0.0), Pose2D(2.0, 0.35, 0.0)
+    for g, label in ((grid, 1), (wide, 0)):
+        assert label_reachability(g, a, b, ReachabilityCriteria()) == label
+        w = World(g)
+        r_hat = OracleEstimator(g).predict(w.observe(a), w.observe(b)).r_hat
+        assert (r_hat > 0.5) == label
 
 
 def _lifelong_setup(grid, tmp_path, tag):

@@ -11,7 +11,6 @@ from toponav import perception
 from toponav.errors import InvalidInput, LoadError
 from toponav.fixtures import apartment_map, two_room_map
 from toponav.gridworld import (
-    DEFAULT_ROBOT_RADIUS,
     GridMap,
     SensorConfig,
     generate_rooms_map,
@@ -126,7 +125,7 @@ class TestLabelReachability:
         assert grew > 0
 
 
-def reference_rejection(grid, a, b, c, sensor=SensorConfig(), robot_radius=DEFAULT_ROBOT_RADIUS):
+def reference_rejection(grid, a, b, c, sensor=SensorConfig()):
     """The first check that rejects b from a, in the order the label once
     ran them (sight line, Dubins, unbounded path ratio, overlap), or None
     when every check passes."""
@@ -142,9 +141,9 @@ def reference_rejection(grid, a, b, c, sensor=SensorConfig(), robot_radius=DEFAU
     if not is_visible(grid, a, (b.x, b.y), sensor.fov, sensor.max_range):
         return "visible"
     poses = dubins_sample(a, b, c.turn_radius, 0.5 * grid.resolution)
-    if any(grid.disc_blocked(x, y, robot_radius) for x, y in poses[:, :2].tolist()):
+    if any(grid.disc_blocked(x, y) for x, y in poses[:, :2].tolist()):
         return "dubins"
-    path_len = shortest_feasible_path(grid, a, b, robot_radius)
+    path_len = shortest_feasible_path(grid, a, b)
     if not math.isfinite(path_len) or path_len / euclid > c.R_max:
         return "path"
     if visual_overlap(grid, a, b, sensor) < c.L_min:
@@ -160,7 +159,7 @@ def label_test_pairs(grid, rng, n, reach):
         a = sample_free_pose(grid, rng)
         r, phi = rng.uniform(0.0, reach), rng.uniform(-math.pi, math.pi)
         bx, by = a.x + r * math.cos(phi), a.y + r * math.sin(phi)
-        if not grid.in_bounds(bx, by) or grid.disc_blocked(bx, by, DEFAULT_ROBOT_RADIUS):
+        if not grid.in_bounds(bx, by) or grid.disc_blocked(bx, by):
             continue
         theta = phi + rng.uniform(-0.9, 0.9)
         pairs.append((Pose2D(a.x, a.y, theta), Pose2D(bx, by, theta + rng.uniform(-1.8, 1.8))))
