@@ -484,6 +484,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.seed < 0:  # numpy's generators take non-negative seeds only
+            parser.error("argument --seed: must be non-negative")
     except SystemExit as e:
         return int(e.code) if e.code else 0
     try:

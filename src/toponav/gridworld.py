@@ -180,9 +180,13 @@ class GridMap:
         """(k, mask): the subcell mask of positions where the robot disc hits
         a wall, at k subcells per cell.
 
-        Built from a k-times upsampled euclidean distance transform; the check
-        is conservative by at most one subcell half-diagonal (~2 cm at 0.1 m
-        resolution).
+        Built from a k-times upsampled euclidean distance transform: a
+        subcell is blocked when its centre lies within robot_radius + h of
+        an occupied subcell's centre, h being the subcell half-diagonal.  A
+        pose and the wall point nearest it each lie within h of those
+        centres, so a pose the mask calls free lies at least
+        robot_radius - h from every occupied cell (h is about 18 mm at
+        0.1 m resolution), and can lie closer than robot_radius.
         """
         k = max(1, int(round(self.resolution / _SUBCELL_TARGET)))
         occ_up = np.kron(self.occupied, np.ones((k, k), dtype=bool))
@@ -643,6 +647,8 @@ def generate_rooms_map(
     ny = int(round(height / resolution))
     if nx < 3 or ny < 3 or rooms_x < 1 or rooms_y < 1:
         raise InvalidInput("map too small")
+    if seed < 0:
+        raise InvalidInput("seed must be non-negative")
     rng = np.random.default_rng(seed)
     occ = np.zeros((ny, nx), dtype=bool)
     occ[0, :] = occ[-1, :] = occ[:, 0] = occ[:, -1] = True

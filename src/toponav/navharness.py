@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidGoal, InvalidInput, RouteError, LoadError
+from .errors import InvalidGoal, InvalidInput, InvalidPose, RouteError, LoadError
 from .gridworld import (
     AgentState,
     ControllerGains,
@@ -24,7 +24,7 @@ from .gridworld import (
     VelocityCmd,
     feedback_control,
     raycast,
-    raycast_scan,
+    raycast_scan,  # noqa: F401  a traced binding of bench/tracer.py; scans are cast on read
     sample_free_pose,
     shortest_feasible_path,
     step_agent,
@@ -71,12 +71,18 @@ class World:
         self.dt = dt
         self._next_id = first_id
 
-    def observe(self, pose: Pose2D, oid: int | None = None) -> Observation:
+    def observe(self, pose: Pose2D, oid: int | None = None,
+                odom_pose: Pose2D | None = None) -> Observation:
+        """The observation at pose, with odometry odom_pose (pose when not
+        given).  Raises InvalidPose unless pose lies in a free cell; the
+        scan is cast on the first read of the observation's `scan`."""
         if oid is None:
             oid = self._next_id
             self._next_id += 1
-        scan = raycast_scan(self.grid, pose, self.sensor)
-        return Observation(oid, scan, pose, pose)
+        if not self.grid.cell_free(pose.x, pose.y):
+            raise InvalidPose(f"ray origin ({pose.x:.3f}, {pose.y:.3f}) is not in free space")
+        return Observation(oid, None, pose, pose if odom_pose is None else odom_pose,
+                           (self.grid, self.sensor))
 
 
 @dataclass(frozen=True)
@@ -122,6 +128,8 @@ class OdomNoise:
     def __post_init__(self):
         if not (0.0 <= self.pos_sigma < math.inf and 0.0 <= self.theta_sigma < math.inf):
             raise InvalidInput("odometry sigmas must be non-negative and finite")
+        if self.seed < 0:
+            raise InvalidInput("odometry seed must be non-negative")
 
 
 @dataclass
@@ -205,8 +213,7 @@ def collect_trajectory(world: World, route, loops: int, spacing: float,
             progress += _motion(relative(prev, state.pose))
             if progress >= spacing:
                 progress -= spacing
-                obs = world.observe(state.pose)
-                observations.append(Observation(obs.id, obs.scan, obs.true_pose, odom))
+                observations.append(world.observe(state.pose, odom_pose=odom))
         else:
             raise RouteError("controller could not reach a route waypoint")
     return observations

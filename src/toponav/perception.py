@@ -44,19 +44,33 @@ logger = logging.getLogger(__name__)
 _PAIR_CACHE_CAP = 65536
 
 
-@dataclass
 class Observation:
     """One sensing event: unique id, depth scan, and the two pose records.
 
     true_pose is simulator ground truth (used by labeling and evaluation);
     odom_pose is the accumulated odometry estimate (used for self-supervised
-    waypoint labels).
+    waypoint labels).  An observation given a `view` (map, sensor) instead
+    of a scan casts its scan from true_pose through raycast_scan on the
+    first read of `scan`, and keeps it.
     """
 
-    id: int
-    scan: DepthScan
-    true_pose: Pose2D
-    odom_pose: Pose2D
+    __slots__ = ("id", "true_pose", "odom_pose", "_scan", "_view")
+
+    def __init__(self, id: int, scan: DepthScan | None, true_pose: Pose2D, odom_pose: Pose2D,
+                 view: tuple[GridMap, SensorConfig] | None = None):
+        self.id = id
+        self._scan = scan
+        self.true_pose = true_pose
+        self.odom_pose = odom_pose
+        self._view = view
+
+    @property
+    def scan(self) -> DepthScan | None:
+        if self._view is not None:
+            grid, sensor = self._view
+            self._scan = raycast_scan(grid, self.true_pose, sensor)
+            self._view = None
+        return self._scan
 
 
 @dataclass(frozen=True)
@@ -104,6 +118,8 @@ class NoiseConfig:
         if not (0.0 <= self.false_positive_rate <= 1.0
                 and 0.0 <= self.false_negative_rate <= 1.0):
             raise InvalidInput("label flip rates must be in [0, 1]")
+        if self.seed < 0:
+            raise InvalidInput("noise seed must be non-negative")
 
 
 @dataclass
@@ -346,6 +362,8 @@ def generate_sim_dataset(
         raise InvalidInput("need at least one map")
     if n_pairs < 1:
         raise InvalidInput("n_pairs must be >= 1")
+    if rng_seed < 0:
+        raise InvalidInput("rng_seed must be non-negative")
     rng = np.random.default_rng(rng_seed)
     pairs = []
     next_id = 0
@@ -353,8 +371,8 @@ def generate_sim_dataset(
         m = maps[int(rng.integers(len(maps)))]
         pa = sample_free_pose(m, rng)
         pb = sample_free_pose(m, rng)
-        oa = Observation(next_id, raycast_scan(m, pa, sensor), pa, pa)
-        ob = Observation(next_id + 1, raycast_scan(m, pb, sensor), pb, pb)
+        oa = Observation(next_id, None, pa, pa, (m, sensor))
+        ob = Observation(next_id + 1, None, pb, pb, (m, sensor))
         next_id += 2
         r = label_reachability(m, pa, pb, criteria, sensor)
         pairs.append(LabeledPair(oa, ob, r, relative(pa, pb)))

@@ -57,6 +57,8 @@ class BuildParams:
             raise InvalidInput("r_connect_min must be in [0, 1]")
         if not 0.0 < self.sigma2_init < math.inf:
             raise InvalidInput("sigma2_init must be positive and finite")
+        if self.rng_seed < 0:
+            raise InvalidInput("rng_seed must be non-negative")
 
 
 class TrajectoryPool:
@@ -336,7 +338,10 @@ def _parse_observation(line: str) -> Observation:
         raise LoadError(f"observation {oid}: expected {2 * n} ray values")
     if not all(map(math.isfinite, [tx, ty, tth, ox, oy, oth, max_range] + rest)):
         raise LoadError(f"observation {oid}: non-finite value")
-    scan = DepthScan.from_ranges(tx, ty, np.array(rest[:n]), np.array(rest[n:]), max_range)
+    ranges = np.array(rest[n:])
+    if not (max_range > 0.0 and (ranges >= 0.0).all() and (ranges <= max_range).all()):
+        raise LoadError(f"observation {oid}: ranges must lie in [0, max_range], max_range > 0")
+    scan = DepthScan.from_ranges(tx, ty, np.array(rest[:n]), ranges, max_range)
     return Observation(oid, scan, Pose2D(tx, ty, tth), Pose2D(ox, oy, oth))
 
 

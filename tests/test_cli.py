@@ -13,9 +13,9 @@ from toponav.cli import (
     make_route,
     make_world,
 )
-from toponav.errors import ConfigError
+from toponav.errors import ConfigError, InvalidInput
 from toponav.fixtures import two_room_map
-from toponav.gridworld import load_map
+from toponav.gridworld import generate_rooms_map, load_map
 from toponav.navharness import (
     OdomNoise,
     World,
@@ -23,9 +23,14 @@ from toponav.navharness import (
     estimate_distance_variance,
     save_trajectory,
 )
-from toponav.perception import ReachabilityCriteria, generate_sim_dataset, save_dataset
+from toponav.perception import (
+    NoiseConfig,
+    ReachabilityCriteria,
+    generate_sim_dataset,
+    save_dataset,
+)
 from toponav.se2 import Pose2D
-from toponav.topograph import TopoGraph, TrajectoryPool, load_graph, save_graph
+from toponav.topograph import BuildParams, TopoGraph, TrajectoryPool, load_graph, save_graph
 
 
 # ---------------------------------------------------------------------------
@@ -447,6 +452,36 @@ def test_bad_run_settings_exit_two_before_any_work(tmp_path, capsys, command, te
     assert main([command, "--config", str(cfgp), "--out", str(out)]) == 2
     assert "error:" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == [cfgp]
+
+
+@pytest.mark.parametrize("argv, ini", [
+    (["gen-map"], ""), (["collect"], ""), (["collect"], "odom_pos_sigma = 0.01"),
+    (["build", "t.traj"], ""), (["navigate", "g.graph", "--start", "1.5,1.5,0", "--goal", "0"], ""),
+    (["evaluate", "g.graph"], ""), (["lifelong"], ""), (["losses", "d.txt"], ""),
+], ids=["gen-map", "collect", "collect-odom-noise", "build", "navigate", "evaluate",
+        "lifelong", "losses"])
+def test_negative_seed_is_a_usage_error(tmp_path, monkeypatch, capsys, argv, ini):
+    # The input files exist, so only the seed can fail; nothing is written.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "exp.ini").write_text(f"[navharness]\n{ini}\n")
+    save_trajectory([World(two_room_map()).observe(Pose2D(1.5, 1.5, 0.0))], "t.traj")
+    assert main(["build", "t.traj", "--out", "g.graph"]) == 0
+    save_dataset(generate_sim_dataset([two_room_map()], 2, ReachabilityCriteria(), 0),
+                 "d.txt", ReachabilityCriteria())
+    made = sorted(tmp_path.iterdir())
+    assert main(argv + ["--config", "exp.ini", "--seed", "-1", "--out", "out"]) == 2
+    assert "--seed: must be non-negative" in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == made
+
+
+@pytest.mark.parametrize("make", [
+    lambda: BuildParams(rng_seed=-1), lambda: NoiseConfig(seed=-1), lambda: OdomNoise(seed=-1),
+    lambda: generate_rooms_map(seed=-1),
+    lambda: generate_sim_dataset([two_room_map()], 1, ReachabilityCriteria(), -1),
+], ids=["BuildParams", "NoiseConfig", "OdomNoise", "generate_rooms_map", "generate_sim_dataset"])
+def test_negative_seed_parameter_is_invalid_input(make):
+    with pytest.raises(InvalidInput):
+        make()
 
 
 def test_losses_reports_means(tmp_path, capsys):

@@ -4,6 +4,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.ndimage
 import scipy.sparse
 import scipy.sparse.csgraph
 
@@ -689,6 +690,39 @@ class TestFeedbackControl:
 # ---------------------------------------------------------------------------
 # The scalar motion step against the array step it replaced.
 # ---------------------------------------------------------------------------
+
+
+def wall_distance(grid, x, y):
+    """Distance from (x, y) to the nearest occupied cell, measured to the
+    cells themselves rather than through the clearance mask."""
+    iy, ix = np.nonzero(grid.occupied)
+    res = grid.resolution
+    dx = np.maximum(np.maximum(ix * res - x, x - (ix + 1) * res), 0.0)
+    dy = np.maximum(np.maximum(iy * res - y, y - (iy + 1) * res), 0.0)
+    return float(np.hypot(dx, dy).min())
+
+
+@pytest.mark.parametrize("radius", [0.18, 0.3])
+@pytest.mark.parametrize("map_index", range(len(MAPS)))
+def test_free_poses_clear_the_radius_less_a_subcell_half_diagonal(map_index, radius):
+    # The free subcells next to a blocked one are where free poses come
+    # closest to a wall; sample a point in each of up to 400 of them.
+    base = MAPS[map_index]()
+    g = GridMap(base.resolution, base.occupied, radius)
+    k, blocked = g._blocked
+    sub = g.resolution / k
+    h = sub * math.sqrt(2.0) / 2.0
+    edge = ~blocked & scipy.ndimage.binary_dilation(blocked)
+    iy, ix = np.nonzero(edge)
+    rng = np.random.default_rng(map_index)
+    pick = rng.choice(len(ix), size=min(400, len(ix)), replace=False)
+    xs = (ix[pick] + rng.random(len(pick))) * sub
+    ys = (iy[pick] + rng.random(len(pick))) * sub
+    assert not any(g.disc_blocked(x, y) for x, y in zip(xs, ys))
+    dist = [wall_distance(g, x, y) for x, y in zip(xs, ys)]
+    assert min(dist) >= radius - h
+    # The bound is close to tight: the mask is not conservative.
+    assert min(dist) < radius
 
 
 def reference_disc_blocked(grid, xs, ys):

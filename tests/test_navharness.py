@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from toponav.errors import InvalidGoal, InvalidInput, LoadError, RouteError
-from toponav.fixtures import two_room_map, two_room_route
-from toponav.gridworld import GridMap
+from toponav import gridworld, perception
+from toponav.errors import InvalidGoal, InvalidInput, InvalidPose, LoadError, RouteError
+from toponav.fixtures import apartment_map, apartment_route, two_room_map, two_room_route
+from toponav.gridworld import GridMap, SensorConfig, raycast_scan
 from toponav.navharness import (
     EpisodeLimits,
     OdomNoise,
@@ -32,10 +33,13 @@ from toponav.topograph import (
     EdgeBelief,
     TopoGraph,
     TrajectoryPool,
+    build_graph,
     load_graph,
     plan,
     save_graph,
 )
+
+from test_gridworld import wall_distance
 
 LIMITS = EpisodeLimits()
 BP = BuildParams()
@@ -96,6 +100,55 @@ def test_observe_matches_pose(grid):
     assert o.true_pose == Pose2D(2.0, 2.0, 0.3)
     assert o.odom_pose == o.true_pose
     assert len(o.scan.ranges) == world.sensor.n_rays
+
+
+def counted(monkeypatch, module, name):
+    """Count the calls made to a module's binding; returns the call list."""
+    calls = []
+    original = getattr(module, name)
+
+    def wrapped(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapped)
+    return calls
+
+
+def test_observe_casts_its_scan_on_first_read(monkeypatch):
+    grid = two_room_map()
+    casts = counted(monkeypatch, gridworld, "raycast")
+    pose = Pose2D(2.0, 2.0, 0.3)
+    o = World(grid, SensorConfig(n_rays=17)).observe(pose)
+    assert casts == []
+    scan = o.scan
+    assert len(casts) == 1
+    assert o.scan is scan and len(casts) == 1
+    # The same floats a direct cast gives, on a map with an empty cache.
+    ref = raycast_scan(two_room_map(), pose, SensorConfig(n_rays=17))
+    for name in ("angles", "ranges", "hit_points"):
+        assert getattr(scan, name).tobytes() == getattr(ref, name).tobytes()
+    assert scan.max_range == ref.max_range
+
+
+@pytest.mark.parametrize("pose", [Pose2D(0.05, 2.0, 0.0), Pose2D(-1.0, 2.0, 0.0),
+                                  Pose2D(math.nan, 2.0, 0.0)], ids=["wall", "off-map", "nan"])
+def test_observe_rejects_a_pose_outside_free_space(grid, pose):
+    with pytest.raises(InvalidPose):
+        World(grid).observe(pose)
+
+
+def test_collect_and_build_cast_no_collection_scan(monkeypatch, tmp_path):
+    # The oracle labels by pose, so no observation's scan is read until the
+    # graph is saved, which casts one per saved observation.
+    grid = apartment_map()
+    traj = collect_trajectory(World(grid), apartment_route(), loops=1, spacing=0.2,
+                              odom_noise=OdomNoise(0.02, 0.01, seed=1))
+    casts = counted(monkeypatch, perception, "raycast_scan")
+    graph, pool = build_graph(traj, OracleEstimator(grid))
+    assert casts == []
+    save_graph(graph, pool, str(tmp_path / "g.graph"))
+    assert len(casts) == graph.n_vertices + len(pool) < len(traj)
 
 
 # ---------------------------------------------------------------------------
@@ -198,6 +251,24 @@ def test_load_trajectory_rejects_non_finite_values(grid, tmp_path, field, value)
     path.write_text(f"{header}\n{' '.join(parts)}\n")
     with pytest.raises(LoadError):
         load_trajectory(str(path))
+
+
+@pytest.mark.parametrize("field, value, ok", [
+    (7, "-1.0", False), (-1, "-3.0", False), (-1, "99.0", False), (-1, "-0.0", True)],
+    ids=["max_range=-1", "range=-3", "range=99", "range=-0"])
+def test_load_trajectory_checks_ranges_against_max_range(grid, tmp_path, field, value, ok):
+    # field 7 is max_range (5.0); the last field is the last ray's range.
+    path = tmp_path / "w.traj"
+    save_trajectory([World(grid).observe(Pose2D(1.5, 1.5, 0.0))], str(path))
+    header, line = path.read_text().splitlines()
+    parts = line.split()
+    parts[field] = value
+    path.write_text(f"{header}\n{' '.join(parts)}\n")
+    if ok:
+        assert load_trajectory(str(path))[0].scan.ranges[-1] == 0.0
+    else:
+        with pytest.raises(LoadError):
+            load_trajectory(str(path))
 
 
 # ---------------------------------------------------------------------------
@@ -420,16 +491,6 @@ def test_make_test_set_properties(grid, estimator):
         make_test_set(world, graph, 0, 3, np.random.default_rng(0), LIMITS)
 
 
-def wall_distance(grid, x, y):
-    """Distance from (x, y) to the nearest occupied cell, measured to the
-    cells themselves rather than through the clearance mask."""
-    iy, ix = np.nonzero(grid.occupied)
-    res = grid.resolution
-    dx = np.maximum(np.maximum(ix * res - x, x - (ix + 1) * res), 0.0)
-    dy = np.maximum(np.maximum(iy * res - y, y - (iy + 1) * res), 0.0)
-    return float(np.hypot(dx, dy).min())
-
-
 def test_one_map_radius_drives_starts_labels_and_the_oracle(grid):
     wide = GridMap(grid.resolution, grid.occupied, 0.3)
     world = World(wide)
@@ -457,7 +518,6 @@ def _lifelong_setup(grid, tmp_path, tag):
     seed_world = World(grid)
     traj = collect_trajectory(seed_world, two_room_route(), loops=1, spacing=0.4)
     est = OracleEstimator(grid)
-    from toponav.topograph import build_graph
     graph, pool = build_graph(traj, est, BP)
     path = str(tmp_path / f"seed-{tag}.graph")
     save_graph(graph, pool, path)

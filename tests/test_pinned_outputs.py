@@ -27,8 +27,10 @@ from toponav import (
     make_test_set,
     run_lifelong,
     save_graph,
+    save_trajectory,
 )
 from toponav.fixtures import two_room_map, two_room_route
+from toponav.navharness import OdomNoise
 
 
 def _sha256(path) -> str:
@@ -44,6 +46,16 @@ def test_two_room_build_graph_bytes(tmp_path):
     path = tmp_path / "build.graph"
     save_graph(graph, pool, str(path))
     assert _sha256(path) == "5d640397b2ee903e56b659dad6831167c412794071b6bebeec88c26879d94772"
+
+
+def test_two_room_trajectory_bytes(tmp_path):
+    # The trajectory file is the one output that holds every scan taken
+    # while driving; odometry noise pins the odom poses it carries too.
+    traj = collect_trajectory(World(two_room_map()), two_room_route(), loops=1, spacing=0.2,
+                              odom_noise=OdomNoise(pos_sigma=0.02, theta_sigma=0.01, seed=0))
+    path = tmp_path / "collect.traj"
+    save_trajectory(traj, str(path))
+    assert _sha256(path) == "15b0be0087a3d0978b941db33a6fd5bf1e094b43e11bb483f0c6c78bd6a18dfa"
 
 
 # A graph from every third observation leaves holes, so the run adds novel

@@ -539,6 +539,21 @@ class TestPersistence:
         with pytest.raises(LoadError):
             load_graph(str(p))
 
+    @pytest.mark.parametrize("column, value", [(7, "-1.0"), (-1, "-3.0"), (-1, "99.0")],
+                             ids=["max_range=-1", "range=-3", "range=99"])
+    def test_range_outside_max_range_rejected(self, tmp_path, column, value):
+        graph, pool = self._fixture()
+        p = tmp_path / "g.txt"
+        save_graph(graph, pool, str(p))
+        lines = p.read_text().splitlines()
+        i = lines.index("[observations]") + 1
+        parts = lines[i].split()
+        parts[column] = value
+        lines[i] = " ".join(parts)
+        p.write_text("\n".join(lines) + "\n")
+        with pytest.raises(LoadError):
+            load_graph(str(p))
+
     def test_malformed_rejected(self, tmp_path):
         p = tmp_path / "g.txt"
         p.write_text("topograph/v1\n[edges]\n1 2 nonsense 0.5 0.25\n")
