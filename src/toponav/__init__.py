@@ -39,9 +39,11 @@ from .topograph import (
     TrajectoryPool,
     build_graph,
     load_graph,
+    load_trajectory,
     localize,
     plan,
     save_graph,
+    save_trajectory,
 )
 from .maintenance import MaintenanceParams
 from .navharness import (
@@ -49,11 +51,9 @@ from .navharness import (
     World,
     collect_trajectory,
     evaluate,
-    load_trajectory,
     make_test_set,
     run_episode,
     run_lifelong,
-    save_trajectory,
     wall_crossing_edges,
 )
 

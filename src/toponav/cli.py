@@ -33,17 +33,17 @@ from .gridworld import (
 )
 from .maintenance import MaintenanceParams
 from .navharness import (
+    EXPAND_STREAM,
+    TEST_SET_STREAM,
     EpisodeLimits,
     OdomNoise,
     World,
     collect_trajectory,
     estimate_distance_variance,
     evaluate,
-    load_trajectory,
     make_test_set,
     run_episode,
     run_lifelong,
-    save_trajectory,
 )
 from .perception import (
     NoiseConfig,
@@ -56,7 +56,14 @@ from .perception import (
     loss_total,
 )
 from .se2 import Pose2D
-from .topograph import BuildParams, build_graph, load_graph, save_graph
+from .topograph import (
+    BuildParams,
+    build_graph,
+    load_graph,
+    load_trajectory,
+    save_graph,
+    save_trajectory,
+)
 
 
 @dataclass(frozen=True)
@@ -331,7 +338,7 @@ def _cmd_navigate(args, cfg: ExperimentConfig) -> int:
     res = run_episode(world, graph, pool, estimator, _parse_pose(args.start),
                       args.goal, cfg.limits(), graph.build_params,
                       cfg.maint_params(), maintain=args.maintain,
-                      expand_rng=np.random.default_rng([args.seed, 2]))
+                      expand_rng=np.random.default_rng([args.seed, EXPAND_STREAM]))
     print(_episode_line(f"episode goal={args.goal}", res))
     if args.verbose:
         for ev in res.maintenance_events:
@@ -348,7 +355,7 @@ def _cmd_evaluate(args, cfg: ExperimentConfig) -> int:
     graph, _ = load_graph(args.graph)
     limits = cfg.limits()
     test_set = make_test_set(world, graph, cfg.n_goals, cfg.n_episodes,
-                             np.random.default_rng([args.seed, 3]), limits)
+                             np.random.default_rng([args.seed, TEST_SET_STREAM]), limits)
     rate, results = evaluate(world, graph, estimator, test_set, limits, graph.build_params)
     lines = [_episode_line(f"episode={i} goal={goal}", r)
              for i, ((_, goal), r) in enumerate(zip(test_set, results))]
@@ -382,7 +389,7 @@ def _cmd_lifelong(args, cfg: ExperimentConfig) -> int:
             print(f"estimated distance variance {sigma2:.6f}")
     limits = cfg.limits()
     test_set = make_test_set(world, graph, cfg.n_goals, cfg.n_episodes,
-                             np.random.default_rng([seed, 3]), limits)
+                             np.random.default_rng([seed, TEST_SET_STREAM]), limits)
     curve = run_lifelong(world, graph, pool, estimator, cfg.n_queries,
                          cfg.eval_every, test_set, limits, build_params,
                          cfg.maint_params(sigma2_obs=sigma2), seed)
@@ -397,32 +404,24 @@ def _cmd_lifelong(args, cfg: ExperimentConfig) -> int:
 
 
 def _cmd_losses(args, cfg: ExperimentConfig) -> int:
-    records = load_dataset(args.dataset)
+    pairs = load_dataset(args.dataset)
     grid = make_grid(cfg, args.seed)
-    world = make_world(cfg, grid)
     estimator = make_estimator(cfg, grid, args.seed)
-    cache: dict[int, object] = {}
-
-    def obs_for(oid, pose):
-        got = cache.get(oid)
-        if got is None:
-            got = cache[oid] = world.observe(pose, oid=oid)
-        return got
-
     totals = []
     reach = []
     pos = []
     rot = []
-    for rec in records:
-        pred = estimator.predict(obs_for(rec.src_id, rec.src_pose),
-                                 obs_for(rec.dst_id, rec.dst_pose))
-        totals.append(loss_total(rec.r, rec.w, pred, cfg.alpha, cfg.beta))
-        reach.append(loss_reachability(rec.r, pred.r_hat))
-        if rec.r:
-            pos.append(loss_position(rec.w, pred.w_hat))
-            rot.append(loss_rotation(rec.w, pred.w_hat))
+    for p in pairs:
+        for o in (p.src, p.dst):
+            grid.require_free(o.true_pose.x, o.true_pose.y)
+        pred = estimator.predict(p.src, p.dst)
+        totals.append(loss_total(p.r, p.w, pred, cfg.alpha, cfg.beta))
+        reach.append(loss_reachability(p.r, pred.r_hat))
+        if p.r:
+            pos.append(loss_position(p.w, pred.w_hat))
+            rot.append(loss_rotation(p.w, pred.w_hat))
     mean = lambda xs: sum(xs) / len(xs) if xs else float("nan")
-    text = (f"pairs={len(records)} positive={len(pos)} "
+    text = (f"pairs={len(pairs)} positive={len(pos)} "
             f"mean_total={mean(totals):.6f} mean_reachability={mean(reach):.6f} "
             f"mean_position={mean(pos):.6f} mean_rotation={mean(rot):.6f}\n")
     sys.stdout.write(text)
@@ -475,7 +474,10 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="full collect/build/maintain experiment; writes the "
                         "eval table and final graph")
     p = sub.add_parser("losses", parents=[common],
-                       help="mean estimator losses over a dataset file")
+                       help="mean estimator losses over a dataset file",
+                       description="Mean estimator losses over a dataset file, which the "
+                       "Python API writes: toponav.perception.generate_sim_dataset or "
+                       "label_finetune_pairs, then save_dataset.")
     p.add_argument("dataset", help="dataset file")
     return parser
 

@@ -173,6 +173,12 @@ class GridMap:
         ix, iy = self.cell_of(x, y)
         return not self.occupied[iy, ix]
 
+    def require_free(self, x: float, y: float) -> None:
+        """Raise InvalidPose unless (x, y) lies in a free cell, where a scan
+        can be cast from."""
+        if not self.cell_free(x, y):
+            raise InvalidPose(f"ray origin ({x:.3f}, {y:.3f}) is not in free space")
+
     # -- clearance / disc collision -------------------------------------
 
     @cached_property
@@ -269,8 +275,7 @@ def raycast(grid: GridMap, x0: float, y0: float, angles, max_range: float) -> np
     stepping loop, and at an exact corner crossing the cell on the x side
     is the one tested, as in classic cell stepping.
     """
-    if not grid.cell_free(x0, y0):
-        raise InvalidPose(f"ray origin ({x0:.3f}, {y0:.3f}) is not in free space")
+    grid.require_free(x0, y0)
     angles = np.atleast_1d(np.asarray(angles, dtype=float))
     n_rays = len(angles)
     res = grid.resolution

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidGoal, InvalidInput, InvalidPose, RouteError, LoadError
+from .errors import InvalidGoal, InvalidInput, RouteError
 from .gridworld import (
     AgentState,
     ControllerGains,
@@ -37,13 +37,11 @@ from .maintenance import (
     expand_for_plan,
 )
 from .perception import Observation
-from .se2 import Pose2D, compose, relative, waypoint_distance, wrap_angle
+from .se2 import Pose2D, Waypoint, compose, relative, waypoint_distance, wrap_angle
 from .topograph import (
     BuildParams,
     TopoGraph,
     TrajectoryPool,
-    _parse_observation,
-    _write_observation,
     localize,
     plan,
     reach,
@@ -55,7 +53,11 @@ from .topograph import (
 EVAL_ID_BASE = 10**9
 EVAL_ID_STRIDE = 10**5
 
-_TRAJ_HEADER = "toponav-trajectory/v1"
+# The substreams of a run's seed, np.random.default_rng([seed, STREAM]):
+# lifelong query sampling, plan-time expansion, and the frozen test set.
+QUERY_STREAM = 1
+EXPAND_STREAM = 2
+TEST_SET_STREAM = 3
 
 
 class World:
@@ -79,8 +81,7 @@ class World:
         if oid is None:
             oid = self._next_id
             self._next_id += 1
-        if not self.grid.cell_free(pose.x, pose.y):
-            raise InvalidPose(f"ray origin ({pose.x:.3f}, {pose.y:.3f}) is not in free space")
+        self.grid.require_free(pose.x, pose.y)
         return Observation(oid, None, pose, pose if odom_pose is None else odom_pose,
                            (self.grid, self.sensor))
 
@@ -153,7 +154,7 @@ class LifelongCurve:
 # ---------------------------------------------------------------------------
 
 
-def _motion(step: "Waypoint") -> float:
+def _motion(step: Waypoint) -> float:
     # Progress metric matching the connectivity distance: rotation counts
     # sqrt(2) per radian, so turning in place still spaces observations.
     return math.hypot(step.dx, step.dy) + math.sqrt(2.0) * abs(step.dtheta)
@@ -199,45 +200,23 @@ def collect_trajectory(world: World, route, loops: int, spacing: float,
                 break
             prev = state.pose
             state = step_agent(grid, state, cmd, world.dt)
-            delta = relative(prev, state.pose)
+            step = relative(prev, state.pose)
+            m = _motion(step)
             if noisy:
-                m = _motion(delta)
-                delta = type(delta)(
-                    delta.dx + rng.normal(0.0, odom_noise.pos_sigma * m),
-                    delta.dy + rng.normal(0.0, odom_noise.pos_sigma * m),
-                    delta.dtheta + rng.normal(0.0, odom_noise.theta_sigma * m),
-                )
-                odom = compose(odom, delta)
+                odom = compose(odom, Waypoint(
+                    step.dx + rng.normal(0.0, odom_noise.pos_sigma * m),
+                    step.dy + rng.normal(0.0, odom_noise.pos_sigma * m),
+                    step.dtheta + rng.normal(0.0, odom_noise.theta_sigma * m),
+                ))
             else:
                 odom = state.pose
-            progress += _motion(relative(prev, state.pose))
+            progress += m
             if progress >= spacing:
                 progress -= spacing
                 observations.append(world.observe(state.pose, odom_pose=odom))
         else:
             raise RouteError("controller could not reach a route waypoint")
     return observations
-
-
-def save_trajectory(observations, path: str) -> None:
-    with open(path, "w") as fh:
-        fh.write(_TRAJ_HEADER + "\n")
-        for o in observations:
-            _write_observation(fh, o)
-
-
-def load_trajectory(path: str) -> list[Observation]:
-    try:
-        with open(path) as fh:
-            lines = fh.read().splitlines()
-    except (OSError, UnicodeDecodeError) as e:
-        raise LoadError(str(e)) from e
-    if not lines or lines[0] != _TRAJ_HEADER:
-        raise LoadError(f"not a {_TRAJ_HEADER} file")
-    try:
-        return [_parse_observation(ln) for ln in lines[1:] if ln.strip()]
-    except (ValueError, IndexError) as e:
-        raise LoadError(f"malformed trajectory file: {e}") from e
 
 
 # ---------------------------------------------------------------------------
@@ -469,8 +448,8 @@ def run_lifelong(world: World, graph: TopoGraph, pool: TrajectoryPool, estimator
     """
     if eval_every < 1 or (n_queries > 0 and n_queries % eval_every != 0):
         raise InvalidInput("eval_every must divide n_queries")
-    sample_rng = np.random.default_rng([seed, 1])
-    expand_rng = np.random.default_rng([seed, 2])
+    sample_rng = np.random.default_rng([seed, QUERY_STREAM])
+    expand_rng = np.random.default_rng([seed, EXPAND_STREAM])
     rate, _ = evaluate(world, graph, estimator, test_set, limits, build_params)
     points = [(0, rate, graph.n_vertices, graph.n_edges)]
     for q in range(1, n_queries + 1):

@@ -403,23 +403,12 @@ def label_finetune_pairs(traj: list[Observation], H: int) -> list[LabeledPair]:
     return pairs
 
 
-@dataclass(frozen=True)
-class DatasetRecord:
-    """One line of a dataset file (poses only; scans are not exported)."""
-
-    src_id: int
-    dst_id: int
-    src_pose: Pose2D
-    dst_pose: Pose2D
-    r: int
-    w: Waypoint
-
-
 _DATASET_HEADER = "toponav-dataset/v1"
 
 
 def save_dataset(pairs: list[LabeledPair], path: str, criteria: ReachabilityCriteria) -> None:
-    """Line-delimited export: a criteria header, then one record per line."""
+    """Line-delimited export: a criteria header, then one record per line
+    (ids, true poses, label, waypoint; no scans)."""
     lines = [f"# {_DATASET_HEADER}", "# regime sim"]
     for f in fields(ReachabilityCriteria):
         lines.append(f"# {f.name} {getattr(criteria, f.name)!r}")
@@ -436,15 +425,17 @@ def save_dataset(pairs: list[LabeledPair], path: str, criteria: ReachabilityCrit
         f.write("\n".join(lines) + "\n")
 
 
-def load_dataset(path: str) -> list[DatasetRecord]:
+def load_dataset(path: str) -> list[LabeledPair]:
+    """Inverse of save_dataset: the pairs, each observation holding its
+    record's id and true pose (as its odometry pose too) and no scan."""
     try:
         with open(path) as f:
             lines = f.read().splitlines()
-    except UnicodeDecodeError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise LoadError(f"{path}: {e}") from e
     if not lines or lines[0] != f"# {_DATASET_HEADER}":
         raise LoadError(f"{path}: not a {_DATASET_HEADER} file")
-    records = []
+    pairs = []
     for ln in lines:
         if not ln or ln.startswith("#"):
             continue
@@ -460,6 +451,7 @@ def load_dataset(path: str) -> list[DatasetRecord]:
             raise LoadError(f"{path}: label must be 0 or 1 in record {ln!r}")
         if not all(map(math.isfinite, v)):
             raise LoadError(f"{path}: non-finite value in record {ln!r}")
-        records.append(DatasetRecord(src_id, dst_id, Pose2D(*v[0:3]), Pose2D(*v[3:6]), r,
-                                     Waypoint(*v[6:9])))
-    return records
+        sp, dp = Pose2D(*v[0:3]), Pose2D(*v[3:6])
+        pairs.append(LabeledPair(Observation(src_id, None, sp, sp),
+                                 Observation(dst_id, None, dp, dp), r, Waypoint(*v[6:9])))
+    return pairs

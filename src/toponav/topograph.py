@@ -316,6 +316,8 @@ def plan(graph: TopoGraph, start: int, goal: int):
 
 
 _GRAPH_HEADER = "topograph/v1"
+_GRAPH_SECTIONS = ("[params]", "[observations]", "[vertices]", "[edges]", "[pool]")
+_TRAJ_HEADER = "toponav-trajectory/v1"
 
 
 def _write_observation(fh, o: Observation) -> None:
@@ -345,9 +347,41 @@ def _parse_observation(line: str) -> Observation:
     return Observation(oid, scan, Pose2D(tx, ty, tth), Pose2D(ox, oy, oth))
 
 
+def _read_body(path: str, header: str) -> list[str]:
+    """The non-blank lines after the file's first line, which must be
+    `header`.  An unreadable file or another header is a LoadError."""
+    try:
+        with open(path) as fh:
+            lines = fh.read().splitlines()
+    except (OSError, UnicodeDecodeError) as e:
+        raise LoadError(str(e)) from e
+    if not lines or lines[0] != header:
+        raise LoadError(f"not a {header} file")
+    return [ln for ln in lines[1:] if ln.strip()]
+
+
+def save_trajectory(observations, path: str) -> None:
+    """Write the observations in order, one line each."""
+    with open(path, "w") as fh:
+        fh.write(_TRAJ_HEADER + "\n")
+        for o in observations:
+            _write_observation(fh, o)
+
+
+def load_trajectory(path: str) -> list[Observation]:
+    """Inverse of save_trajectory."""
+    try:
+        return [_parse_observation(ln) for ln in _read_body(path, _TRAJ_HEADER)]
+    except (ValueError, IndexError) as e:
+        raise LoadError(f"malformed trajectory file: {e}") from e
+
+
 def save_graph(graph: TopoGraph, pool: TrajectoryPool, path: str) -> None:
     """Write graph, pool, and build params as versioned sectioned text.
-    Orderings are deterministic so identical runs produce identical files."""
+    Orderings are deterministic so identical runs produce identical files.
+    Raises GraphInvariantError when the pool holds a vertex."""
+    if any(o.id in graph.vertices for o in pool):
+        raise GraphInvariantError("the pool overlaps the vertices")
     p = graph.build_params
     with open(path, "w") as fh:
         fh.write(_GRAPH_HEADER + "\n")
@@ -355,11 +389,8 @@ def save_graph(graph: TopoGraph, pool: TrajectoryPool, path: str) -> None:
         for f in fields(BuildParams):
             fh.write(f"{f.name} {getattr(p, f.name)!r}\n")
         fh.write("[observations]\n")
-        seen = set()
         for o in list(graph.vertices.values()) + list(pool):
-            if o.id not in seen:
-                seen.add(o.id)
-                _write_observation(fh, o)
+            _write_observation(fh, o)
         fh.write("[vertices]\n")
         for vid in graph.vertices:
             fh.write(f"{vid}\n")
@@ -373,49 +404,33 @@ def save_graph(graph: TopoGraph, pool: TrajectoryPool, path: str) -> None:
 
 
 def load_graph(path: str):
-    """Inverse of save_graph.  Returns (graph, pool)."""
+    """Inverse of save_graph.  Returns (graph, pool).  Any other layout of
+    sections, params or observations than save_graph's is a LoadError."""
+    lines = _read_body(path, _GRAPH_HEADER)
+    heads = [k for k, ln in enumerate(lines) if ln.startswith("[")]
+    if heads[:1] != [0] or [lines[k] for k in heads] != list(_GRAPH_SECTIONS):
+        raise LoadError(f"expected the sections {' '.join(_GRAPH_SECTIONS)}, "
+                        "once each and in that order")
+    params_lines, obs_lines, vertex_lines, edge_lines, pool_lines = (
+        lines[a + 1:b] for a, b in zip(heads, heads[1:] + [len(lines)]))
     try:
-        with open(path) as fh:
-            lines = fh.read().splitlines()
-    except (OSError, UnicodeDecodeError) as e:
-        raise LoadError(str(e)) from e
-    if not lines or lines[0] != _GRAPH_HEADER:
-        raise LoadError(f"not a {_GRAPH_HEADER} file")
-    sections: dict[str, list[str]] = {}
-    current = None
-    for ln in lines[1:]:
-        if not ln.strip():
-            continue
-        if ln.startswith("["):
-            current = ln
-            sections[current] = []
-        elif current is None:
-            raise LoadError("content before first section")
-        else:
-            sections[current].append(ln)
-    try:
-        raw = dict(ln.split(None, 1) for ln in sections.get("[params]", []))
-        params = BuildParams(**{f.name: type(f.default)(raw[f.name])
-                                for f in fields(BuildParams)})
-        obs = {}
-        for ln in sections.get("[observations]", []):
-            o = _parse_observation(ln)
-            if o.id in obs:
-                raise LoadError(f"observation {o.id} listed twice")
-            obs[o.id] = o
+        raw = [ln.split(None, 1) for ln in params_lines]
+        if [kv[0] for kv in raw] != [f.name for f in fields(BuildParams)]:
+            raise LoadError("[params] must list the build parameters in order")
+        params = BuildParams(**{f.name: type(f.default)(v)
+                                for f, (_, v) in zip(fields(BuildParams), raw)})
+        obs = {o.id: o for o in map(_parse_observation, obs_lines)}
         graph = TopoGraph()
         graph.build_params = params
-        for ln in sections.get("[vertices]", []):
+        for ln in vertex_lines:
             graph.add_vertex(obs[int(ln)])
-        for ln in sections.get("[edges]", []):
+        for ln in edge_lines:
             s, d, p_, mu, s2 = ln.split()
             graph.add_edge(int(s), int(d), EdgeBelief(float(p_), float(mu), float(s2)))
-        pool_ids = [int(ln) for ln in sections.get("[pool]", [])]
-        if set(pool_ids) & set(graph.vertices):
-            raise LoadError("pool overlaps vertices")
+        pool_ids = [int(ln) for ln in pool_lines]
+        if len(obs) != len(obs_lines) or list(obs) != list(graph.vertices) + pool_ids:
+            raise LoadError("[observations] must list each vertex, then each pool id, once")
         pool = TrajectoryPool(obs[i] for i in pool_ids)
-    except LoadError:
-        raise
     except (KeyError, ValueError, IndexError, InvalidInput, InvalidVertex) as e:
         raise LoadError(f"malformed graph file: {e}") from e
     return graph, pool

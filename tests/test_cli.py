@@ -21,16 +21,17 @@ from toponav.navharness import (
     World,
     collect_trajectory,
     estimate_distance_variance,
-    save_trajectory,
 )
 from toponav.perception import (
+    LabeledPair,
     NoiseConfig,
     ReachabilityCriteria,
     generate_sim_dataset,
     save_dataset,
 )
-from toponav.se2 import Pose2D
-from toponav.topograph import BuildParams, TopoGraph, TrajectoryPool, load_graph, save_graph
+from toponav.se2 import Pose2D, relative
+from toponav.topograph import (BuildParams, TopoGraph, TrajectoryPool, load_graph, save_graph,
+                               save_trajectory)
 
 
 # ---------------------------------------------------------------------------
@@ -508,6 +509,49 @@ def test_losses_rejects_out_of_range_record(tmp_path, capsys, column, value):
     path.write_text("\n".join(lines) + "\n")
     assert main(["losses", str(path)]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def _losses_mean_total(dataset, capsys) -> float:
+    assert main(["losses", dataset]) == 0
+    return float(capsys.readouterr().out.split("mean_total=")[1].split()[0])
+
+
+def test_losses_scores_each_record_at_its_own_poses(tmp_path, capsys):
+    # Two records reuse the ids 0 and 1: a near pair, and a pair too far
+    # apart to be reachable.  Together they score as they do apart.
+    world = World(two_room_map())
+    pairs = []
+    for a, b in [(Pose2D(1.0, 2.5, 0.0), Pose2D(2.0, 2.5, 0.0)),
+                 (Pose2D(1.0, 1.0, 0.0), Pose2D(3.0, 4.0, 0.0))]:
+        pairs.append(LabeledPair(world.observe(a, oid=0), world.observe(b, oid=1), 1,
+                                 relative(a, b)))
+    means = []
+    for chosen in ([pairs[0]], [pairs[1]], pairs):
+        path = str(tmp_path / "pairs.dataset")
+        save_dataset(chosen, path, ReachabilityCriteria())
+        means.append(_losses_mean_total(path, capsys))
+    assert means[0] < 0.1 < 1.0 < means[1]
+    assert means[2] == pytest.approx((means[0] + means[1]) / 2, abs=2e-6)
+
+
+def test_losses_rejects_a_record_pose_in_a_wall(tmp_path, capsys):
+    pairs = generate_sim_dataset([two_room_map()], 3, ReachabilityCriteria(), rng_seed=5)
+    path = tmp_path / "pairs.dataset"
+    save_dataset(pairs, str(path), ReachabilityCriteria())
+    lines = path.read_text().splitlines()
+    parts = lines[-1].split()
+    parts[5:7] = ["0.05", "0.05"]  # the target pose, in the border wall
+    lines[-1] = " ".join(parts)
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["losses", str(path)]) == 1
+    assert "error: ray origin (0.050, 0.050) is not in free space" in capsys.readouterr().err
+
+
+def test_losses_help_names_the_dataset_writers(capsys):
+    assert main(["losses", "--help"]) == 0
+    text = " ".join(capsys.readouterr().out.split())
+    for name in ("generate_sim_dataset", "label_finetune_pairs", "save_dataset"):
+        assert name in text
 
 
 def test_losses_rejects_garbage_dataset(tmp_path, capsys):

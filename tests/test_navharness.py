@@ -17,11 +17,9 @@ from toponav.navharness import (
     collect_trajectory,
     estimate_distance_variance,
     evaluate,
-    load_trajectory,
     make_test_set,
     run_episode,
     run_lifelong,
-    save_trajectory,
     traversal_succeeded,
     wall_crossing_edges,
 )
@@ -35,8 +33,10 @@ from toponav.topograph import (
     TrajectoryPool,
     build_graph,
     load_graph,
+    load_trajectory,
     plan,
     save_graph,
+    save_trajectory,
 )
 
 from test_gridworld import wall_distance

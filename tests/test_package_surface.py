@@ -45,3 +45,15 @@ def test_bench_uses_existing_top_level_names():
                  and isinstance(node.value, ast.Name) and node.value.id == "toponav"}
     assert {"BuildParams", "OracleEstimator", "load_graph"} <= used
     assert sorted(n for n in used if not hasattr(toponav, n)) == []
+
+
+def test_no_module_imports_another_modules_private_name():
+    # Each private helper has one owner; a second module that needs it
+    # calls the owner's public function instead.
+    found = []
+    for path in sorted((ROOT / "src" / "toponav").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level > 0 or (node.module or "").split(".")[0] == "toponav"):
+                found += [f"{path.name}: {a.name}" for a in node.names if a.name.startswith("_")]
+    assert found == []

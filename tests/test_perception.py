@@ -504,9 +504,9 @@ class TestDatasets:
         records = load_dataset(path)
         assert len(records) == 25
         for p, rec in zip(pairs, records):
-            assert rec.src_id == p.src.id and rec.dst_id == p.dst.id
-            assert rec.src_pose == p.src.true_pose
-            assert rec.dst_pose == p.dst.true_pose
+            assert rec.src.id == p.src.id and rec.dst.id == p.dst.id
+            assert rec.src.true_pose == p.src.true_pose
+            assert rec.dst.true_pose == p.dst.true_pose
             assert rec.r == p.r
             assert rec.w == p.w
 
@@ -524,3 +524,15 @@ class TestDatasets:
         p.write_text("# something-else/v9\n")
         with pytest.raises(LoadError):
             load_dataset(str(p))
+
+    def test_load_returns_the_pairs_save_takes(self, tmp_path):
+        pairs = generate_sim_dataset([empty_room(6.0, 5.0)], 25, CRIT, rng_seed=9)
+        p1, p2 = tmp_path / "a.txt", tmp_path / "b.txt"
+        save_dataset(pairs, str(p1), CRIT)
+        save_dataset(load_dataset(str(p1)), str(p2), CRIT)
+        assert p1.read_bytes() == p2.read_bytes()
+
+    def test_load_rejects_an_unreadable_path(self, tmp_path):
+        for path in (tmp_path / "missing.txt", tmp_path):
+            with pytest.raises(LoadError):
+                load_dataset(str(path))

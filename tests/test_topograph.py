@@ -570,3 +570,33 @@ class TestPersistence:
             p.write_text("\n".join(bad) + "\n")
             with pytest.raises(LoadError):
                 load_graph(str(p))
+
+    @pytest.mark.parametrize("edit", [
+        lambda ls, i: ls[:i["[edges]"] + 3] + ["[edges]"] + ls[i["[edges]"] + 3:],
+        lambda ls, i: ls + ["[bogus]"],
+        lambda ls, i: ls[:i["[pool]"]],
+        lambda ls, i: (ls[:i["[vertices]"]] + ls[i["[edges]"]:i["[pool]"]]
+                       + ls[i["[vertices]"]:i["[edges]"]] + ls[i["[pool]"]:]),
+        lambda ls, i: ls[:i["[params]"] + 1] + ["bogus 1"] + ls[i["[params]"] + 1:],
+        lambda ls, i: (ls[:i["[observations]"] + 1]
+                       + ["999999 " + ls[i["[observations]"] + 1].split(None, 1)[1]]
+                       + ls[i["[observations]"] + 1:]),
+    ], ids=["split-edges", "unknown-section", "missing-pool", "out-of-order",
+            "unknown-param", "stray-observation"])
+    def test_load_takes_only_what_save_writes(self, tmp_path, edit):
+        # Each edit used to load, dropping or ignoring part of the file.
+        graph, pool = self._fixture()
+        p = tmp_path / "g.txt"
+        save_graph(graph, pool, str(p))
+        lines = p.read_text().splitlines()
+        heads = {ln: k for k, ln in enumerate(lines) if ln.startswith("[")}
+        p.write_text("\n".join(edit(lines, heads)) + "\n")
+        with pytest.raises(LoadError):
+            load_graph(str(p))
+
+    def test_save_rejects_a_pool_that_overlaps_the_vertices(self, tmp_path):
+        graph, _ = self._fixture()
+        p = tmp_path / "g.txt"
+        with pytest.raises(GraphInvariantError):
+            save_graph(graph, TrajectoryPool([graph.vertices[min(graph.vertices)]]), str(p))
+        assert not p.exists()
