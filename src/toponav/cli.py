@@ -231,7 +231,7 @@ def load_config(path: str | None) -> ExperimentConfig:
 
 
 def make_grid(cfg: ExperimentConfig, seed: int) -> GridMap:
-    """The configured map, holding the configured robot radius."""
+    """The configured map, holding the configured robot radius and sensor."""
     if cfg.map_file is not None:
         grid = load_map(cfg.map_file)
     elif cfg.map_kind == "two-room":
@@ -241,7 +241,7 @@ def make_grid(cfg: ExperimentConfig, seed: int) -> GridMap:
     else:
         grid = generate_rooms_map(cfg.width, cfg.height, cfg.map_resolution,
                                   cfg.rooms_x, cfg.rooms_y, cfg.door_width, seed)
-    return GridMap(grid.resolution, grid.occupied, cfg.robot_radius)
+    return GridMap(grid.resolution, grid.occupied, cfg.robot_radius, cfg.make(SensorConfig))
 
 
 def make_route(cfg: ExperimentConfig) -> list[Pose2D]:
@@ -254,14 +254,12 @@ def make_route(cfg: ExperimentConfig) -> list[Pose2D]:
 
 
 def make_world(cfg: ExperimentConfig, grid: GridMap, first_id: int = 0) -> World:
-    return World(grid, sensor=cfg.make(SensorConfig), gains=cfg.make(ControllerGains),
-                 dt=cfg.dt, first_id=first_id)
+    return World(grid, gains=cfg.make(ControllerGains), dt=cfg.dt, first_id=first_id)
 
 
 def make_estimator(cfg: ExperimentConfig, grid: GridMap, seed: int) -> OracleEstimator:
     return OracleEstimator(grid, noise=cfg.make(NoiseConfig, seed=seed),
-                           criteria=cfg.make(ReachabilityCriteria),
-                           sensor=cfg.make(SensorConfig))
+                           criteria=cfg.make(ReachabilityCriteria))
 
 
 def _require_out(args) -> str:

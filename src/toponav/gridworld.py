@@ -3,10 +3,12 @@
 The world is a closed rectangle of square cells (border always occupied).
 Everything here is a pure function of its inputs; the only mutable state an
 agent carries is its pose and its collision/step counters.  A GridMap holds
-the robot's radius, so every disc check, path query and sampled pose on it
-clears the same robot.  Caches on GridMap (scans, and once per map the
-clearance mask, passable mask and cell graph) are memoization only and never
-change observable behavior; each path search runs on demand.
+the robot's radius and its depth sensor, so every disc check, path query
+and sampled pose on it clears the same robot, and every scan and
+co-visibility test on it looks through the same sensor.  Caches on GridMap
+(scans, and once per map the clearance mask, passable mask and cell graph)
+are memoization only and never change observable behavior; each path
+search runs on demand.
 """
 
 from __future__ import annotations
@@ -124,11 +126,13 @@ class GridMap:
     Row 0 of `occupied` is the y = 0 edge; cell (row, col) covers
     [col*res, (col+1)*res) x [row*res, (row+1)*res).  The border must be
     fully occupied so every ray terminates.  Every collision check, path
-    query and sampled pose on the map clears a disc of the robot's radius.
+    query and sampled pose on the map clears a disc of the robot's radius,
+    and every scan cast on it comes from the robot's one depth sensor.
     """
 
     def __init__(self, resolution: float, occupied: np.ndarray,
-                 robot_radius: float = DEFAULT_ROBOT_RADIUS):
+                 robot_radius: float = DEFAULT_ROBOT_RADIUS,
+                 sensor: SensorConfig = SensorConfig()):
         if not (resolution > 0.0) or not math.isfinite(resolution):
             raise InvalidMap(f"resolution must be positive, got {resolution!r}")
         occ = np.asarray(occupied, dtype=bool)
@@ -143,6 +147,7 @@ class GridMap:
         self.occupied = occ
         self.occupied.setflags(write=False)
         self.robot_radius = robot_radius
+        self.sensor = sensor
         self._scan_cache: OrderedDict = OrderedDict()
 
     @property
@@ -326,20 +331,17 @@ def raycast(grid: GridMap, x0: float, y0: float, angles, max_range: float) -> np
     return np.where(np.take(hit, first) & (t_first <= max_range), t_first, float(max_range))
 
 
-def scan_angles(theta: float, sensor: SensorConfig) -> np.ndarray:
-    """Absolute bearings of the sensor rays for a pose heading theta."""
-    if sensor.n_rays == 1:
-        return np.array([theta])
-    return theta + np.linspace(-sensor.fov / 2.0, sensor.fov / 2.0, sensor.n_rays)
-
-
-def raycast_scan(grid: GridMap, pose: Pose2D, sensor: SensorConfig) -> DepthScan:
-    """Cast a full sweep from a pose.  Cached per (pose, sensor) on the map."""
-    key = (pose.x, pose.y, pose.theta, sensor.fov, sensor.n_rays, sensor.max_range)
+def raycast_scan(grid: GridMap, pose: Pose2D) -> DepthScan:
+    """Cast the map's sensor sweep from a pose.  Cached per pose on the map."""
+    key = (pose.x, pose.y, pose.theta)
     cached = grid._scan_cache.get(key)
     if cached is not None:
         return cached
-    angles = scan_angles(pose.theta, sensor)
+    sensor = grid.sensor
+    if sensor.n_rays == 1:
+        angles = np.array([pose.theta])
+    else:
+        angles = pose.theta + np.linspace(-sensor.fov / 2.0, sensor.fov / 2.0, sensor.n_rays)
     ranges = raycast(grid, pose.x, pose.y, angles, sensor.max_range)
     scan = DepthScan.from_ranges(pose.x, pose.y, angles, ranges, sensor.max_range)
     if len(grid._scan_cache) >= _SCAN_CACHE_CAP:
@@ -352,9 +354,10 @@ def _wrap_array(a: np.ndarray) -> np.ndarray:
     return np.arctan2(np.sin(a), np.cos(a))
 
 
-def _overlap_rays(src_scan: DepthScan, dst: Pose2D, sensor: SensorConfig):
+def _overlap_rays(grid: GridMap, src_scan: DepthScan, dst: Pose2D):
     """Bearings and distances from dst to the impact points of src_scan
-    that lie in dst's field of view and range."""
+    that lie in the field of view and range of the map's sensor at dst."""
+    sensor = grid.sensor
     pts = src_scan.hit_points
     vx = pts[:, 0] - dst.x
     vy = pts[:, 1] - dst.y
@@ -384,36 +387,19 @@ def _in_view_share(src_scan: DepthScan, dist: np.ndarray) -> float:
     return len(dist) / len(src_scan.hit_points) if len(dist) else 0.0
 
 
-def _directed_overlap(grid: GridMap, src_scan: DepthScan, dst: Pose2D, sensor: SensorConfig,
+def _directed_overlap(grid: GridMap, src_scan: DepthScan, dst: Pose2D,
                       floor: float = 0.0) -> float:
     """Fraction of src's impact points co-visible from dst; when the share
     of them in view is already below floor, that share, without a cast."""
-    bearing, dist = _overlap_rays(src_scan, dst, sensor)
+    bearing, dist = _overlap_rays(grid, src_scan, dst)
     share = _in_view_share(src_scan, dist)
     if not len(dist) or share < floor:
         return share
     # Each ray only has to reach its impact point: a ray cast no further
     # than the farthest one returns its cap, which passes the seen test,
     # exactly when a full-range ray would pass it.
-    r = raycast(grid, dst.x, dst.y, bearing, min(sensor.max_range, dist.max()))
+    r = raycast(grid, dst.x, dst.y, bearing, min(grid.sensor.max_range, dist.max()))
     return _seen_fraction(grid, src_scan, r, dist)
-
-
-def visual_overlap(grid: GridMap, a: Pose2D, b: Pose2D, sensor: SensorConfig) -> float:
-    """Symmetric co-visibility score in [0, 1].
-
-    Each direction scores the fraction of one pose's depth returns whose
-    impact points the other pose can see (in its field of view, in range,
-    unoccluded); the overlap is the smaller of the two.  A pose with no
-    finite returns scores 0.
-    """
-    scan_a = raycast_scan(grid, a, sensor)
-    scan_b = raycast_scan(grid, b, sensor)
-    ab = _directed_overlap(grid, scan_a, b, sensor)
-    if ab == 0.0:
-        return 0.0
-    ba = _directed_overlap(grid, scan_b, a, sensor)
-    return min(ab, ba)
 
 
 def is_visible(grid: GridMap, from_pose: Pose2D, target_xy, fov: float, max_range: float) -> bool:
@@ -432,15 +418,18 @@ def is_visible(grid: GridMap, from_pose: Pose2D, target_xy, fov: float, max_rang
     return bool(r[0] + 1e-9 >= d)
 
 
-def co_visible(grid: GridMap, a: Pose2D, b: Pose2D, sensor: SensorConfig,
-               min_overlap: float) -> bool:
-    """is_visible(grid, a, (b.x, b.y), sensor.fov, sensor.max_range) and
-    visual_overlap(grid, a, b, sensor) >= min_overlap, in at most two
-    raycast calls besides the scans of a and b, which the map caches; a
-    min_overlap that is not positive never rejects.
+def co_visible(grid: GridMap, a: Pose2D, b: Pose2D, min_overlap: float) -> bool:
+    """Whether a sees b, in the field of view and range of the map's sensor
+    and unoccluded, and the two poses co-observe at least min_overlap of
+    each other's depth returns, in at most two raycast calls besides the
+    scans of a and b, which the map caches; a min_overlap that is not
+    positive never rejects.
 
-    The first call casts from b toward a's returns, as visual_overlap does;
-    a pair that fails there never casts b's scan.  The second casts from a
+    The overlap of one direction is the fraction of one pose's impact
+    points that the other pose sees (in view, in range, unoccluded); the
+    overlap of the pair is the smaller of the two, and a pose with no
+    returns scores 0.  The first call casts from b toward a's returns; a
+    pair that fails there never casts b's scan.  The second casts from a
     the sight line to b together with the rays toward b's returns, capped
     at the larger of the two distances tested.  Raising a ray's cap above
     the distance its test compares with changes no result: a hit inside
@@ -449,6 +438,7 @@ def co_visible(grid: GridMap, a: Pose2D, b: Pose2D, sensor: SensorConfig,
     the returns in view are too few to reach min_overlap even if all are
     seen.
     """
+    sensor = grid.sensor
     if not min_overlap > 0.0:
         return is_visible(grid, a, (b.x, b.y), sensor.fov, sensor.max_range)
     d = math.hypot(b.x - a.x, b.y - a.y)
@@ -459,11 +449,11 @@ def co_visible(grid: GridMap, a: Pose2D, b: Pose2D, sensor: SensorConfig,
     # below passes whatever range it returns.
     if d >= 1e-12 and abs(wrap_angle(bearing - a.theta)) > sensor.fov / 2.0 + 1e-12:
         return False
-    scan_a = raycast_scan(grid, a, sensor)
-    if _directed_overlap(grid, scan_a, b, sensor, min_overlap) < min_overlap:
+    scan_a = raycast_scan(grid, a)
+    if _directed_overlap(grid, scan_a, b, min_overlap) < min_overlap:
         return False
-    scan_b = raycast_scan(grid, b, sensor)
-    rays, dist = _overlap_rays(scan_b, a, sensor)
+    scan_b = raycast_scan(grid, b)
+    rays, dist = _overlap_rays(grid, scan_b, a)
     if _in_view_share(scan_b, dist) < min_overlap:
         return False
     r = raycast(grid, a.x, a.y, np.concatenate([[bearing], rays]),
@@ -611,6 +601,8 @@ def load_map(path: str) -> GridMap:
     try:
         with open(path) as f:
             lines = [ln.rstrip("\n") for ln in f if ln.strip() != ""]
+    except OSError as e:
+        raise InvalidMap(f"{path}: cannot read map: {e}") from e
     except UnicodeDecodeError as e:
         raise InvalidMap(f"{path}: not a text map: {e}") from e
     if not lines or not lines[0].startswith("resolution"):

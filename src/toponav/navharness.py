@@ -20,7 +20,6 @@ from .gridworld import (
     AgentState,
     ControllerGains,
     GridMap,
-    SensorConfig,
     VelocityCmd,
     feedback_control,
     raycast,
@@ -61,14 +60,13 @@ TEST_SET_STREAM = 3
 
 
 class World:
-    """Simulation bundle: map, sensor, controller, and the observation id
-    counter shared by everything that senses in it."""
+    """Simulation bundle: the map (which holds the robot's radius and
+    sensor), controller, and the observation id counter shared by
+    everything that senses in it."""
 
-    def __init__(self, grid: GridMap, sensor: SensorConfig = SensorConfig(),
-                 gains: ControllerGains = ControllerGains(), dt: float = 0.1,
-                 first_id: int = 0):
+    def __init__(self, grid: GridMap, gains: ControllerGains = ControllerGains(),
+                 dt: float = 0.1, first_id: int = 0):
         self.grid = grid
-        self.sensor = sensor
         self.gains = gains
         self.dt = dt
         self._next_id = first_id
@@ -83,7 +81,7 @@ class World:
             self._next_id += 1
         self.grid.require_free(pose.x, pose.y)
         return Observation(oid, None, pose, pose if odom_pose is None else odom_pose,
-                           (self.grid, self.sensor))
+                           self.grid)
 
 
 @dataclass(frozen=True)
@@ -397,7 +395,7 @@ def evaluate(world: World, graph: TopoGraph, estimator, test_set, limits: Episod
         raise InvalidInput("empty test set")
     results = []
     for idx, (start, goal) in enumerate(test_set):
-        episode_world = World(world.grid, world.sensor, world.gains, world.dt,
+        episode_world = World(world.grid, world.gains, world.dt,
                               first_id=EVAL_ID_BASE + idx * EVAL_ID_STRIDE)
         results.append(run_episode(episode_world, graph, None, estimator, start, goal,
                                    limits, build_params, maintain=False))

@@ -30,7 +30,6 @@ from .errors import InvalidInput, LoadError
 from .gridworld import (
     DepthScan,
     GridMap,
-    SensorConfig,
     co_visible,
     raycast_scan,
     sample_free_pose,
@@ -49,15 +48,15 @@ class Observation:
 
     true_pose is simulator ground truth (used by labeling and evaluation);
     odom_pose is the accumulated odometry estimate (used for self-supervised
-    waypoint labels).  An observation given a `view` (map, sensor) instead
-    of a scan casts its scan from true_pose through raycast_scan on the
-    first read of `scan`, and keeps it.
+    waypoint labels).  An observation given a `view` map instead of a scan
+    casts its scan from true_pose through raycast_scan on the first read of
+    `scan`, and keeps it.
     """
 
     __slots__ = ("id", "true_pose", "odom_pose", "_scan", "_view")
 
     def __init__(self, id: int, scan: DepthScan | None, true_pose: Pose2D, odom_pose: Pose2D,
-                 view: tuple[GridMap, SensorConfig] | None = None):
+                 view: GridMap | None = None):
         self.id = id
         self._scan = scan
         self.true_pose = true_pose
@@ -67,8 +66,7 @@ class Observation:
     @property
     def scan(self) -> DepthScan | None:
         if self._view is not None:
-            grid, sensor = self._view
-            self._scan = raycast_scan(grid, self.true_pose, sensor)
+            self._scan = raycast_scan(self._view, self.true_pose)
             self._view = None
         return self._scan
 
@@ -135,16 +133,15 @@ def label_reachability(
     a: Pose2D,
     b: Pose2D,
     criteria: ReachabilityCriteria,
-    sensor: SensorConfig = SensorConfig(),
 ) -> int:
     """Ground-truth reachability of b from a.  1 iff every criterion holds:
 
     b is near (euclidean <= E_max, heading change <= Theta_max), inside
-    a's sensor field of view and visible from it, a bounded-curvature path
-    to it keeps the map's robot disc clear of walls, the feasible path is
-    not much longer than the straight line (ratio <= R_max), and the two
-    poses co-observe enough of the same surfaces through `sensor` (visual
-    overlap >= L_min).
+    the field of view of the map's sensor at a and visible from it, a
+    bounded-curvature path to it keeps the map's robot disc clear of walls,
+    the feasible path is not much longer than the straight line (ratio <=
+    R_max), and the two poses co-observe enough of the same surfaces
+    through the map's sensor (visual overlap >= L_min).
 
     The label is the AND of these checks, so their order is free: the cheap
     geometric gates run first, so most far-apart pairs never touch the map,
@@ -166,12 +163,12 @@ def label_reachability(
         # direction- or view-dependent and passes trivially.
         return 1
     bearing = math.atan2(b.y - a.y, b.x - a.x)
-    if abs(wrap_angle(bearing - a.theta)) > sensor.fov / 2.0 + 1e-12:
+    if abs(wrap_angle(bearing - a.theta)) > grid.sensor.fov / 2.0 + 1e-12:
         return 0
     if not grid.cell_free(b.x, b.y):
         # Dubins clearance fails at b; no ray can be cast from there.
         return 0
-    if not co_visible(grid, a, b, sensor, c.L_min):
+    if not co_visible(grid, a, b, c.L_min):
         return 0
     poses = dubins_sample(a, b, c.turn_radius, 0.5 * grid.resolution)
     if any(grid.disc_blocked(x, y) for x, y in poses[:, :2].tolist()):
@@ -215,18 +212,16 @@ class OracleEstimator:
         grid: GridMap,
         noise: NoiseConfig = NoiseConfig(),
         criteria: ReachabilityCriteria = ReachabilityCriteria(),
-        sensor: SensorConfig = SensorConfig(),
     ):
         self.grid = grid
         self.noise = noise
         self.criteria = criteria
-        self.sensor = sensor
         # Pair key -> Prediction once labelled, _PairDraws before.  Entries
         # hold no reference back to the estimator.
         self._cache: OrderedDict = OrderedDict()
 
     def true_label(self, a: Observation, b: Observation) -> int:
-        return label_reachability(self.grid, a.true_pose, b.true_pose, self.criteria, self.sensor)
+        return label_reachability(self.grid, a.true_pose, b.true_pose, self.criteria)
 
     def _exact_waypoint(self, a: Observation, b: Observation) -> Waypoint:
         # + 0.0 turns a -0.0 component into +0.0, as adding a zero-sigma
@@ -349,13 +344,12 @@ def generate_sim_dataset(
     n_pairs: int,
     criteria: ReachabilityCriteria,
     rng_seed: int,
-    sensor: SensorConfig = SensorConfig(),
 ) -> list[LabeledPair]:
     """Sample labeled pose pairs uniformly over free space.
 
     Each pair draws a map, then two disc-free poses; the label is ground
-    truth on that map under the sensor that took the scans, and the
-    waypoint is the exact relative transform.
+    truth on that map, whose sensor takes the scans, and the waypoint is
+    the exact relative transform.
     Observation ids run 0..2*n_pairs-1.
     """
     if not maps:
@@ -371,10 +365,10 @@ def generate_sim_dataset(
         m = maps[int(rng.integers(len(maps)))]
         pa = sample_free_pose(m, rng)
         pb = sample_free_pose(m, rng)
-        oa = Observation(next_id, None, pa, pa, (m, sensor))
-        ob = Observation(next_id + 1, None, pb, pb, (m, sensor))
+        oa = Observation(next_id, None, pa, pa, m)
+        ob = Observation(next_id + 1, None, pb, pb, m)
         next_id += 2
-        r = label_reachability(m, pa, pb, criteria, sensor)
+        r = label_reachability(m, pa, pb, criteria)
         pairs.append(LabeledPair(oa, ob, r, relative(pa, pb)))
     pos = sum(p.r for p in pairs)
     logger.info("sim dataset: %d pairs, %d positive (%.1f%%)", len(pairs), pos,
@@ -427,7 +421,9 @@ def save_dataset(pairs: list[LabeledPair], path: str, criteria: ReachabilityCrit
 
 def load_dataset(path: str) -> list[LabeledPair]:
     """Inverse of save_dataset: the pairs, each observation holding its
-    record's id and true pose (as its odometry pose too) and no scan."""
+    record's id and true pose (as its odometry pose too) and no scan.
+    Raises LoadError when the pair or positive count differs from the
+    header's."""
     try:
         with open(path) as f:
             lines = f.read().splitlines()
@@ -435,8 +431,11 @@ def load_dataset(path: str) -> list[LabeledPair]:
         raise LoadError(f"{path}: {e}") from e
     if not lines or lines[0] != f"# {_DATASET_HEADER}":
         raise LoadError(f"{path}: not a {_DATASET_HEADER} file")
+    counts = None
     pairs = []
     for ln in lines:
+        if ln.startswith("# pairs "):
+            counts = ln[2:]
         if not ln or ln.startswith("#"):
             continue
         parts = ln.split()
@@ -454,4 +453,8 @@ def load_dataset(path: str) -> list[LabeledPair]:
         sp, dp = Pose2D(*v[0:3]), Pose2D(*v[3:6])
         pairs.append(LabeledPair(Observation(src_id, None, sp, sp),
                                  Observation(dst_id, None, dp, dp), r, Waypoint(*v[6:9])))
+    # The count line save_dataset writes: a cut or edited file fails it.
+    read = f"pairs {len(pairs)} positive {sum(p.r for p in pairs)}"
+    if counts != read:
+        raise LoadError(f"{path}: header reads {counts!r} but the records hold {read!r}")
     return pairs

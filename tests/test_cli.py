@@ -305,6 +305,14 @@ def test_non_utf8_file_is_typed_error(tmp_path, capsys, kind, rc):
     assert "error:" in capsys.readouterr().err
 
 
+def test_unreadable_map_file_is_typed_error(tmp_path, capsys):
+    for path in (tmp_path / "missing.map", tmp_path):
+        cfgp = tmp_path / "exp.ini"
+        cfgp.write_text(f"[gridworld]\nmap_file = {path}\n")
+        assert main(["collect", "--config", str(cfgp), "--out", str(tmp_path / "t")]) == 1
+        assert "cannot read map" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -336,6 +344,23 @@ def test_collect_build_navigate_chain(tmp_path, capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "success=" in out and "edges=" in out
+
+
+def test_build_senses_and_labels_with_the_configured_sensor(tmp_path):
+    # The map holds the one sensor: the scans that collect writes and the
+    # labels that build draws both come from [gridworld] max_range.
+    edges = {}
+    for name, extra in (("default", ""), ("short", "[gridworld]\nmax_range = 3.0\n")):
+        cfgp = tmp_path / f"{name}.ini"
+        cfgp.write_text("[navharness]\nspacing = 0.3\n" + extra)
+        traj, gpath = str(tmp_path / f"{name}.traj"), str(tmp_path / f"{name}.graph")
+        assert main(["collect", "--config", str(cfgp), "--out", traj]) == 0
+        assert main(["build", traj, "--config", str(cfgp), "--out", gpath]) == 0
+        lines = open(gpath).read().splitlines()
+        obs = lines[lines.index("[observations]") + 1:lines.index("[vertices]")]
+        assert obs and {ln.split()[7] for ln in obs} == {"3.0" if extra else "5.0"}
+        edges[name] = set(load_graph(gpath)[0].edges)
+    assert edges["short"] != edges["default"]
 
 
 def test_build_single_observation_trajectory(tmp_path):

@@ -30,7 +30,6 @@ from toponav.gridworld import (
     shortest_feasible_path,
     staircase_length,
     step_agent,
-    visual_overlap,
 )
 from toponav.se2 import Pose2D, wrap_angle
 
@@ -42,6 +41,11 @@ def empty_room(width=10.0, height=10.0, res=RES):
     occ = np.zeros((ny, nx), dtype=bool)
     occ[0, :] = occ[-1, :] = occ[:, 0] = occ[:, -1] = True
     return GridMap(res, occ)
+
+
+def with_sensor(grid, sensor):
+    """The same map and robot radius, sensing through `sensor`."""
+    return GridMap(grid.resolution, grid.occupied, grid.robot_radius, sensor)
 
 
 def room_with_column_wall(x_wall, width=12.0, height=10.0, res=RES, gap=None):
@@ -113,6 +117,11 @@ class TestGridMap:
         with pytest.raises(InvalidMap):
             load_map(str(p))
 
+    def test_unreadable_path_rejected(self, tmp_path):
+        for path in (tmp_path / "missing.map", tmp_path):
+            with pytest.raises(InvalidMap):
+                load_map(str(path))
+
     def test_missing_resolution_rejected(self, tmp_path):
         p = tmp_path / "bad.txt"
         p.write_text("###\n#.#\n###\n")
@@ -162,6 +171,24 @@ def reference_raycast(grid, x0, y0, angles, max_range):
                 out.append(t)
                 break
     return np.array(out)
+
+
+def visual_overlap(grid, a, b):
+    """Symmetric co-visibility score in [0, 1] through the map's sensor.
+
+    Each direction scores the fraction of one pose's depth returns whose
+    impact points the other pose can see (in its field of view, in range,
+    unoccluded); the overlap is the smaller of the two.  A pose with no
+    finite returns scores 0.  co_visible must equal the test of this score
+    against a threshold, together with the sight line.
+    """
+    scan_a = raycast_scan(grid, a)
+    scan_b = raycast_scan(grid, b)
+    ab = gridworld._directed_overlap(grid, scan_a, b)
+    if ab == 0.0:
+        return 0.0
+    ba = gridworld._directed_overlap(grid, scan_b, a)
+    return min(ab, ba)
 
 
 # Three maps for the raycast checks, by parameter index.
@@ -241,16 +268,16 @@ class TestRaycast:
         monkeypatch.setattr(gridworld, "_SCAN_CACHE_CAP", 3)
         g = generate_rooms_map(seed=2)
         poses = [Pose2D(2.0, 2.0 + 0.1 * i, 1.0) for i in range(5)]
-        first = [raycast_scan(g, p, SensorConfig()) for p in poses]
+        first = [raycast_scan(g, p) for p in poses]
         assert len(g._scan_cache) == 3
-        again = raycast_scan(g, poses[0], SensorConfig())
+        again = raycast_scan(g, poses[0])
         assert again is not first[0]
         assert np.array_equal(again.ranges, first[0].ranges)
         assert len(g._scan_cache) == 3
 
     def test_open_room_all_max_range(self):
-        g = empty_room()
-        scan = raycast_scan(g, Pose2D(5.0, 5.0, 0.7), SensorConfig(max_range=2.0))
+        g = with_sensor(empty_room(), SensorConfig(max_range=2.0))
+        scan = raycast_scan(g, Pose2D(5.0, 5.0, 0.7))
         assert np.allclose(scan.ranges, 2.0)
         assert scan.hit_points.shape == (0, 2)
 
@@ -260,8 +287,8 @@ class TestRaycast:
         assert r[0] == pytest.approx(1.0, abs=1e-9)
 
     def test_single_ray_zero_fov(self):
-        g = room_with_column_wall(3.0)
-        scan = raycast_scan(g, Pose2D(2.0, 5.0, 0.0), SensorConfig(fov=0.0, n_rays=1, max_range=5.0))
+        g = with_sensor(room_with_column_wall(3.0), SensorConfig(fov=0.0, n_rays=1, max_range=5.0))
+        scan = raycast_scan(g, Pose2D(2.0, 5.0, 0.0))
         assert len(scan.ranges) == 1
         assert scan.ranges[0] == pytest.approx(1.0, abs=1e-9)
 
@@ -271,8 +298,8 @@ class TestRaycast:
             raycast(g, 3.05, 5.0, [0.0], 5.0)
 
     def test_hit_points_on_cell_boundaries(self):
-        g = generate_rooms_map(seed=1)
-        scan = raycast_scan(g, Pose2D(2.6, 2.1, 0.4), SensorConfig(max_range=5.0))
+        g = with_sensor(generate_rooms_map(seed=1), SensorConfig(max_range=5.0))
+        scan = raycast_scan(g, Pose2D(2.6, 2.1, 0.4))
         assert len(scan.hit_points) > 0
         for x, y in scan.hit_points:
             fx = abs(x / RES - round(x / RES))
@@ -280,15 +307,15 @@ class TestRaycast:
             assert min(fx, fy) < 1e-9 / RES
 
     def test_rays_span_fov(self):
-        g = empty_room()
-        scan = raycast_scan(g, Pose2D(5.0, 5.0, 0.3), SensorConfig(fov=math.pi / 2, n_rays=64))
+        g = with_sensor(empty_room(), SensorConfig(fov=math.pi / 2, n_rays=64))
+        scan = raycast_scan(g, Pose2D(5.0, 5.0, 0.3))
         assert scan.angles[0] == pytest.approx(0.3 - math.pi / 4)
         assert scan.angles[-1] == pytest.approx(0.3 + math.pi / 4)
 
     def test_scan_deterministic(self):
         g = generate_rooms_map(seed=2)
-        a = raycast_scan(g, Pose2D(2.0, 2.0, 1.0), SensorConfig())
-        b = raycast_scan(g, Pose2D(2.0, 2.0, 1.0), SensorConfig())
+        a = raycast_scan(g, Pose2D(2.0, 2.0, 1.0))
+        b = raycast_scan(g, Pose2D(2.0, 2.0, 1.0))
         assert np.array_equal(a.ranges, b.ranges)
 
 
@@ -296,7 +323,7 @@ class TestVisualOverlap:
     def test_identical_pose_full_overlap(self):
         g = generate_rooms_map(seed=0)
         p = Pose2D(2.2, 2.3, 0.5)
-        assert visual_overlap(g, p, p, SensorConfig()) == pytest.approx(1.0)
+        assert visual_overlap(g, p, p) == pytest.approx(1.0)
 
     def test_back_to_back_zero(self):
         g = room_with_column_wall(8.0)
@@ -306,17 +333,17 @@ class TestVisualOverlap:
         gm = GridMap(RES, occ)
         a = Pose2D(6.0, 5.0, 0.0)
         b = Pose2D(6.0, 5.0, math.pi)
-        assert visual_overlap(gm, a, b, SensorConfig()) == 0.0
+        assert visual_overlap(gm, a, b) == 0.0
 
     def test_half_fov_offset_shares_half_sector(self):
-        g = empty_room(4.0, 4.0)
         sensor = SensorConfig(fov=math.pi / 2, n_rays=64, max_range=5.0)
+        g = with_sensor(empty_room(4.0, 4.0), sensor)
         a = Pose2D(2.0, 2.0, 0.0)
         b = Pose2D(2.0, 2.0, math.pi / 4)
-        got = visual_overlap(g, a, b, sensor)
+        got = visual_overlap(g, a, b)
         # Oracle: count hit points of each scan inside the other's view cone.
-        sa = raycast_scan(g, a, sensor)
-        sb = raycast_scan(g, b, sensor)
+        sa = raycast_scan(g, a)
+        sb = raycast_scan(g, b)
 
         def frac(scan, other):
             pts = scan.hit_points
@@ -331,12 +358,11 @@ class TestVisualOverlap:
     def test_range_and_symmetry(self):
         g = generate_rooms_map(seed=4)
         rng = np.random.default_rng(0)
-        sensor = SensorConfig()
         for _ in range(20):
             a = sample_free_pose(g, rng)
             b = sample_free_pose(g, rng)
-            o1 = visual_overlap(g, a, b, sensor)
-            o2 = visual_overlap(g, b, a, sensor)
+            o1 = visual_overlap(g, a, b)
+            o2 = visual_overlap(g, b, a)
             assert 0.0 <= o1 <= 1.0
             assert o1 == pytest.approx(o2, abs=1e-12)
 
@@ -376,12 +402,11 @@ class TestCappedCasts:
 
     @pytest.mark.parametrize("map_index", range(3), ids=MAP_IDS)
     def test_visual_overlap_matches_full_range(self, monkeypatch, map_index):
-        sensor = SensorConfig()
         g = MAPS[map_index]()
         pairs = near_pose_pairs(g, np.random.default_rng(10 + map_index), 40)
-        capped = [visual_overlap(g, a, b, sensor) for a, b in pairs]
-        full_range_raycast(monkeypatch, sensor.max_range)
-        full = [visual_overlap(g, a, b, sensor) for a, b in pairs]
+        capped = [visual_overlap(g, a, b) for a, b in pairs]
+        full_range_raycast(monkeypatch, g.sensor.max_range)
+        full = [visual_overlap(g, a, b) for a, b in pairs]
         assert capped == full
         assert any(0.0 < v < 1.0 for v in capped)
 
@@ -389,16 +414,17 @@ class TestCappedCasts:
 class TestCoVisible:
     @pytest.mark.parametrize("map_index", range(3), ids=MAP_IDS)
     def test_equals_visibility_and_overlap(self, map_index):
-        g = MAPS[map_index]()
-        pairs = near_pose_pairs(g, np.random.default_rng(20 + map_index), 60)
+        base = MAPS[map_index]()
+        pairs = near_pose_pairs(base, np.random.default_rng(20 + map_index), 60)
         sensors = [SensorConfig(), SensorConfig(max_range=2.0), SensorConfig(fov=1.0, n_rays=20)]
         outcomes = set()
         for sensor in sensors:
+            g = with_sensor(base, sensor)
             for a, b in pairs + [(a, Pose2D(a.x, a.y, a.theta + 0.7)) for a, _ in pairs[:5]]:
                 visible = is_visible(g, a, (b.x, b.y), sensor.fov, sensor.max_range)
-                overlap = visual_overlap(g, a, b, sensor)
+                overlap = visual_overlap(g, a, b)
                 for t in (-0.5, 0.0, 0.1, 0.3, 0.6, 1.0):
-                    got = co_visible(g, a, b, sensor, t)
+                    got = co_visible(g, a, b, t)
                     assert got == (visible and overlap >= t), (a, b, sensor, t)
                     outcomes.add((visible, overlap >= t, got))
         assert outcomes == {(True, True, True), (True, False, False), (False, True, False),
@@ -406,10 +432,9 @@ class TestCoVisible:
 
     def test_at_most_two_raycasts(self, monkeypatch):
         g = apartment_map()
-        sensor = SensorConfig()
         pairs = near_pose_pairs(g, np.random.default_rng(5), 40)
         for pose in [p for pair in pairs for p in pair]:  # cast and cache the scans first
-            raycast_scan(g, pose, sensor)
+            raycast_scan(g, pose)
         calls = []
         cast = gridworld.raycast
         monkeypatch.setattr(gridworld, "raycast",
@@ -417,7 +442,7 @@ class TestCoVisible:
         counts = []
         for a, b in pairs:
             calls.clear()
-            co_visible(g, a, b, sensor, 0.3)
+            co_visible(g, a, b, 0.3)
             counts.append(len(calls))
         assert max(counts) == 2 and 1 in counts
 
@@ -426,7 +451,7 @@ class TestCoVisible:
         # decides the pair without a cast: none for a's returns, one for
         # b's, after the cast toward a's.
         g = apartment_map()
-        sensor, t = SensorConfig(), 0.3
+        sensor, t = g.sensor, 0.3
         pairs = near_pose_pairs(g, np.random.default_rng(6), 150)
         expected = {}
         for i, (a, b) in enumerate(pairs):
@@ -434,13 +459,13 @@ class TestCoVisible:
             bearing = math.atan2(b.y - a.y, b.x - a.x)
             if d > sensor.max_range or abs(wrap_angle(bearing - a.theta)) > sensor.fov / 2:
                 continue
-            scan_a, scan_b = raycast_scan(g, a, sensor), raycast_scan(g, b, sensor)
-            in_view_a = len(gridworld._overlap_rays(scan_a, b, sensor)[1])
-            in_view_b = len(gridworld._overlap_rays(scan_b, a, sensor)[1])
+            scan_a, scan_b = raycast_scan(g, a), raycast_scan(g, b)
+            in_view_a = len(gridworld._overlap_rays(g, scan_a, b)[1])
+            in_view_b = len(gridworld._overlap_rays(g, scan_b, a)[1])
             if in_view_a < t * len(scan_a.hit_points):
-                assert gridworld._directed_overlap(g, scan_a, b, sensor) < t
+                assert gridworld._directed_overlap(g, scan_a, b) < t
                 expected[i] = 0
-            elif (gridworld._directed_overlap(g, scan_a, b, sensor) >= t
+            elif (gridworld._directed_overlap(g, scan_a, b) >= t
                   and in_view_b < t * len(scan_b.hit_points)):
                 expected[i] = 1
         calls = []
@@ -449,7 +474,7 @@ class TestCoVisible:
                             lambda *args: calls.append(1) or cast(*args))
         for i, n_casts in expected.items():
             calls.clear()
-            assert not co_visible(g, *pairs[i], sensor, t)
+            assert not co_visible(g, *pairs[i], t)
             assert len(calls) == n_casts, pairs[i]
         assert set(expected.values()) == {0, 1}
 

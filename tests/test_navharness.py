@@ -8,7 +8,7 @@ import pytest
 from toponav import gridworld, perception
 from toponav.errors import InvalidGoal, InvalidInput, InvalidPose, LoadError, RouteError
 from toponav.fixtures import apartment_map, apartment_route, two_room_map, two_room_route
-from toponav.gridworld import GridMap, SensorConfig, raycast_scan
+from toponav.gridworld import GridMap, SensorConfig, raycast_scan, sample_free_pose
 from toponav.navharness import (
     EpisodeLimits,
     OdomNoise,
@@ -39,7 +39,7 @@ from toponav.topograph import (
     save_trajectory,
 )
 
-from test_gridworld import wall_distance
+from test_gridworld import wall_distance, with_sensor
 
 LIMITS = EpisodeLimits()
 BP = BuildParams()
@@ -99,7 +99,7 @@ def test_observe_matches_pose(grid):
     o = world.observe(Pose2D(2.0, 2.0, 0.3))
     assert o.true_pose == Pose2D(2.0, 2.0, 0.3)
     assert o.odom_pose == o.true_pose
-    assert len(o.scan.ranges) == world.sensor.n_rays
+    assert len(o.scan.ranges) == world.grid.sensor.n_rays
 
 
 def counted(monkeypatch, module, name):
@@ -116,16 +116,16 @@ def counted(monkeypatch, module, name):
 
 
 def test_observe_casts_its_scan_on_first_read(monkeypatch):
-    grid = two_room_map()
+    grid = with_sensor(two_room_map(), SensorConfig(n_rays=17))
     casts = counted(monkeypatch, gridworld, "raycast")
     pose = Pose2D(2.0, 2.0, 0.3)
-    o = World(grid, SensorConfig(n_rays=17)).observe(pose)
+    o = World(grid).observe(pose)
     assert casts == []
     scan = o.scan
     assert len(casts) == 1
     assert o.scan is scan and len(casts) == 1
     # The same floats a direct cast gives, on a map with an empty cache.
-    ref = raycast_scan(two_room_map(), pose, SensorConfig(n_rays=17))
+    ref = raycast_scan(with_sensor(two_room_map(), SensorConfig(n_rays=17)), pose)
     for name in ("angles", "ranges", "hit_points"):
         assert getattr(scan, name).tobytes() == getattr(ref, name).tobytes()
     assert scan.max_range == ref.max_range
@@ -510,6 +510,26 @@ def test_one_map_radius_drives_starts_labels_and_the_oracle(grid):
         w = World(g)
         r_hat = OracleEstimator(g).predict(w.observe(a), w.observe(b)).r_hat
         assert (r_hat > 0.5) == label
+
+
+def test_one_map_sensor_drives_scans_labels_and_the_oracle(grid):
+    sensor = SensorConfig(max_range=2.0, fov=1.0, n_rays=20)
+    narrow = with_sensor(grid, sensor)
+    world = World(narrow)
+    scan = world.observe(Pose2D(2.0, 2.0, 0.3)).scan
+    assert len(scan.ranges) == 20 and scan.max_range == 2.0
+    assert scan.angles[0] == pytest.approx(0.3 - 0.5) and scan.angles[-1] == pytest.approx(0.8)
+    est = OracleEstimator(narrow)
+    crit = ReachabilityCriteria()
+    rng = np.random.default_rng(4)
+    differ = 0
+    for _ in range(300):
+        a, b = (sample_free_pose(grid, rng) for _ in range(2))
+        a = Pose2D(a.x, a.y, math.atan2(b.y - a.y, b.x - a.x))
+        label = label_reachability(narrow, a, b, crit)
+        assert est.true_label(world.observe(a), world.observe(b)) == label
+        differ += label != label_reachability(grid, a, b, crit)
+    assert differ > 0
 
 
 def _lifelong_setup(grid, tmp_path, tag):

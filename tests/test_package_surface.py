@@ -57,3 +57,22 @@ def test_no_module_imports_another_modules_private_name():
                     node.level > 0 or (node.module or "").split(".")[0] == "toponav"):
                 found += [f"{path.name}: {a.name}" for a in node.names if a.name.startswith("_")]
     assert found == []
+
+
+def test_only_the_map_takes_the_robot_radius_and_sensor():
+    # The map holds the robot's radius and depth sensor once; every other
+    # function reads them from the map it is given.
+    found = []
+    for path in sorted((ROOT / "src" / "toponav").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        owners = {child: node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+                  for child in node.body}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            a = node.args
+            names = {arg.arg for arg in a.posonlyargs + a.args + a.kwonlyargs}
+            name = f"{owners[node]}.{node.name}" if node in owners else node.name
+            if names & {"sensor", "robot_radius"} and name != "GridMap.__init__":
+                found.append(f"{path.name}: {name}")
+    assert found == []

@@ -18,7 +18,6 @@ from toponav.gridworld import (
     raycast_scan,
     sample_free_pose,
     shortest_feasible_path,
-    visual_overlap,
 )
 from toponav.perception import (
     LabeledPair,
@@ -40,13 +39,13 @@ from toponav.perception import (
 from toponav.se2 import Pose2D, Waypoint, dubins_sample, relative, waypoint_distance, wrap_angle
 from toponav.topograph import BuildParams, TopoGraph, localize
 
-from test_gridworld import MAPS, empty_room, room_with_column_wall
+from test_gridworld import MAPS, empty_room, room_with_column_wall, visual_overlap, with_sensor
 
 CRIT = ReachabilityCriteria()
 
 
-def mk_obs(grid, oid, pose, sensor=SensorConfig()):
-    return Observation(oid, raycast_scan(grid, pose, sensor), pose, pose)
+def mk_obs(grid, oid, pose):
+    return Observation(oid, raycast_scan(grid, pose), pose, pose)
 
 
 def count_labels(monkeypatch) -> list:
@@ -100,7 +99,7 @@ class TestLabelReachability:
         g = empty_room(6.0, 5.0)
         a, b = Pose2D(2.0, 2.5, 0.0), Pose2D(2.0, 3.5, math.pi / 2)
         assert label_reachability(g, a, b, CRIT) == 0
-        assert label_reachability(g, a, b, CRIT, SensorConfig(fov=math.pi)) == 1
+        assert label_reachability(with_sensor(g, SensorConfig(fov=math.pi)), a, b, CRIT) == 1
 
     def test_relaxing_any_threshold_grows_positive_set(self):
         from toponav.gridworld import generate_rooms_map
@@ -118,17 +117,19 @@ class TestLabelReachability:
         }
         grew = 0
         for name, (crit, sensor) in relaxed.items():
+            gs = with_sensor(g, sensor)
             got = {i for i, (a, b) in enumerate(pairs)
-                   if label_reachability(g, a, b, crit, sensor)}
+                   if label_reachability(gs, a, b, crit)}
             assert base <= got, f"relaxing {name} lost positives"
             grew += len(got - base)
         assert grew > 0
 
 
-def reference_rejection(grid, a, b, c, sensor=SensorConfig()):
+def reference_rejection(grid, a, b, c):
     """The first check that rejects b from a, in the order the label once
     ran them (sight line, Dubins, unbounded path ratio, overlap), or None
     when every check passes."""
+    sensor = grid.sensor
     euclid = math.hypot(b.x - a.x, b.y - a.y)
     if euclid > c.E_max:
         return "E_max"
@@ -146,7 +147,7 @@ def reference_rejection(grid, a, b, c, sensor=SensorConfig()):
     path_len = shortest_feasible_path(grid, a, b)
     if not math.isfinite(path_len) or path_len / euclid > c.R_max:
         return "path"
-    if visual_overlap(grid, a, b, sensor) < c.L_min:
+    if visual_overlap(grid, a, b) < c.L_min:
         return "overlap"
     return None
 
@@ -181,11 +182,11 @@ class TestLabelMatchesReference:
         rejected_by = {}
         for seed, make in enumerate([two_room_map, apartment_map,
                                      lambda: generate_rooms_map(seed=3)]):
-            g = make()
+            g = with_sensor(make(), sensor)
             for a, b in label_test_pairs(g, np.random.default_rng(seed), per_map,
                                          1.05 * crit.E_max):
-                why = reference_rejection(g, a, b, crit, sensor)
-                assert label_reachability(g, a, b, crit, sensor) == (why is None), (a, b, why)
+                why = reference_rejection(g, a, b, crit)
+                assert label_reachability(g, a, b, crit) == (why is None), (a, b, why)
                 rejected_by[why] = rejected_by.get(why, 0) + 1
         checks = {"E_max", "Theta_max", "fov", "visible", "dubins", "path"}
         if crit.L_min > 0.0:
@@ -249,19 +250,17 @@ class TestOracleEstimator:
     def test_labels_use_the_given_sensor(self):
         # A 2 m range drops pairs that the default 5 m sensor labels
         # reachable; the dataset and the estimator both label with it.
-        g = two_room_map()
-        sensor = SensorConfig(max_range=2.0)
-        pairs = generate_sim_dataset([g], 500, CRIT, rng_seed=2, sensor=sensor)
-        est = OracleEstimator(g, sensor=sensor)
-        labels = [label_reachability(g, p.src.true_pose, p.dst.true_pose, CRIT, sensor)
-                  for p in pairs]
+        g = with_sensor(two_room_map(), SensorConfig(max_range=2.0))
+        pairs = generate_sim_dataset([g], 500, CRIT, rng_seed=2)
+        est = OracleEstimator(g)
+        labels = [label_reachability(g, p.src.true_pose, p.dst.true_pose, CRIT) for p in pairs]
         assert [p.r for p in pairs] == labels == [est.true_label(p.src, p.dst) for p in pairs]
-        assert labels != [label_reachability(g, p.src.true_pose, p.dst.true_pose, CRIT)
-                          for p in pairs]
+        assert labels != [label_reachability(two_room_map(), p.src.true_pose, p.dst.true_pose,
+                                             CRIT) for p in pairs]
 
     def test_pair_draws_are_two_uniform_calls_then_the_normals(self):
         g = empty_room()
-        scan = raycast_scan(g, Pose2D(5.0, 5.0, 0.0), SensorConfig())
+        scan = raycast_scan(g, Pose2D(5.0, 5.0, 0.0))
         rng = np.random.default_rng(11)
         noisy = NoiseConfig(pos_sigma=0.05, theta_sigma=0.03)
         for i in range(1000):
@@ -536,3 +535,31 @@ class TestDatasets:
         for path in (tmp_path / "missing.txt", tmp_path):
             with pytest.raises(LoadError):
                 load_dataset(str(path))
+
+    def test_load_rejects_a_cut_file(self, tmp_path):
+        pairs = generate_sim_dataset([two_room_map()], 200, CRIT, rng_seed=3)
+        path = tmp_path / "d.txt"
+        save_dataset(pairs, str(path), CRIT)
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines[:-50]) + "\n")
+        with pytest.raises(LoadError, match="pairs 200.*pairs 150"):
+            load_dataset(str(path))
+
+    def test_load_rejects_a_wrong_positive_count(self, tmp_path):
+        pairs = generate_sim_dataset([two_room_map()], 50, CRIT, rng_seed=3)
+        pos = sum(p.r for p in pairs)
+        path = tmp_path / "d.txt"
+        save_dataset(pairs, str(path), CRIT)
+        text = path.read_text()
+        assert f"# pairs 50 positive {pos}\n" in text
+        path.write_text(text.replace(f"positive {pos}\n", f"positive {pos + 1}\n"))
+        with pytest.raises(LoadError, match="positive"):
+            load_dataset(str(path))
+
+    def test_load_rejects_a_file_without_its_count_line(self, tmp_path):
+        path = tmp_path / "d.txt"
+        save_dataset(generate_sim_dataset([two_room_map()], 5, CRIT, rng_seed=3), str(path), CRIT)
+        lines = [ln for ln in path.read_text().splitlines() if not ln.startswith("# pairs")]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(LoadError):
+            load_dataset(str(path))
