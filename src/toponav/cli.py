@@ -132,8 +132,8 @@ class RunSettings:
 
 
 # INI section -> the dataclasses whose fields are its keys.  A field is a key
-# unless it is a seed (set by --seed) or a controller arrival tolerance.  No
-# field name may repeat: ExperimentConfig holds one value per name.
+# unless it is a seed (set by --seed).  No field name may repeat:
+# ExperimentConfig holds one value per name.
 _SECTIONS = {
     "gridworld": (MapSettings, SensorConfig, ControllerGains),
     "perception": (NoiseConfig, ReachabilityCriteria, LossWeights),
@@ -141,7 +141,7 @@ _SECTIONS = {
     "maintenance": (MaintenanceParams,),
     "navharness": (RunSettings, EpisodeLimits),
 }
-_NOT_KEYS = ("seed", "rng_seed", "arrive_pos_tol", "arrive_yaw_tol")
+_NOT_KEYS = ("seed", "rng_seed")
 
 
 def _to_bool(text: str) -> bool:
@@ -181,13 +181,8 @@ class ExperimentConfig:
         values = {f.name: vars(self)[f.name] for f in fields(cls) if f.name in vars(self)}
         return cls(**{**values, **given})
 
-    def build_params(self, seed: int, sigma2_init: float | None = None) -> BuildParams:
-        return self.make(BuildParams, rng_seed=seed, sigma2_init=(
-            self.sigma2_init if sigma2_init is None else sigma2_init))
-
-    def maint_params(self, sigma2_obs: float | None = None) -> MaintenanceParams:
-        return self.make(MaintenanceParams, sigma2_obs=(
-            self.sigma2_obs if sigma2_obs is None else sigma2_obs))
+    def build_params(self, seed: int) -> BuildParams:
+        return self.make(BuildParams, rng_seed=seed)
 
     def limits(self) -> EpisodeLimits:
         return self.make(EpisodeLimits)
@@ -335,7 +330,7 @@ def _cmd_navigate(args, cfg: ExperimentConfig) -> int:
         list(graph.vertices) + [o.id for o in pool], default=-1) + 1)
     res = run_episode(world, graph, pool, estimator, _parse_pose(args.start),
                       args.goal, cfg.limits(), graph.build_params,
-                      cfg.maint_params(), maintain=args.maintain,
+                      cfg.make(MaintenanceParams), maintain=args.maintain,
                       expand_rng=np.random.default_rng([args.seed, EXPAND_STREAM]))
     print(_episode_line(f"episode goal={args.goal}", res))
     if args.verbose:
@@ -375,22 +370,22 @@ def _cmd_lifelong(args, cfg: ExperimentConfig) -> int:
     traj = collect_trajectory(world, route, cfg.loops, cfg.spacing,
                               OdomNoise(cfg.odom_pos_sigma, cfg.odom_theta_sigma, seed))
     estimator = make_estimator(cfg, grid, seed)
-    sigma2 = None
     if cfg.auto_variance:
-        sigma2 = estimate_distance_variance(estimator, traj, cfg.build_params(seed))
-    build_params = cfg.build_params(seed, sigma2_init=sigma2)
+        cfg.sigma2_init = cfg.sigma2_obs = estimate_distance_variance(
+            estimator, traj, cfg.build_params(seed))
+    build_params = cfg.build_params(seed)
     graph, pool = build_graph(traj, estimator, build_params)
     if args.verbose:
         print(f"built graph from {len(traj)} observations: "
               f"{graph.n_vertices} vertices, {graph.n_edges} edges")
-        if sigma2 is not None:
-            print(f"estimated distance variance {sigma2:.6f}")
+        if cfg.auto_variance:
+            print(f"estimated distance variance {cfg.sigma2_init:.6f}")
     limits = cfg.limits()
     test_set = make_test_set(world, graph, cfg.n_goals, cfg.n_episodes,
                              np.random.default_rng([seed, TEST_SET_STREAM]), limits)
     curve = run_lifelong(world, graph, pool, estimator, cfg.n_queries,
                          cfg.eval_every, test_set, limits, build_params,
-                         cfg.maint_params(sigma2_obs=sigma2), seed)
+                         cfg.make(MaintenanceParams), seed)
     with open(out, "w") as fh:
         fh.write(curve.to_table())
     save_graph(graph, pool, out + ".graph")
@@ -402,9 +397,9 @@ def _cmd_lifelong(args, cfg: ExperimentConfig) -> int:
 
 
 def _cmd_losses(args, cfg: ExperimentConfig) -> int:
-    pairs = load_dataset(args.dataset)
+    pairs, criteria = load_dataset(args.dataset)
     grid = make_grid(cfg, args.seed)
-    estimator = make_estimator(cfg, grid, args.seed)
+    estimator = OracleEstimator(grid, cfg.make(NoiseConfig, seed=args.seed), criteria)
     totals = []
     reach = []
     pos = []

@@ -5,7 +5,8 @@ Everything here is a pure function of its inputs; the only mutable state an
 agent carries is its pose and its collision/step counters.  A GridMap holds
 the robot's radius and its depth sensor, so every disc check, path query
 and sampled pose on it clears the same robot, and every scan and
-co-visibility test on it looks through the same sensor.  Caches on GridMap
+co-visibility test on it looks through the same sensor; co_visible alone
+decides what that sensor sees from a pose.  Caches on GridMap
 (scans, and once per map the clearance mask, passable mask and cell graph)
 are memoization only and never change observable behavior; each path
 search runs on demand.
@@ -29,6 +30,11 @@ from .se2 import Pose2D, wrap_angle
 SQRT2 = math.sqrt(2.0)
 
 DEFAULT_ROBOT_RADIUS = 0.18
+
+# The controller stops within this distance (m) and heading error (rad) of
+# its target.
+ARRIVE_POS_TOL = 0.05
+ARRIVE_YAW_TOL = 0.1
 
 # Subcell size targeted by the clearance mask; collision checks resolve wall
 # distance to roughly this precision.
@@ -67,8 +73,6 @@ class ControllerGains:
     k_beta: float = -0.6
     v_max: float = 0.5
     omega_max: float = 1.5
-    arrive_pos_tol: float = 0.05
-    arrive_yaw_tol: float = 0.1
 
     def __post_init__(self):
         if not all(map(math.isfinite, (self.k_rho, self.k_alpha, self.k_beta))):
@@ -350,10 +354,6 @@ def raycast_scan(grid: GridMap, pose: Pose2D) -> DepthScan:
     return scan
 
 
-def _wrap_array(a: np.ndarray) -> np.ndarray:
-    return np.arctan2(np.sin(a), np.cos(a))
-
-
 def _overlap_rays(grid: GridMap, src_scan: DepthScan, dst: Pose2D):
     """Bearings and distances from dst to the impact points of src_scan
     that lie in the field of view and range of the map's sensor at dst."""
@@ -363,104 +363,71 @@ def _overlap_rays(grid: GridMap, src_scan: DepthScan, dst: Pose2D):
     vy = pts[:, 1] - dst.y
     dist = np.hypot(vx, vy)
     bearing = np.arctan2(vy, vx)
-    cand = (np.abs(_wrap_array(bearing - dst.theta)) <= sensor.fov / 2.0 + 1e-12) & (
+    off = bearing - dst.theta
+    cand = (np.abs(np.arctan2(np.sin(off), np.cos(off))) <= sensor.fov / 2.0 + 1e-12) & (
         dist <= sensor.max_range + 1e-12
     )
     return bearing[cand], dist[cand]
 
 
-def _seen_fraction(grid: GridMap, src_scan: DepthScan, ranges: np.ndarray,
-                   dist: np.ndarray) -> float:
-    """Fraction of src_scan's impact points seen by the rays cast toward
-    them, given the ranges those rays returned and the impact distances."""
-    # The impact point sits on its cell's boundary; an unobstructed ray from
-    # dst enters that cell no more than one cell diagonal early.
-    tol = grid.resolution * SQRT2 + 1e-9
-    return int((ranges >= dist - tol).sum()) / len(src_scan.hit_points)
-
-
-def _in_view_share(src_scan: DepthScan, dist: np.ndarray) -> float:
-    """Share of src_scan's impact points that are in view, given the
-    distances to those in view: an upper bound of _seen_fraction, which
-    divides at most len(dist) by the same count, as an int over an int
-    rounds monotonically."""
-    return len(dist) / len(src_scan.hit_points) if len(dist) else 0.0
-
-
-def _directed_overlap(grid: GridMap, src_scan: DepthScan, dst: Pose2D,
-                      floor: float = 0.0) -> float:
-    """Fraction of src's impact points co-visible from dst; when the share
-    of them in view is already below floor, that share, without a cast."""
-    bearing, dist = _overlap_rays(grid, src_scan, dst)
-    share = _in_view_share(src_scan, dist)
-    if not len(dist) or share < floor:
-        return share
-    # Each ray only has to reach its impact point: a ray cast no further
-    # than the farthest one returns its cap, which passes the seen test,
-    # exactly when a full-range ray would pass it.
-    r = raycast(grid, dst.x, dst.y, bearing, min(grid.sensor.max_range, dist.max()))
-    return _seen_fraction(grid, src_scan, r, dist)
-
-
-def is_visible(grid: GridMap, from_pose: Pose2D, target_xy, fov: float, max_range: float) -> bool:
-    """Line-of-sight test: target within the view cone and unoccluded."""
-    tx, ty = float(target_xy[0]), float(target_xy[1])
-    d = math.hypot(tx - from_pose.x, ty - from_pose.y)
-    if d < 1e-12:
-        return True
-    if d > max_range:
-        return False
-    bearing = math.atan2(ty - from_pose.y, tx - from_pose.x)
-    if abs(wrap_angle(bearing - from_pose.theta)) > fov / 2.0 + 1e-12:
-        return False
-    # Cast only as far as the target: an unoccluded ray returns its cap d.
-    r = raycast(grid, from_pose.x, from_pose.y, [bearing], d)
-    return bool(r[0] + 1e-9 >= d)
-
-
 def co_visible(grid: GridMap, a: Pose2D, b: Pose2D, min_overlap: float) -> bool:
-    """Whether a sees b, in the field of view and range of the map's sensor
-    and unoccluded, and the two poses co-observe at least min_overlap of
-    each other's depth returns, in at most two raycast calls besides the
-    scans of a and b, which the map caches; a min_overlap that is not
-    positive never rejects.
+    """Whether the map's sensor at a sees b: b is in range, in the field of
+    view, in a free cell and on a clear sight line from a, and the two
+    poses co-observe at least min_overlap of each other's depth returns.
+    A min_overlap that is not positive leaves the sight line alone to
+    decide; a target at a's own position is in view.
 
     The overlap of one direction is the fraction of one pose's impact
     points that the other pose sees (in view, in range, unoccluded); the
     overlap of the pair is the smaller of the two, and a pose with no
-    returns scores 0.  The first call casts from b toward a's returns; a
-    pair that fails there never casts b's scan.  The second casts from a
-    the sight line to b together with the rays toward b's returns, capped
-    at the larger of the two distances tested.  Raising a ray's cap above
-    the distance its test compares with changes no result: a hit inside
-    the lower cap is still the first hit, and a ray clear up to the lower
-    cap returns at least that cap either way.  Neither call is made when
-    the returns in view are too few to reach min_overlap even if all are
-    seen.
+    returns scores 0.  The tests run in the order above, the cheap ones
+    first, and at most two raycast calls are made besides the scans of a
+    and b, which the map caches.  The first casts from b toward a's
+    returns; a pair that fails there never casts b's scan.  The second
+    casts from a the sight line to b together with the rays toward b's
+    returns, capped at the larger of the two distances tested.  Raising a
+    ray's cap above the distance its test compares with changes no result:
+    a hit inside the lower cap is still the first hit, and a ray clear up
+    to the lower cap returns at least that cap either way.  Neither call is
+    made when the returns in view are too few to reach min_overlap even if
+    all are seen.
     """
     sensor = grid.sensor
-    if not min_overlap > 0.0:
-        return is_visible(grid, a, (b.x, b.y), sensor.fov, sensor.max_range)
     d = math.hypot(b.x - a.x, b.y - a.y)
     if d > sensor.max_range:
         return False
     bearing = math.atan2(b.y - a.y, b.x - a.x)
-    # As in is_visible, a target at the origin is in view; its sight ray
-    # below passes whatever range it returns.
     if d >= 1e-12 and abs(wrap_angle(bearing - a.theta)) > sensor.fov / 2.0 + 1e-12:
         return False
+    if not grid.cell_free(b.x, b.y):
+        return False
+    if not min_overlap > 0.0:
+        # Cast only as far as the target: an unoccluded ray returns its cap d.
+        return d < 1e-12 or bool(raycast(grid, a.x, a.y, [bearing], d)[0] + 1e-9 >= d)
+    # An impact point sits on its cell's boundary; an unobstructed ray
+    # toward it enters that cell no more than one cell diagonal early.
+    tol = grid.resolution * SQRT2 + 1e-9
     scan_a = raycast_scan(grid, a)
-    if _directed_overlap(grid, scan_a, b, min_overlap) < min_overlap:
+    n_a = len(scan_a.hit_points)
+    rays, dist = _overlap_rays(grid, scan_a, b)
+    if not len(dist) or len(dist) / n_a < min_overlap:
+        return False
+    # Each ray only has to reach its impact point: a ray cast no further
+    # than the farthest one returns its cap, which passes the seen test,
+    # exactly when a full-range ray would pass it.
+    r = raycast(grid, b.x, b.y, rays, min(sensor.max_range, dist.max()))
+    if int((r >= dist - tol).sum()) / n_a < min_overlap:
         return False
     scan_b = raycast_scan(grid, b)
+    n_b = len(scan_b.hit_points)
     rays, dist = _overlap_rays(grid, scan_b, a)
-    if _in_view_share(scan_b, dist) < min_overlap:
+    if not len(dist) or len(dist) / n_b < min_overlap:
         return False
     r = raycast(grid, a.x, a.y, np.concatenate([[bearing], rays]),
                 max(d, min(sensor.max_range, dist.max())))
     if r[0] + 1e-9 < d:
         return False
-    return _seen_fraction(grid, scan_b, r[1:], dist) >= min_overlap
+    return int((r[1:] >= dist - tol).sum()) / n_b >= min_overlap
 
 
 # ---------------------------------------------------------------------------
@@ -569,8 +536,8 @@ def feedback_control(current: Pose2D, target: Pose2D, gains: ControllerGains) ->
     rho = math.hypot(dxw, dyw)
     yaw_err = wrap_angle(target.theta - current.theta)
     om_cap = gains.omega_max
-    if rho < gains.arrive_pos_tol:
-        if abs(yaw_err) < gains.arrive_yaw_tol:
+    if rho < ARRIVE_POS_TOL:
+        if abs(yaw_err) < ARRIVE_YAW_TOL:
             return VelocityCmd(0.0, 0.0)
         return VelocityCmd(0.0, min(max(gains.k_alpha * yaw_err, -om_cap), om_cap))
     alpha = wrap_angle(math.atan2(dyw, dxw) - current.theta)

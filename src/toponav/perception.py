@@ -136,21 +136,20 @@ def label_reachability(
 ) -> int:
     """Ground-truth reachability of b from a.  1 iff every criterion holds:
 
-    b is near (euclidean <= E_max, heading change <= Theta_max), inside
-    the field of view of the map's sensor at a and visible from it, a
+    b is near (euclidean <= E_max, heading change <= Theta_max), the map's
+    sensor at a sees it with visual overlap >= L_min (co_visible, which
+    decides range, field of view, free cell, sight line and overlap), a
     bounded-curvature path to it keeps the map's robot disc clear of walls,
-    the feasible path is not much longer than the straight line (ratio <=
-    R_max), and the two poses co-observe enough of the same surfaces
-    through the map's sensor (visual overlap >= L_min).
+    and the feasible path is not much longer than the straight line (ratio
+    <= R_max).
 
-    The label is the AND of these checks, so their order is free: the cheap
-    geometric gates run first, so most far-apart pairs never touch the map,
-    then co-visibility (at most two raycast calls), which rejects most of
-    the pairs that reach it, and the Dubins and path checks last.  The path
-    search runs only when the straightest staircase of cells between the
-    two poses is blocked or too long to decide the ratio.
-    Degenerate near-zero separation passes the direction-dependent gates
-    trivially.
+    The label is the AND of these checks, so their order is free: the
+    map-free gates run first, so most far-apart pairs never touch the map,
+    then co-visibility, which rejects most of the pairs that reach it, and
+    the Dubins and path checks last.  The path search runs only when the
+    straightest staircase of cells between the two poses is blocked or too
+    long to decide the ratio.  Poses within one resolution of each other
+    are labelled reachable once the near gates pass.
     """
     c = criteria
     euclid = math.hypot(b.x - a.x, b.y - a.y)
@@ -162,12 +161,6 @@ def label_reachability(
         # Same place to within a cell: every remaining criterion is
         # direction- or view-dependent and passes trivially.
         return 1
-    bearing = math.atan2(b.y - a.y, b.x - a.x)
-    if abs(wrap_angle(bearing - a.theta)) > grid.sensor.fov / 2.0 + 1e-12:
-        return 0
-    if not grid.cell_free(b.x, b.y):
-        # Dubins clearance fails at b; no ray can be cast from there.
-        return 0
     if not co_visible(grid, a, b, c.L_min):
         return 0
     poses = dubins_sample(a, b, c.turn_radius, 0.5 * grid.resolution)
@@ -419,11 +412,13 @@ def save_dataset(pairs: list[LabeledPair], path: str, criteria: ReachabilityCrit
         f.write("\n".join(lines) + "\n")
 
 
-def load_dataset(path: str) -> list[LabeledPair]:
+def load_dataset(path: str) -> tuple[list[LabeledPair], ReachabilityCriteria]:
     """Inverse of save_dataset: the pairs, each observation holding its
-    record's id and true pose (as its odometry pose too) and no scan.
-    Raises LoadError when the pair or positive count differs from the
-    header's."""
+    record's id and true pose (as its odometry pose too) and no scan, and
+    the criteria that labelled them.  Raises LoadError unless the header
+    gives every ReachabilityCriteria field, once each, in field order, as
+    values the criteria accept, or when the pair or positive count differs
+    from the header's."""
     try:
         with open(path) as f:
             lines = f.read().splitlines()
@@ -432,10 +427,13 @@ def load_dataset(path: str) -> list[LabeledPair]:
     if not lines or lines[0] != f"# {_DATASET_HEADER}":
         raise LoadError(f"{path}: not a {_DATASET_HEADER} file")
     counts = None
+    named = []
     pairs = []
-    for ln in lines:
+    for ln in lines[1:]:
         if ln.startswith("# pairs "):
             counts = ln[2:]
+        elif ln.startswith("#") and not ln.startswith("# regime "):
+            named.append(ln[1:].split())
         if not ln or ln.startswith("#"):
             continue
         parts = ln.split()
@@ -453,8 +451,16 @@ def load_dataset(path: str) -> list[LabeledPair]:
         sp, dp = Pose2D(*v[0:3]), Pose2D(*v[3:6])
         pairs.append(LabeledPair(Observation(src_id, None, sp, sp),
                                  Observation(dst_id, None, dp, dp), r, Waypoint(*v[6:9])))
+    names = [f.name for f in fields(ReachabilityCriteria)]
+    if [n[0] if len(n) == 2 else None for n in named] != names:
+        raise LoadError(f"{path}: the header must give the criteria {', '.join(names)}, "
+                        f"one '# name value' line each, in that order")
+    try:
+        criteria = ReachabilityCriteria(*(float(value) for _, value in named))
+    except (ValueError, InvalidInput) as e:
+        raise LoadError(f"{path}: bad criteria in the header: {e}") from e
     # The count line save_dataset writes: a cut or edited file fails it.
     read = f"pairs {len(pairs)} positive {sum(p.r for p in pairs)}"
     if counts != read:
         raise LoadError(f"{path}: header reads {counts!r} but the records hold {read!r}")
-    return pairs
+    return pairs, criteria

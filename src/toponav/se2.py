@@ -145,9 +145,7 @@ def _mod2pi(x: float) -> float:
     return x % TWO_PI
 
 
-def _lsl(alpha, beta, d):
-    sa, sb, ca, cb = math.sin(alpha), math.sin(beta), math.cos(alpha), math.cos(beta)
-    c_ab = math.cos(alpha - beta)
+def _lsl(alpha, beta, d, sa, sb, ca, cb, c_ab):
     p_sq = 2.0 + d * d - 2.0 * c_ab + 2.0 * d * (sa - sb)
     if p_sq < 0.0:
         return None
@@ -155,9 +153,7 @@ def _lsl(alpha, beta, d):
     return _mod2pi(-alpha + tmp), math.sqrt(p_sq), _mod2pi(beta - tmp)
 
 
-def _rsr(alpha, beta, d):
-    sa, sb, ca, cb = math.sin(alpha), math.sin(beta), math.cos(alpha), math.cos(beta)
-    c_ab = math.cos(alpha - beta)
+def _rsr(alpha, beta, d, sa, sb, ca, cb, c_ab):
     p_sq = 2.0 + d * d - 2.0 * c_ab + 2.0 * d * (sb - sa)
     if p_sq < 0.0:
         return None
@@ -165,9 +161,7 @@ def _rsr(alpha, beta, d):
     return _mod2pi(alpha - tmp), math.sqrt(p_sq), _mod2pi(-beta + tmp)
 
 
-def _lsr(alpha, beta, d):
-    sa, sb, ca, cb = math.sin(alpha), math.sin(beta), math.cos(alpha), math.cos(beta)
-    c_ab = math.cos(alpha - beta)
+def _lsr(alpha, beta, d, sa, sb, ca, cb, c_ab):
     p_sq = -2.0 + d * d + 2.0 * c_ab + 2.0 * d * (sa + sb)
     if p_sq < 0.0:
         return None
@@ -176,9 +170,7 @@ def _lsr(alpha, beta, d):
     return _mod2pi(-alpha + tmp), p, _mod2pi(-_mod2pi(beta) + tmp)
 
 
-def _rsl(alpha, beta, d):
-    sa, sb, ca, cb = math.sin(alpha), math.sin(beta), math.cos(alpha), math.cos(beta)
-    c_ab = math.cos(alpha - beta)
+def _rsl(alpha, beta, d, sa, sb, ca, cb, c_ab):
     p_sq = -2.0 + d * d + 2.0 * c_ab - 2.0 * d * (sa + sb)
     if p_sq < 0.0:
         return None
@@ -187,9 +179,7 @@ def _rsl(alpha, beta, d):
     return _mod2pi(alpha - tmp), p, _mod2pi(beta - tmp)
 
 
-def _rlr(alpha, beta, d):
-    sa, sb, ca, cb = math.sin(alpha), math.sin(beta), math.cos(alpha), math.cos(beta)
-    c_ab = math.cos(alpha - beta)
+def _rlr(alpha, beta, d, sa, sb, ca, cb, c_ab):
     tmp = (6.0 - d * d + 2.0 * c_ab + 2.0 * d * (sa - sb)) / 8.0
     if abs(tmp) > 1.0:
         return None
@@ -198,9 +188,7 @@ def _rlr(alpha, beta, d):
     return t, p, _mod2pi(alpha - beta - t + p)
 
 
-def _lrl(alpha, beta, d):
-    sa, sb, ca, cb = math.sin(alpha), math.sin(beta), math.cos(alpha), math.cos(beta)
-    c_ab = math.cos(alpha - beta)
+def _lrl(alpha, beta, d, sa, sb, ca, cb, c_ab):
     tmp = (6.0 - d * d + 2.0 * c_ab + 2.0 * d * (sb - sa)) / 8.0
     if abs(tmp) > 1.0:
         return None
@@ -226,9 +214,12 @@ def dubins_segments(a: Pose2D, b: Pose2D, turn_radius: float):
     alpha = _mod2pi(a.theta - phi)
     beta = _mod2pi(b.theta - phi)
 
+    # The sines and cosines every solver reads.
+    trig = (math.sin(alpha), math.sin(beta), math.cos(alpha), math.cos(beta),
+            math.cos(alpha - beta))
     best = None
     for word in DUBINS_WORDS:
-        params = _SOLVERS[word](alpha, beta, d)
+        params = _SOLVERS[word](alpha, beta, d, *trig)
         if params is None:
             continue
         cost = params[0] + params[1] + params[2]

@@ -233,7 +233,7 @@ def test_config_key_set_and_defaults(tmp_path):
     assert len(defaults) == ALL_KEYS.count(" = ") == 55
     assert vars(cfg) == {**defaults, "map_file": "maps/rooms.map"}
     # Seeds come from --seed, the criteria's fov from [gridworld], and the
-    # controller's arrival tolerances are not configurable.
+    # controller's arrival tolerances are gridworld constants.
     for section, key in (("perception", "fov"), ("topograph", "rng_seed"),
                          ("gridworld", "arrive_pos_tol")):
         p.write_text(f"[{section}]\n{key} = 1\n")
@@ -518,6 +518,20 @@ def test_losses_reports_means(tmp_path, capsys):
     assert main(["losses", dataset]) == 0
     out = capsys.readouterr().out
     assert "pairs=40" in out and "mean_total=" in out
+
+
+def test_losses_scores_with_the_criteria_the_dataset_records(tmp_path, capsys):
+    # The [perception] criteria keys do not reach the oracle of `losses`.
+    crit = ReachabilityCriteria(E_max=1.0)
+    dataset = str(tmp_path / "pairs.dataset")
+    save_dataset(generate_sim_dataset([two_room_map()], 200, crit, rng_seed=0), dataset, crit)
+    cfgp = tmp_path / "exp.ini"
+    cfgp.write_text("[perception]\nE_max = 1.0\n")
+    lines = []
+    for argv in ([], ["--config", str(cfgp)]):
+        assert main(["losses", dataset] + argv) == 0
+        lines.append(capsys.readouterr().out)
+    assert lines[0] == lines[1] and "pairs=200" in lines[0]
 
 
 @pytest.mark.parametrize("column, value", [(8, "5"), (8, "-1"), (9, "nan"), (2, "nan"), (7, "inf")],

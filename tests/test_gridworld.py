@@ -20,7 +20,6 @@ from toponav.gridworld import (
     co_visible,
     feedback_control,
     generate_rooms_map,
-    is_visible,
     load_map,
     raycast,
     raycast_scan,
@@ -173,6 +172,40 @@ def reference_raycast(grid, x0, y0, angles, max_range):
     return np.array(out)
 
 
+def is_visible(grid, from_pose, target_xy):
+    """Line-of-sight test through the map's sensor: target within the view
+    cone and range, and unoccluded.  co_visible with a min_overlap that is
+    not positive must equal it wherever the target's cell is free."""
+    sensor = grid.sensor
+    tx, ty = float(target_xy[0]), float(target_xy[1])
+    d = math.hypot(tx - from_pose.x, ty - from_pose.y)
+    if d < 1e-12:
+        return True
+    if d > sensor.max_range:
+        return False
+    bearing = math.atan2(ty - from_pose.y, tx - from_pose.x)
+    if abs(wrap_angle(bearing - from_pose.theta)) > sensor.fov / 2.0 + 1e-12:
+        return False
+    # Cast only as far as the target: an unoccluded ray returns its cap d.
+    r = gridworld.raycast(grid, from_pose.x, from_pose.y, [bearing], d)
+    return bool(r[0] + 1e-9 >= d)
+
+
+def directed_overlap(grid, src_scan, dst):
+    """Fraction of src_scan's impact points co-visible from dst."""
+    bearing, dist = gridworld._overlap_rays(grid, src_scan, dst)
+    if not len(dist):
+        return 0.0
+    # Each ray only has to reach its impact point: a ray cast no further
+    # than the farthest one returns its cap, which passes the seen test,
+    # exactly when a full-range ray would pass it.
+    r = gridworld.raycast(grid, dst.x, dst.y, bearing, min(grid.sensor.max_range, dist.max()))
+    # The impact point sits on its cell's boundary; an unobstructed ray from
+    # dst enters that cell no more than one cell diagonal early.
+    tol = grid.resolution * math.sqrt(2.0) + 1e-9
+    return int((r >= dist - tol).sum()) / len(src_scan.hit_points)
+
+
 def visual_overlap(grid, a, b):
     """Symmetric co-visibility score in [0, 1] through the map's sensor.
 
@@ -184,10 +217,10 @@ def visual_overlap(grid, a, b):
     """
     scan_a = raycast_scan(grid, a)
     scan_b = raycast_scan(grid, b)
-    ab = gridworld._directed_overlap(grid, scan_a, b)
+    ab = directed_overlap(grid, scan_a, b)
     if ab == 0.0:
         return 0.0
-    ba = gridworld._directed_overlap(grid, scan_b, a)
+    ba = directed_overlap(grid, scan_b, a)
     return min(ab, ba)
 
 
@@ -394,9 +427,9 @@ class TestCappedCasts:
     def test_is_visible_matches_full_range(self, monkeypatch, map_index):
         g = MAPS[map_index]()
         pairs = near_pose_pairs(g, np.random.default_rng(map_index), 150)
-        capped = [is_visible(g, a, (b.x, b.y), math.pi / 2, 5.0) for a, b in pairs]
+        capped = [is_visible(g, a, (b.x, b.y)) for a, b in pairs]
         full_range_raycast(monkeypatch, 5.0)
-        full = [is_visible(g, a, (b.x, b.y), math.pi / 2, 5.0) for a, b in pairs]
+        full = [is_visible(g, a, (b.x, b.y)) for a, b in pairs]
         assert capped == full
         assert 0 < sum(capped) < len(capped)
 
@@ -421,7 +454,7 @@ class TestCoVisible:
         for sensor in sensors:
             g = with_sensor(base, sensor)
             for a, b in pairs + [(a, Pose2D(a.x, a.y, a.theta + 0.7)) for a, _ in pairs[:5]]:
-                visible = is_visible(g, a, (b.x, b.y), sensor.fov, sensor.max_range)
+                visible = is_visible(g, a, (b.x, b.y))
                 overlap = visual_overlap(g, a, b)
                 for t in (-0.5, 0.0, 0.1, 0.3, 0.6, 1.0):
                     got = co_visible(g, a, b, t)
@@ -463,9 +496,9 @@ class TestCoVisible:
             in_view_a = len(gridworld._overlap_rays(g, scan_a, b)[1])
             in_view_b = len(gridworld._overlap_rays(g, scan_b, a)[1])
             if in_view_a < t * len(scan_a.hit_points):
-                assert gridworld._directed_overlap(g, scan_a, b) < t
+                assert directed_overlap(g, scan_a, b) < t
                 expected[i] = 0
-            elif (gridworld._directed_overlap(g, scan_a, b) >= t
+            elif (directed_overlap(g, scan_a, b) >= t
                   and in_view_b < t * len(scan_b.hit_points)):
                 expected[i] = 1
         calls = []
@@ -477,6 +510,21 @@ class TestCoVisible:
             assert not co_visible(g, *pairs[i], t)
             assert len(calls) == n_casts, pairs[i]
         assert set(expected.values()) == {0, 1}
+
+    def test_a_target_inside_a_wall_is_not_seen(self):
+        # b sits inside a one-cell pillar in a's view, facing the far wall
+        # that a's returns lie on: enough of them are in b's view that an
+        # overlap test would cast from b, which no ray can leave.
+        room = empty_room()
+        occ = room.occupied.copy()
+        occ[50, 70] = True
+        g = GridMap(room.resolution, occ)
+        a, b = Pose2D(6.0, 5.05, 0.0), Pose2D(7.05, 5.05, 0.0)
+        scan_a = raycast_scan(g, a)
+        assert not g.cell_free(b.x, b.y)
+        assert len(gridworld._overlap_rays(g, scan_a, b)[1]) >= 0.3 * len(scan_a.hit_points)
+        for t in (0.0, 0.3):
+            assert co_visible(g, a, b, t) is False
 
 
 class TestStaircase:
@@ -562,23 +610,23 @@ class TestPathFields:
 class TestIsVisible:
     def test_clear_line(self):
         g = empty_room()
-        assert is_visible(g, Pose2D(2.0, 5.0, 0.0), (4.0, 5.0), math.pi / 2, 5.0)
+        assert is_visible(g, Pose2D(2.0, 5.0, 0.0), (4.0, 5.0))
 
     def test_outside_fov(self):
         g = empty_room()
-        assert not is_visible(g, Pose2D(2.0, 5.0, math.pi), (4.0, 5.0), math.pi / 2, 5.0)
+        assert not is_visible(g, Pose2D(2.0, 5.0, math.pi), (4.0, 5.0))
 
     def test_occluded(self):
         g = room_with_column_wall(3.0)
-        assert not is_visible(g, Pose2D(2.0, 5.0, 0.0), (4.0, 5.0), math.pi / 2, 5.0)
+        assert not is_visible(g, Pose2D(2.0, 5.0, 0.0), (4.0, 5.0))
 
     def test_beyond_range(self):
         g = empty_room()
-        assert not is_visible(g, Pose2D(2.0, 5.0, 0.0), (8.0, 5.0), math.pi / 2, 5.0)
+        assert not is_visible(g, Pose2D(2.0, 5.0, 0.0), (8.0, 5.0))
 
     def test_degenerate_same_point(self):
         g = empty_room()
-        assert is_visible(g, Pose2D(2.0, 5.0, 2.0), (2.0, 5.0), math.pi / 2, 5.0)
+        assert is_visible(g, Pose2D(2.0, 5.0, 2.0), (2.0, 5.0))
 
 
 class TestShortestFeasiblePath:
@@ -799,8 +847,8 @@ def reference_feedback_control(current, target, gains):
     rho = math.hypot(dxw, dyw)
     yaw_err = wrap_angle(target.theta - current.theta)
     om_cap = gains.omega_max
-    if rho < gains.arrive_pos_tol:
-        if abs(yaw_err) < gains.arrive_yaw_tol:
+    if rho < gridworld.ARRIVE_POS_TOL:
+        if abs(yaw_err) < gridworld.ARRIVE_YAW_TOL:
             return VelocityCmd(0.0, 0.0)
         return VelocityCmd(0.0, float(np.clip(gains.k_alpha * yaw_err, -om_cap, om_cap)))
     alpha = wrap_angle(math.atan2(dyw, dxw) - current.theta)

@@ -76,3 +76,19 @@ def test_only_the_map_takes_the_robot_radius_and_sensor():
             if names & {"sensor", "robot_radius"} and name != "GridMap.__init__":
                 found.append(f"{path.name}: {name}")
     assert found == []
+
+
+def test_only_gridworld_reads_the_sensor_and_no_function_takes_a_fov():
+    # gridworld.co_visible alone decides what the map's sensor sees: no
+    # other module reads the sensor, and no function takes a field of view.
+    found = []
+    for path in sorted((ROOT / "src" / "toponav").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Attribute) and node.attr == "sensor"
+                    and path.name != "gridworld.py"):
+                found.append(f"{path.name}:{node.lineno}: reads .sensor")
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                a = node.args
+                if "fov" in {arg.arg for arg in a.posonlyargs + a.args + a.kwonlyargs}:
+                    found.append(f"{path.name}:{node.lineno}: takes fov")
+    assert found == []

@@ -14,7 +14,6 @@ from toponav.gridworld import (
     GridMap,
     SensorConfig,
     generate_rooms_map,
-    is_visible,
     raycast_scan,
     sample_free_pose,
     shortest_feasible_path,
@@ -39,7 +38,14 @@ from toponav.perception import (
 from toponav.se2 import Pose2D, Waypoint, dubins_sample, relative, waypoint_distance, wrap_angle
 from toponav.topograph import BuildParams, TopoGraph, localize
 
-from test_gridworld import MAPS, empty_room, room_with_column_wall, visual_overlap, with_sensor
+from test_gridworld import (
+    MAPS,
+    empty_room,
+    is_visible,
+    room_with_column_wall,
+    visual_overlap,
+    with_sensor,
+)
 
 CRIT = ReachabilityCriteria()
 
@@ -139,7 +145,7 @@ def reference_rejection(grid, a, b, c):
         return None
     if abs(wrap_angle(math.atan2(b.y - a.y, b.x - a.x) - a.theta)) > sensor.fov / 2.0 + 1e-12:
         return "fov"
-    if not is_visible(grid, a, (b.x, b.y), sensor.fov, sensor.max_range):
+    if not is_visible(grid, a, (b.x, b.y)):
         return "visible"
     poses = dubins_sample(a, b, c.turn_radius, 0.5 * grid.resolution)
     if any(grid.disc_blocked(x, y) for x, y in poses[:, :2].tolist()):
@@ -500,7 +506,7 @@ class TestDatasets:
         pairs = generate_sim_dataset([g], 25, CRIT, rng_seed=9)
         path = str(tmp_path / "d.txt")
         save_dataset(pairs, path, CRIT)
-        records = load_dataset(path)
+        records, _ = load_dataset(path)
         assert len(records) == 25
         for p, rec in zip(pairs, records):
             assert rec.src.id == p.src.id and rec.dst.id == p.dst.id
@@ -528,8 +534,38 @@ class TestDatasets:
         pairs = generate_sim_dataset([empty_room(6.0, 5.0)], 25, CRIT, rng_seed=9)
         p1, p2 = tmp_path / "a.txt", tmp_path / "b.txt"
         save_dataset(pairs, str(p1), CRIT)
-        save_dataset(load_dataset(str(p1)), str(p2), CRIT)
+        loaded, criteria = load_dataset(str(p1))
+        save_dataset(loaded, str(p2), criteria)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_load_returns_the_criteria_the_header_records(self, tmp_path):
+        crit = ReachabilityCriteria(L_min=0.25, R_max=1.3, E_max=1.0, Theta_max=1.2,
+                                    turn_radius=0.4)
+        path = tmp_path / "d.txt"
+        save_dataset(generate_sim_dataset([two_room_map()], 5, crit, rng_seed=3), str(path), crit)
+        assert load_dataset(str(path))[1] == crit
+
+    @pytest.mark.parametrize("edit", [
+        lambda h: [ln for ln in h if not ln.startswith("# E_max ")],
+        lambda h: h + ["# E_max 2.5"],
+        lambda h: h + ["# fov 1.0"],
+        lambda h: [h[0], h[1], h[3], h[2]] + h[4:],
+        lambda h: [ln.replace("# L_min 0.3", "# L_min 1.5") for ln in h],
+        lambda h: [ln.replace("# R_max 1.6", "# R_max nan") for ln in h],
+        lambda h: [ln.replace("# R_max 1.6", "# R_max many") for ln in h],
+        lambda h: [ln.replace("# R_max 1.6", "# R_max 1.6 1.7") for ln in h],
+    ], ids=["missing", "repeated", "unknown", "out_of_order", "rejected", "nan",
+            "not_a_number", "two_values"])
+    def test_load_rejects_any_other_criteria_header(self, tmp_path, edit):
+        path = tmp_path / "d.txt"
+        save_dataset(generate_sim_dataset([two_room_map()], 5, CRIT, rng_seed=3), str(path), CRIT)
+        lines = path.read_text().splitlines()
+        head, crit_lines, rest = lines[:2], lines[2:7], lines[7:]
+        assert [ln.split()[1] for ln in crit_lines] == ["L_min", "R_max", "E_max", "Theta_max",
+                                                       "turn_radius"]
+        path.write_text("\n".join(head + edit(crit_lines) + rest) + "\n")
+        with pytest.raises(LoadError, match="criteria"):
+            load_dataset(str(path))
 
     def test_load_rejects_an_unreadable_path(self, tmp_path):
         for path in (tmp_path / "missing.txt", tmp_path):

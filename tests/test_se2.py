@@ -219,8 +219,9 @@ class TestDubins:
             big_d = math.hypot(dx, dy)
             phi = math.atan2(dy, dx) if big_d > 1e-15 else 0.0
             al, be = _mod2pi(a.theta - phi), _mod2pi(b.theta - phi)
+            trig = (math.sin(al), math.sin(be), math.cos(al), math.cos(be), math.cos(al - be))
             for word in DUBINS_WORDS:
-                params = _SOLVERS[word](al, be, big_d / radius)
+                params = _SOLVERS[word](al, be, big_d / radius, *trig)
                 if params is None:
                     continue
                 x, y, th = a.x, a.y, a.theta
