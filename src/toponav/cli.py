@@ -16,7 +16,7 @@ import argparse
 import configparser
 import math
 import sys
-from dataclasses import Field, dataclass, field, fields
+from dataclasses import Field, dataclass, fields
 
 import numpy as np
 
@@ -70,11 +70,11 @@ from .topograph import (
 class MapSettings:
     """The map to run on (`map_file` overrides `map`) and the robot body."""
 
-    map_kind: str = field(default="two-room", metadata={"key": "map"})
+    map: str = "two-room"
     map_file: str | None = None
     width: float = 10.0
     height: float = 8.0
-    map_resolution: float = field(default=0.1, metadata={"key": "resolution"})
+    resolution: float = 0.1
     rooms_x: int = 2
     rooms_y: int = 2
     door_width: float = 0.8
@@ -82,10 +82,10 @@ class MapSettings:
     robot_radius: float = DEFAULT_ROBOT_RADIUS
 
     def __post_init__(self):
-        if self.map_kind not in ("two-room", "apartment", "generated"):
-            raise InvalidInput(f"unknown map {self.map_kind!r}: "
+        if self.map not in ("two-room", "apartment", "generated"):
+            raise InvalidInput(f"unknown map {self.map!r}: "
                                "expected two-room, apartment, or generated")
-        if not (0.0 < self.map_resolution < math.inf):
+        if not (0.0 < self.resolution < math.inf):
             raise InvalidInput("map resolution must be positive and finite")
         for name in ("width", "height", "door_width"):
             if not (0.0 < getattr(self, name) < math.inf):
@@ -104,6 +104,10 @@ class LossWeights:
 
     alpha: float = 1.0
     beta: float = 1.0
+
+    def __post_init__(self):
+        if not (0.0 <= self.alpha < math.inf and 0.0 <= self.beta < math.inf):
+            raise InvalidInput("alpha and beta must be non-negative and finite")
 
 
 @dataclass(frozen=True)
@@ -144,22 +148,14 @@ _SECTIONS = {
 _NOT_KEYS = ("seed", "rng_seed")
 
 
-def _to_bool(text: str) -> bool:
-    lowered = text.strip().lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {text!r}")
-
-
-# Field type (a string under postponed annotations) -> INI value parser.
-_CASTERS = {"str": str, "str | None": str, "int": int, "float": float, "bool": _to_bool}
+# Field type (a string under postponed annotations) -> its configparser getter.
+_GETTERS = {"str": "get", "str | None": "get", "int": "getint", "float": "getfloat",
+            "bool": "getboolean"}
 
 
 def _keys() -> dict[tuple[str, str], Field]:
     """(INI section, key) -> the dataclass field it sets."""
-    return {(section, f.metadata.get("key", f.name)): f
+    return {(section, f.name): f
             for section, classes in _SECTIONS.items()
             for cls in classes for f in fields(cls) if f.name not in _NOT_KEYS}
 
@@ -169,7 +165,7 @@ _KEYS = _keys()
 
 class ExperimentConfig:
     """Every config key as a flat attribute named after its field (`cfg.D_c`,
-    `cfg.map_resolution`), holding its dataclass default until a file sets it."""
+    `cfg.resolution`), holding its dataclass default until a file sets it."""
 
     def __init__(self):
         for f in _KEYS.values():
@@ -213,12 +209,12 @@ def load_config(path: str | None) -> ExperimentConfig:
     for section in parser.sections():
         if section not in _SECTIONS:
             raise ConfigError(f"{path}: unknown section [{section}]")
-        for key, raw in parser.items(section):
+        for key in parser[section]:
             f = _KEYS.get((section, key))
             if f is None:
                 raise ConfigError(f"{path}: unknown key {key!r} in [{section}]")
             try:
-                setattr(cfg, f.name, _CASTERS[f.type](raw))
+                setattr(cfg, f.name, getattr(parser, _GETTERS[f.type])(section, key))
             except ValueError as e:
                 raise ConfigError(f"{path}: bad value for {section}.{key}: {e}") from e
     cfg.validate()
@@ -229,20 +225,20 @@ def make_grid(cfg: ExperimentConfig, seed: int) -> GridMap:
     """The configured map, holding the configured robot radius and sensor."""
     if cfg.map_file is not None:
         grid = load_map(cfg.map_file)
-    elif cfg.map_kind == "two-room":
-        grid = two_room_map(cfg.map_resolution)
-    elif cfg.map_kind == "apartment":
-        grid = apartment_map(cfg.map_resolution)
+    elif cfg.map == "two-room":
+        grid = two_room_map(cfg.resolution)
+    elif cfg.map == "apartment":
+        grid = apartment_map(cfg.resolution)
     else:
-        grid = generate_rooms_map(cfg.width, cfg.height, cfg.map_resolution,
+        grid = generate_rooms_map(cfg.width, cfg.height, cfg.resolution,
                                   cfg.rooms_x, cfg.rooms_y, cfg.door_width, seed)
     return GridMap(grid.resolution, grid.occupied, cfg.robot_radius, cfg.make(SensorConfig))
 
 
 def make_route(cfg: ExperimentConfig) -> list[Pose2D]:
-    if cfg.map_file is None and cfg.map_kind == "two-room":
+    if cfg.map_file is None and cfg.map == "two-room":
         return two_room_route()
-    if cfg.map_file is None and cfg.map_kind == "apartment":
+    if cfg.map_file is None and cfg.map == "apartment":
         return apartment_route()
     raise ConfigError("collection needs a bundled map with a route: "
                       "set [gridworld] map = two-room or apartment")
@@ -287,7 +283,7 @@ def _episode_line(tag: str, res) -> str:
 
 def _cmd_gen_map(args, cfg: ExperimentConfig) -> int:
     out = _require_out(args)
-    grid = generate_rooms_map(cfg.width, cfg.height, cfg.map_resolution,
+    grid = generate_rooms_map(cfg.width, cfg.height, cfg.resolution,
                               cfg.rooms_x, cfg.rooms_y, cfg.door_width, args.seed)
     save_map(grid, out)
     if args.verbose:

@@ -627,21 +627,15 @@ def generate_rooms_map(
         occ[:, cx] = True
     for cy in y_walls:
         occ[cy, :] = True
-    # One door per wall segment between adjacent rooms.
-    for cx in x_walls:
-        for lo, hi in zip(y_edges[:-1], y_edges[1:]):
-            span = hi - lo - 2
-            if span <= door_cells:
-                raise InvalidInput("rooms too small for the requested door width")
-            start = lo + 1 + int(rng.integers(0, span - door_cells + 1))
-            occ[start : start + door_cells, cx] = False
-    for cy in y_walls:
-        for lo, hi in zip(x_edges[:-1], x_edges[1:]):
-            span = hi - lo - 2
-            if span <= door_cells:
-                raise InvalidInput("rooms too small for the requested door width")
-            start = lo + 1 + int(rng.integers(0, span - door_cells + 1))
-            occ[cy, start : start + door_cells] = False
+    # One door per wall segment between adjacent rooms, walls across x first.
+    for walls, edges, cells in ((x_walls, y_edges, occ.T), (y_walls, x_edges, occ)):
+        for c in walls:
+            for lo, hi in zip(edges[:-1], edges[1:]):
+                span = hi - lo - 2
+                if span <= door_cells:
+                    raise InvalidInput("rooms too small for the requested door width")
+                start = lo + 1 + int(rng.integers(0, span - door_cells + 1))
+                cells[c, start : start + door_cells] = False
     return GridMap(resolution, occ)
 
 

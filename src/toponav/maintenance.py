@@ -39,17 +39,6 @@ class MaintenanceParams:
 
 
 @dataclass(frozen=True)
-class TraversalOutcome:
-    edge: tuple[int, int]
-    succeeded: bool
-    observed_distance: float | None = None
-
-    def __post_init__(self):
-        if self.succeeded and (self.observed_distance is None or self.observed_distance < 0.0):
-            raise InvalidInput("successful traversal needs a nonnegative observed distance")
-
-
-@dataclass(frozen=True)
 class MaintenanceReport:
     edge: tuple[int, int]
     action: str  # "updated" or "pruned"
@@ -88,30 +77,35 @@ def gaussian_weight_update(mu: float, sigma2_edge: float, d_obs: float, sigma2_o
     return mu_new, sigma2_new
 
 
-def apply_traversal_update(graph: TopoGraph, outcome: TraversalOutcome,
+def apply_traversal_update(graph: TopoGraph, edge: tuple[int, int],
+                           observed_distance: float | None,
                            params: MaintenanceParams) -> MaintenanceReport:
-    """Fold one traversal outcome into the edge belief.
+    """Fold one traversal of `edge` into its belief.
 
-    Existence always gets the Bayes update.  Distance is refined only on
-    success; a failed traversal gives no distance sample.  A failure that
-    drops the belief below R_p removes the edge.
+    A successful traversal passes its distance sample, a failed one
+    None.  Existence always gets the Bayes update; distance is refined
+    only on success.  A failure that drops the belief below R_p removes
+    the edge.  A negative or NaN distance raises InvalidInput and leaves
+    the belief untouched.
     """
-    key = outcome.edge
-    belief = graph.edges.get(key)
+    succeeded = observed_distance is not None
+    if succeeded and not observed_distance >= 0.0:
+        raise InvalidInput("a traversal distance must be nonnegative")
+    belief = graph.edges.get(edge)
     if belief is None:
-        raise EdgeNotFound(str(key))
+        raise EdgeNotFound(str(edge))
     old_p, old_mu, old_s2 = belief.p, belief.mu, belief.sigma2
-    belief.p = bayes_connectivity_update(belief.p, outcome.succeeded, params)
-    if outcome.succeeded:
+    belief.p = bayes_connectivity_update(belief.p, succeeded, params)
+    if succeeded:
         belief.mu, belief.sigma2 = gaussian_weight_update(
-            belief.mu, belief.sigma2, outcome.observed_distance, params.sigma2_obs)
+            belief.mu, belief.sigma2, observed_distance, params.sigma2_obs)
         action = "updated"
     elif belief.p < params.R_p:
-        graph.remove_edge(*key)
+        graph.remove_edge(*edge)
         action = "pruned"
     else:
         action = "updated"
-    return MaintenanceReport(key, action, old_p, belief.p,
+    return MaintenanceReport(edge, action, old_p, belief.p,
                              old_mu, belief.mu, old_s2, belief.sigma2)
 
 

@@ -30,7 +30,6 @@ from .gridworld import (
 )
 from .maintenance import (
     MaintenanceParams,
-    TraversalOutcome,
     add_novel_node,
     apply_traversal_update,
     expand_for_plan,
@@ -134,11 +133,6 @@ class OdomNoise:
 @dataclass
 class LifelongCurve:
     eval_points: list  # (queries_executed, success_rate, n_vertices, n_edges)
-
-    def __post_init__(self):
-        qs = [p[0] for p in self.eval_points]
-        if qs != sorted(set(qs)):
-            raise InvalidInput("eval points must be strictly increasing in queries")
 
     def to_table(self) -> str:
         lines = ["queries,success_rate,n_vertices,n_edges"]
@@ -289,16 +283,15 @@ def run_episode(world: World, graph: TopoGraph, pool, estimator, start: Pose2D,
     observation as a novel vertex and the cycle goes on.
 
     maintain=False leaves graph and pool strictly untouched; with
-    maintenance on, failed planning also expands from the pool, and each
-    edge traversal updates that edge's belief.  Observation ids come from
-    `world`.
+    maintenance on, failed planning also expands from the pool in the
+    order `expand_rng` draws, and each edge traversal updates that edge's
+    belief; maintenance needs both `maint_params` and `expand_rng`.
+    Observation ids come from `world`.
     """
     if goal not in graph.vertices:
         raise InvalidGoal(f"goal vertex {goal} is not in the graph")
-    if maintain and maint_params is None:
-        raise InvalidInput("maintenance requires MaintenanceParams")
-    if maintain and expand_rng is None:
-        expand_rng = np.random.default_rng(0)
+    if maintain and (maint_params is None or expand_rng is None):
+        raise InvalidInput("maintenance requires MaintenanceParams and an expansion stream")
     goal_pose = graph.vertices[goal].true_pose
     state = AgentState(pose=start)
     events: list = []
@@ -358,10 +351,9 @@ def run_episode(world: World, graph: TopoGraph, pool, estimator, start: Pose2D,
             if maintain and subgoal != vid and (vid, subgoal) in graph.edges:
                 arrival = world.observe(state.pose)
                 succeeded = traversal_succeeded(estimator, subgoal_obs, arrival, build_params)
-                outcome = TraversalOutcome(
-                    (vid, subgoal), succeeded,
-                    waypoint_distance(w_hat) if succeeded else None)
-                events.append(apply_traversal_update(graph, outcome, maint_params))
+                events.append(apply_traversal_update(
+                    graph, (vid, subgoal),
+                    waypoint_distance(w_hat) if succeeded else None, maint_params))
             last_path = path
             # Wedged against an obstacle, or the controller believes it has
             # arrived while the goal test disagrees: that is no progress.

@@ -396,7 +396,7 @@ _DATASET_HEADER = "toponav-dataset/v1"
 def save_dataset(pairs: list[LabeledPair], path: str, criteria: ReachabilityCriteria) -> None:
     """Line-delimited export: a criteria header, then one record per line
     (ids, true poses, label, waypoint; no scans)."""
-    lines = [f"# {_DATASET_HEADER}", "# regime sim"]
+    lines = [f"# {_DATASET_HEADER}"]
     for f in fields(ReachabilityCriteria):
         lines.append(f"# {f.name} {getattr(criteria, f.name)!r}")
     pos = sum(p.r for p in pairs)
@@ -418,7 +418,7 @@ def load_dataset(path: str) -> tuple[list[LabeledPair], ReachabilityCriteria]:
     the criteria that labelled them.  Raises LoadError unless the header
     gives every ReachabilityCriteria field, once each, in field order, as
     values the criteria accept, or when the pair or positive count differs
-    from the header's."""
+    from the header's.  A `# regime` line, which older files carry, is skipped."""
     try:
         with open(path) as f:
             lines = f.read().splitlines()

@@ -92,11 +92,11 @@ class TopoGraph:
     per-vertex successor index in step.
     """
 
-    def __init__(self):
+    def __init__(self, build_params: BuildParams = BuildParams()):
         self.vertices: dict[int, Observation] = {}
         self.edges: dict[tuple[int, int], EdgeBelief] = {}
         self._succ: dict[int, set[int]] = {}
-        self.build_params: BuildParams = BuildParams()
+        self.build_params = build_params
 
     @property
     def n_vertices(self) -> int:
@@ -237,8 +237,7 @@ def build_graph(traj, estimator, params: BuildParams = BuildParams()):
     if not pool:
         raise InvalidInput("empty trajectory")
     rng = np.random.default_rng(params.rng_seed)
-    graph = TopoGraph()
-    graph.build_params = params
+    graph = TopoGraph(params)
     first = list(pool)[int(rng.integers(len(pool)))]
     pool.discard(first.id)
     graph.add_vertex(first)
@@ -420,8 +419,7 @@ def load_graph(path: str):
         params = BuildParams(**{f.name: type(f.default)(v)
                                 for f, (_, v) in zip(fields(BuildParams), raw)})
         obs = {o.id: o for o in map(_parse_observation, obs_lines)}
-        graph = TopoGraph()
-        graph.build_params = params
+        graph = TopoGraph(params)
         for ln in vertex_lines:
             graph.add_vertex(obs[int(ln)])
         for ln in edge_lines:

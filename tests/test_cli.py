@@ -41,7 +41,7 @@ from toponav.topograph import (BuildParams, TopoGraph, TrajectoryPool, load_grap
 
 def test_defaults_without_config():
     cfg = load_config(None)
-    assert cfg.map_kind == "two-room"
+    assert cfg.map == "two-room"
     assert cfg.n_queries == 100 and cfg.eval_every == 25
 
 
@@ -52,7 +52,7 @@ def test_config_overrides(tmp_path):
         "[topograph]\nD_c = 1.5\n"
         "[navharness]\nauto_variance = yes\nloops = 2\n")
     cfg = load_config(str(p))
-    assert cfg.map_kind == "apartment"
+    assert cfg.map == "apartment"
     assert cfg.n_rays == 32
     assert cfg.D_c == 1.5
     assert cfg.auto_variance is True and cfg.loops == 2
@@ -134,6 +134,9 @@ def test_config_rejects_bad_value(tmp_path):
     "[gridworld]\ndt = inf\n",
     "[navharness]\nrecovery_rotation_step = inf\n",
     "[navharness]\nrecovery_rotation_step = 1e6\n",
+    "[perception]\nalpha = nan\n",
+    "[perception]\nbeta = -2\n",
+    "[navharness]\nauto_variance = maybe\n",
 ], ids=["D_m", "max_range", "n_rays", "resolution", "false_positive_rate",
         "pos_sigma", "pos_tol", "dt", "spacing", "loops", "eval_every", "n_goals",
         "n_episodes", "omega_max", "v_max", "odom_pos_sigma", "odom_theta_sigma",
@@ -144,12 +147,32 @@ def test_config_rejects_bad_value(tmp_path):
         "height", "rooms_x", "rooms_y", "door_width", "n_queries", "relax_D_c_factor=nan",
         "pos_sigma=inf", "odom_pos_sigma=inf", "odom_theta_sigma=inf",
         "eval_every_not_dividing", "k_rho=nan", "k_alpha=inf", "k_beta=-inf", "v_max=inf",
-        "dt=inf", "recovery_rotation_step=inf", "recovery_rotation_step=1e6"])
+        "dt=inf", "recovery_rotation_step=inf", "recovery_rotation_step=1e6",
+        "alpha=nan", "beta<0", "auto_variance=maybe"])
 def test_config_rejects_invalid_parameter_combination(tmp_path, text):
     p = tmp_path / "bad.ini"
     p.write_text(text)
     with pytest.raises(ConfigError):
         load_config(str(p))
+
+
+@pytest.mark.parametrize("word, value", [
+    ("1", True), ("Yes", True), ("TRUE", True), ("oN", True),
+    ("0", False), ("nO", False), ("False", False), ("OFF", False)])
+def test_auto_variance_reads_every_boolean_word(tmp_path, word, value):
+    p = tmp_path / "exp.ini"
+    p.write_text(f"[navharness]\nauto_variance = {word}\n")
+    assert load_config(str(p)).auto_variance is value
+
+
+def test_every_config_field_has_a_type_the_loader_reads():
+    # load_config reads str, int, float and bool values; a field of any
+    # other type would need a parser of its own.
+    readable = {"str", "str | None", "int", "float", "bool"}
+    for classes in _SECTIONS.values():
+        for cls in classes:
+            for f in fields(cls):
+                assert f.type in readable, f"{cls.__name__}.{f.name}: {f.type}"
 
 
 def test_no_field_name_repeats_across_sections():

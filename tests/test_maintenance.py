@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from toponav.errors import EdgeNotFound, InvalidInput
 from toponav.maintenance import (
     MaintenanceParams,
-    TraversalOutcome,
     add_novel_node,
     apply_traversal_update,
     bayes_connectivity_update,
@@ -134,7 +133,7 @@ def edge_graph(p=0.9, mu=1.2, sigma2=0.25):
 class TestApplyTraversalUpdate:
     def test_success_raises_p_and_pulls_mu(self):
         g = edge_graph()
-        rep = apply_traversal_update(g, TraversalOutcome((1, 2), True, 2.0), MP)
+        rep = apply_traversal_update(g, (1, 2), 2.0, MP)
         g.check()
         assert rep.action == "updated"
         assert rep.new_p > rep.old_p
@@ -143,14 +142,14 @@ class TestApplyTraversalUpdate:
 
     def test_observation_at_mu_halves_variance(self):
         g = edge_graph(mu=1.2, sigma2=MP.sigma2_obs)
-        apply_traversal_update(g, TraversalOutcome((1, 2), True, 1.2), MP)
+        apply_traversal_update(g, (1, 2), 1.2, MP)
         b = g.edges[(1, 2)]
         assert b.mu == pytest.approx(1.2, abs=1e-12)
         assert b.sigma2 == pytest.approx(MP.sigma2_obs / 2.0, abs=1e-12)
 
     def test_failure_leaves_distance_untouched(self):
         g = edge_graph(p=0.9)
-        rep = apply_traversal_update(g, TraversalOutcome((1, 2), False), MP)
+        rep = apply_traversal_update(g, (1, 2), None, MP)
         g.check()
         assert rep.action == "updated"
         assert rep.new_p == pytest.approx(9 / 17, abs=1e-12)
@@ -159,14 +158,14 @@ class TestApplyTraversalUpdate:
 
     def test_prunes_when_belief_collapses(self):
         g = edge_graph(p=0.9)
-        apply_traversal_update(g, TraversalOutcome((1, 2), False), MP)
-        rep = apply_traversal_update(g, TraversalOutcome((1, 2), False), MP)
+        apply_traversal_update(g, (1, 2), None, MP)
+        rep = apply_traversal_update(g, (1, 2), None, MP)
         g.check()
         assert rep.action == "pruned"
         assert rep.new_p == pytest.approx(9 / 73, abs=1e-9)
         assert (1, 2) not in g.edges
         with pytest.raises(EdgeNotFound):
-            apply_traversal_update(g, TraversalOutcome((1, 2), False), MP)
+            apply_traversal_update(g, (1, 2), None, MP)
 
     def test_prune_count_matches_odds_arithmetic(self):
         # Failure divides the odds by (1-l0)/(1-l1) = 8 each time; the edge
@@ -180,7 +179,7 @@ class TestApplyTraversalUpdate:
             g = edge_graph(p=p0)
             fails = 0
             while (1, 2) in g.edges:
-                rep = apply_traversal_update(g, TraversalOutcome((1, 2), False), MP)
+                rep = apply_traversal_update(g, (1, 2), None, MP)
                 fails += 1
                 assert fails < 50
             assert fails == k
@@ -189,17 +188,21 @@ class TestApplyTraversalUpdate:
     def test_other_edges_untouched(self):
         g = edge_graph()
         before = (g.edges[(2, 3)].p, g.edges[(2, 3)].mu, g.edges[(2, 3)].sigma2)
-        apply_traversal_update(g, TraversalOutcome((1, 2), True, 1.0), MP)
+        apply_traversal_update(g, (1, 2), 1.0, MP)
         after = (g.edges[(2, 3)].p, g.edges[(2, 3)].mu, g.edges[(2, 3)].sigma2)
         assert before == after
 
-    def test_success_requires_distance(self):
-        with pytest.raises(InvalidInput):
-            TraversalOutcome((1, 2), True)
+    def test_negative_or_nan_distance_raises_and_leaves_the_belief(self):
+        for d in (-1.0, math.nan):
+            g = edge_graph()
+            with pytest.raises(InvalidInput):
+                apply_traversal_update(g, (1, 2), d, MP)
+            b = g.edges[(1, 2)]
+            assert (b.p, b.mu, b.sigma2) == (0.9, 1.2, 0.25)
 
     def test_report_line_format(self):
         g = edge_graph()
-        rep = apply_traversal_update(g, TraversalOutcome((1, 2), True, 1.0), MP)
+        rep = apply_traversal_update(g, (1, 2), 1.0, MP)
         line = rep.line(7)
         assert "query=7" in line and "edge=1->2" in line and "action=updated" in line
 

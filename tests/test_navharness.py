@@ -356,7 +356,7 @@ def test_spurious_wall_edge_is_pruned_after_failures(grid, estimator):
     start = Pose2D(2.7, 1.0, 0.0)
 
     first = run_episode(world, graph, pool, estimator, start, b.id, LIMITS, BP,
-                        MP, maintain=True)
+                        MP, maintain=True, expand_rng=np.random.default_rng(0))
     assert not first.success
     assert first.failure_reason == "stuck"
     # pressing against the wall for the whole attempt is one collision
@@ -368,11 +368,21 @@ def test_spurious_wall_edge_is_pruned_after_failures(grid, estimator):
     assert (a.id, b.id) in graph.edges
 
     second = run_episode(world, graph, pool, estimator, start, b.id, LIMITS, BP,
-                         MP, maintain=True)
+                         MP, maintain=True, expand_rng=np.random.default_rng(0))
     assert not second.success
     updates = [e for e in second.maintenance_events if e.edge == (a.id, b.id)]
     assert [e.action for e in updates] == ["pruned"]
     assert (a.id, b.id) not in graph.edges
+
+
+def test_maintained_episode_needs_its_params_and_expansion_stream(grid, estimator):
+    world = fresh_world(grid)
+    graph, obs = chain_graph(world, [Pose2D(1.0, 1.0, 0.0), Pose2D(2.0, 1.0, 0.0)])
+    start = Pose2D(1.0, 1.0, 0.0)
+    for maint_params, expand_rng in ((MP, None), (None, np.random.default_rng(0))):
+        with pytest.raises(InvalidInput):
+            run_episode(world, graph, TrajectoryPool(), estimator, start, obs[1].id,
+                        LIMITS, BP, maint_params, maintain=True, expand_rng=expand_rng)
 
 
 def test_expansion_bridges_disconnected_goal(grid, estimator):

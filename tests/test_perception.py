@@ -560,12 +560,28 @@ class TestDatasets:
         path = tmp_path / "d.txt"
         save_dataset(generate_sim_dataset([two_room_map()], 5, CRIT, rng_seed=3), str(path), CRIT)
         lines = path.read_text().splitlines()
-        head, crit_lines, rest = lines[:2], lines[2:7], lines[7:]
+        head, crit_lines, rest = lines[:1], lines[1:6], lines[6:]
         assert [ln.split()[1] for ln in crit_lines] == ["L_min", "R_max", "E_max", "Theta_max",
                                                        "turn_radius"]
         path.write_text("\n".join(head + edit(crit_lines) + rest) + "\n")
         with pytest.raises(LoadError, match="criteria"):
             load_dataset(str(path))
+
+    def test_saved_header_has_no_regime_line(self, tmp_path):
+        path = tmp_path / "d.txt"
+        save_dataset(generate_sim_dataset([two_room_map()], 5, CRIT, rng_seed=3), str(path), CRIT)
+        assert not [ln for ln in path.read_text().splitlines() if ln.startswith("# regime")]
+
+    def test_load_skips_the_regime_line_of_older_files(self, tmp_path):
+        pairs = generate_sim_dataset([two_room_map()], 5, CRIT, rng_seed=3)
+        path = tmp_path / "d.txt"
+        save_dataset(pairs, str(path), CRIT)
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines[:1] + ["# regime sim"] + lines[1:]) + "\n")
+        loaded, criteria = load_dataset(str(path))
+        assert criteria == CRIT
+        assert [(p.src.id, p.dst.id, p.r, p.w) for p in loaded] == \
+            [(p.src.id, p.dst.id, p.r, p.w) for p in pairs]
 
     def test_load_rejects_an_unreadable_path(self, tmp_path):
         for path in (tmp_path / "missing.txt", tmp_path):
