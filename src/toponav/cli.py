@@ -16,7 +16,7 @@ import argparse
 import configparser
 import math
 import sys
-from dataclasses import Field, dataclass, fields
+from dataclasses import Field, dataclass, fields, replace
 
 import numpy as np
 
@@ -269,6 +269,35 @@ def _parse_pose(text: str) -> Pose2D:
         raise ConfigError(f"pose must be numeric 'x,y,theta', got {text!r}") from e
 
 
+def _report(args, text: str) -> int:
+    sys.stdout.write(text)
+    if args.out is not None:
+        with open(args.out, "w") as fh:
+            fh.write(text)
+    return 0
+
+
+def _collect(cfg: ExperimentConfig, world: World, seed: int):
+    """The trajectory of driving the bundled route in `world`."""
+    return collect_trajectory(world, make_route(cfg), cfg.loops, cfg.spacing,
+                              OdomNoise(cfg.odom_pos_sigma, cfg.odom_theta_sigma, seed))
+
+
+def _build(args, cfg: ExperimentConfig, traj, estimator):
+    """build_graph under the configured params; with auto_variance on, their
+    sigma2_init is the estimator's distance variance over `traj`."""
+    params = cfg.build_params(args.seed)
+    if cfg.auto_variance:
+        params = replace(params, sigma2_init=estimate_distance_variance(estimator, traj, params))
+    graph, pool = build_graph(traj, estimator, params)
+    if args.verbose:
+        print(f"built graph from {len(traj)} observations: {graph.n_vertices} vertices, "
+              f"{graph.n_edges} edges, {len(pool)} pool observations")
+        if cfg.auto_variance:
+            print(f"estimated distance variance {params.sigma2_init:.6f}")
+    return graph, pool
+
+
 def _episode_line(tag: str, res) -> str:
     reason = res.failure_reason or "none"
     return (f"{tag} success={res.success} reason={reason} steps={res.steps} "
@@ -294,11 +323,7 @@ def _cmd_gen_map(args, cfg: ExperimentConfig) -> int:
 
 def _cmd_collect(args, cfg: ExperimentConfig) -> int:
     out = _require_out(args)
-    grid = make_grid(cfg, args.seed)
-    route = make_route(cfg)
-    world = make_world(cfg, grid)
-    traj = collect_trajectory(world, route, cfg.loops, cfg.spacing,
-                              OdomNoise(cfg.odom_pos_sigma, cfg.odom_theta_sigma, args.seed))
+    traj = _collect(cfg, make_world(cfg, make_grid(cfg, args.seed)), args.seed)
     save_trajectory(traj, out)
     if args.verbose:
         print(f"wrote {len(traj)} observations to {out}")
@@ -308,13 +333,9 @@ def _cmd_collect(args, cfg: ExperimentConfig) -> int:
 def _cmd_build(args, cfg: ExperimentConfig) -> int:
     out = _require_out(args)
     traj = load_trajectory(args.trajectory)
-    grid = make_grid(cfg, args.seed)
-    estimator = make_estimator(cfg, grid, args.seed)
-    graph, pool = build_graph(traj, estimator, cfg.build_params(args.seed))
+    estimator = make_estimator(cfg, make_grid(cfg, args.seed), args.seed)
+    graph, pool = _build(args, cfg, traj, estimator)
     save_graph(graph, pool, out)
-    if args.verbose:
-        print(f"built graph: {graph.n_vertices} vertices, {graph.n_edges} edges, "
-              f"{len(pool)} pool observations")
     return 0
 
 
@@ -349,12 +370,7 @@ def _cmd_evaluate(args, cfg: ExperimentConfig) -> int:
     lines = [_episode_line(f"episode={i} goal={goal}", r)
              for i, ((_, goal), r) in enumerate(zip(test_set, results))]
     lines.append(f"success_rate={rate:.6f} episodes={len(results)}")
-    text = "\n".join(lines) + "\n"
-    sys.stdout.write(text)
-    if args.out is not None:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    return 0
+    return _report(args, "\n".join(lines) + "\n")
 
 
 def _cmd_lifelong(args, cfg: ExperimentConfig) -> int:
@@ -362,25 +378,14 @@ def _cmd_lifelong(args, cfg: ExperimentConfig) -> int:
     seed = args.seed
     grid = make_grid(cfg, seed)
     world = make_world(cfg, grid)
-    route = make_route(cfg)
-    traj = collect_trajectory(world, route, cfg.loops, cfg.spacing,
-                              OdomNoise(cfg.odom_pos_sigma, cfg.odom_theta_sigma, seed))
+    traj = _collect(cfg, world, seed)
     estimator = make_estimator(cfg, grid, seed)
-    if cfg.auto_variance:
-        cfg.sigma2_init = cfg.sigma2_obs = estimate_distance_variance(
-            estimator, traj, cfg.build_params(seed))
-    build_params = cfg.build_params(seed)
-    graph, pool = build_graph(traj, estimator, build_params)
-    if args.verbose:
-        print(f"built graph from {len(traj)} observations: "
-              f"{graph.n_vertices} vertices, {graph.n_edges} edges")
-        if cfg.auto_variance:
-            print(f"estimated distance variance {cfg.sigma2_init:.6f}")
+    graph, pool = _build(args, cfg, traj, estimator)
     limits = cfg.limits()
     test_set = make_test_set(world, graph, cfg.n_goals, cfg.n_episodes,
                              np.random.default_rng([seed, TEST_SET_STREAM]), limits)
     curve = run_lifelong(world, graph, pool, estimator, cfg.n_queries,
-                         cfg.eval_every, test_set, limits, build_params,
+                         cfg.eval_every, test_set, limits, graph.build_params,
                          cfg.make(MaintenanceParams), seed)
     with open(out, "w") as fh:
         fh.write(curve.to_table())
@@ -410,14 +415,9 @@ def _cmd_losses(args, cfg: ExperimentConfig) -> int:
             pos.append(loss_position(p.w, pred.w_hat))
             rot.append(loss_rotation(p.w, pred.w_hat))
     mean = lambda xs: sum(xs) / len(xs) if xs else float("nan")
-    text = (f"pairs={len(pairs)} positive={len(pos)} "
-            f"mean_total={mean(totals):.6f} mean_reachability={mean(reach):.6f} "
-            f"mean_position={mean(pos):.6f} mean_rotation={mean(rot):.6f}\n")
-    sys.stdout.write(text)
-    if args.out is not None:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    return 0
+    return _report(args, f"pairs={len(pairs)} positive={len(pos)} "
+                   f"mean_total={mean(totals):.6f} mean_reachability={mean(reach):.6f} "
+                   f"mean_position={mean(pos):.6f} mean_rotation={mean(rot):.6f}\n")
 
 
 _COMMANDS = {

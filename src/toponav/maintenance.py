@@ -25,7 +25,6 @@ class MaintenanceParams:
     p_s_given_r0: float = 0.2
     relax_D_c_factor: float = 1.5
     relax_D_m_factor: float = 0.5
-    sigma2_obs: float = 0.25
 
     def __post_init__(self):
         if not (0.0 < self.R_p < 1.0):
@@ -34,8 +33,6 @@ class MaintenanceParams:
             raise InvalidInput("need 0 <= p_s_given_r0 < p_s_given_r1 <= 1")
         if not (1.0 < self.relax_D_c_factor < math.inf and 0.0 < self.relax_D_m_factor < 1.0):
             raise InvalidInput("relaxation factors must loosen the thresholds")
-        if not 0.0 < self.sigma2_obs < math.inf:
-            raise InvalidInput("sigma2_obs must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -84,9 +81,10 @@ def apply_traversal_update(graph: TopoGraph, edge: tuple[int, int],
 
     A successful traversal passes its distance sample, a failed one
     None.  Existence always gets the Bayes update; distance is refined
-    only on success.  A failure that drops the belief below R_p removes
-    the edge.  A negative or NaN distance raises InvalidInput and leaves
-    the belief untouched.
+    only on success, with the graph's `sigma2_init` as the sample's
+    variance.  A failure that drops the belief below R_p removes the
+    edge.  A negative or NaN distance raises InvalidInput and leaves the
+    belief untouched.
     """
     succeeded = observed_distance is not None
     if succeeded and not observed_distance >= 0.0:
@@ -98,7 +96,7 @@ def apply_traversal_update(graph: TopoGraph, edge: tuple[int, int],
     belief.p = bayes_connectivity_update(belief.p, succeeded, params)
     if succeeded:
         belief.mu, belief.sigma2 = gaussian_weight_update(
-            belief.mu, belief.sigma2, observed_distance, params.sigma2_obs)
+            belief.mu, belief.sigma2, observed_distance, graph.build_params.sigma2_init)
         action = "updated"
     elif belief.p < params.R_p:
         graph.remove_edge(*edge)

@@ -461,9 +461,9 @@ def estimate_distance_variance(estimator, observations, build_params: BuildParam
     """Variance of predicted-vs-true distances over pairs of observations at
     most five apart in the sequence.
 
-    Feeds the initial edge variance and the observation variance of the
-    Gaussian weight update.  Falls back to 0.25 when no pair qualifies and
-    never returns less than 1e-4.
+    An estimate of `BuildParams.sigma2_init`, the distance variance of
+    build and maintenance alike.  Falls back to `build_params.sigma2_init`
+    when no pair qualifies; an estimate is never less than 1e-4.
     """
     residuals = []
     for i in range(len(observations)):
@@ -475,7 +475,7 @@ def estimate_distance_variance(estimator, observations, build_params: BuildParam
                 relative(observations[i].true_pose, observations[j].true_pose))
             residuals.append(waypoint_distance(pred.w_hat) - d_true)
     if not residuals:
-        return 0.25
+        return build_params.sigma2_init
     return max(float(np.var(residuals)), 1e-4)
 
 

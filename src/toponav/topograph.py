@@ -40,7 +40,8 @@ def _belief_valid(b: EdgeBelief) -> bool:
 @dataclass(frozen=True)
 class BuildParams:
     # D_m and D_c bound the merge and connect zones; D_loc bounds
-    # localization.  Requires 0 < D_m < D_c and D_loc > 0.
+    # localization.  Requires 0 < D_m < D_c and D_loc > 0.  sigma2_init is
+    # the estimator's distance variance, for new edges and traversals alike.
     D_m: float = 0.5
     D_c: float = 2.0
     D_loc: float = 1.0

@@ -228,7 +228,6 @@ p_s_given_r1 = 0.9
 p_s_given_r0 = 0.2
 relax_D_c_factor = 1.5
 relax_D_m_factor = 0.5
-sigma2_obs = 0.25
 [navharness]
 loops = 1
 spacing = 0.2
@@ -253,12 +252,13 @@ def test_config_key_set_and_defaults(tmp_path):
     p.write_text(ALL_KEYS)
     cfg = load_config(str(p))
     defaults = vars(load_config(None))
-    assert len(defaults) == ALL_KEYS.count(" = ") == 55
+    assert len(defaults) == ALL_KEYS.count(" = ") == 54
     assert vars(cfg) == {**defaults, "map_file": "maps/rooms.map"}
-    # Seeds come from --seed, the criteria's fov from [gridworld], and the
-    # controller's arrival tolerances are gridworld constants.
+    # Seeds come from --seed, the criteria's fov from [gridworld], the
+    # controller's arrival tolerances are gridworld constants, and
+    # maintenance fuses with the graph's [topograph] sigma2_init.
     for section, key in (("perception", "fov"), ("topograph", "rng_seed"),
-                         ("gridworld", "arrive_pos_tol")):
+                         ("gridworld", "arrive_pos_tol"), ("maintenance", "sigma2_obs")):
         p.write_text(f"[{section}]\n{key} = 1\n")
         with pytest.raises(ConfigError, match="unknown key"):
             load_config(str(p))
@@ -488,6 +488,25 @@ def test_lifelong_auto_variance_sets_sigma2_init(tmp_path):
                               OdomNoise(cfg.odom_pos_sigma, cfg.odom_theta_sigma, 4))
     want = estimate_distance_variance(make_estimator(cfg, grid, 4), traj, cfg.build_params(4))
     assert graph.build_params.sigma2_init == want != cfg.sigma2_init
+
+
+@pytest.mark.parametrize("auto_variance", ["no", "yes"])
+def test_build_writes_the_graph_lifelong_builds(tmp_path, auto_variance):
+    # collect + build and a lifelong run of no queries make one graph, with
+    # the estimated distance variance as its sigma2_init when asked for.
+    cfgp = tmp_path / "exp.ini"
+    cfgp.write_text(
+        "[perception]\npos_sigma = 0.05\nfalse_positive_rate = 0.1\n"
+        f"[navharness]\nauto_variance = {auto_variance}\nn_queries = 0\n"
+        "n_goals = 1\nn_episodes = 1\n")
+    common = ["--config", str(cfgp), "--seed", "4"]
+    traj, built, curve = (str(tmp_path / n) for n in ("w.traj", "w.graph", "life.csv"))
+    assert main(["collect", *common, "--out", traj]) == 0
+    assert main(["build", traj, *common, "--out", built]) == 0
+    assert main(["lifelong", *common, "--out", curve]) == 0
+    assert open(built, "rb").read() == open(curve + ".graph", "rb").read()
+    sigma2 = load_graph(built)[0].build_params.sigma2_init
+    assert (sigma2 == 0.25) is (auto_variance == "no")
 
 
 @pytest.mark.parametrize("command, text", [

@@ -120,8 +120,8 @@ class TestGaussianUpdate:
         assert all(a > b for a, b in zip(errs, errs[1:]))
 
 
-def edge_graph(p=0.9, mu=1.2, sigma2=0.25):
-    g = TopoGraph()
+def edge_graph(p=0.9, mu=1.2, sigma2=0.25, build_params=BP):
+    g = TopoGraph(build_params)
     for oid, pose in ((1, Pose2D(0, 0, 0)), (2, Pose2D(1, 0, 0)), (3, Pose2D(2, 0, 0))):
         grid = empty_room(6.0, 5.0)
         g.add_vertex(mk_obs(grid, oid, Pose2D(pose.x + 2.0, pose.y + 2.5, 0.0)))
@@ -141,11 +141,14 @@ class TestApplyTraversalUpdate:
         assert g.edges[(1, 2)].sigma2 < 0.25
 
     def test_observation_at_mu_halves_variance(self):
-        g = edge_graph(mu=1.2, sigma2=MP.sigma2_obs)
+        # The sample's variance is the graph's sigma2_init, which a new
+        # edge starts with: one sample at mu halves it.
+        s = 0.6
+        g = edge_graph(mu=1.2, sigma2=s, build_params=BuildParams(sigma2_init=s))
         apply_traversal_update(g, (1, 2), 1.2, MP)
         b = g.edges[(1, 2)]
         assert b.mu == pytest.approx(1.2, abs=1e-12)
-        assert b.sigma2 == pytest.approx(MP.sigma2_obs / 2.0, abs=1e-12)
+        assert b.sigma2 == pytest.approx(s / 2.0, abs=1e-12)
 
     def test_failure_leaves_distance_untouched(self):
         g = edge_graph(p=0.9)
@@ -335,5 +338,3 @@ class TestParamValidation:
             MaintenanceParams(p_s_given_r1=0.2, p_s_given_r0=0.9)
         with pytest.raises(InvalidInput):
             MaintenanceParams(relax_D_c_factor=0.9)
-        with pytest.raises(InvalidInput):
-            MaintenanceParams(sigma2_obs=-1.0)

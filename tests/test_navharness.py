@@ -632,7 +632,10 @@ def test_distance_variance_grows_with_noise(grid):
 
 
 def test_distance_variance_default_when_no_pairs(grid, estimator):
+    # With no pair to measure, the estimate is the variance given.
     assert estimate_distance_variance(estimator, [], BP) == 0.25
+    one = [fresh_world(grid).observe(Pose2D(1.5, 2.5, 0.0))]
+    assert estimate_distance_variance(estimator, one, BuildParams(sigma2_init=0.5)) == 0.5
 
 
 def test_wall_crossing_edges_found(grid):

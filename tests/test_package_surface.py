@@ -92,3 +92,17 @@ def test_only_gridworld_reads_the_sensor_and_no_function_takes_a_fov():
                 if "fov" in {arg.arg for arg in a.posonlyargs + a.args + a.kwonlyargs}:
                     found.append(f"{path.name}:{node.lineno}: takes fov")
     assert found == []
+
+
+def test_no_module_assigns_to_a_config_attribute():
+    # load_config sets the config once; a command that needs other params
+    # derives them (dataclasses.replace) and leaves the config as it was read.
+    found = []
+    for path in sorted((ROOT / "src" / "toponav").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target] if isinstance(node, ast.AugAssign) else [])
+            found += [f"{path.name}:{node.lineno}: assigns cfg.{n.attr}"
+                      for t in targets for n in ast.walk(t) if isinstance(n, ast.Attribute)
+                      and isinstance(n.value, ast.Name) and n.value.id == "cfg"]
+    assert found == []
