@@ -30,13 +30,13 @@ start = Pose2D(1.4, 1.2, 0.0)
 print(f"start ({start.x}, {start.y}) -> goal vertex {goal} "
       f"({gp.x:.2f}, {gp.y:.2f})")
 
-res = run_episode(world, graph, pool, est, start, goal, limits, bp)
+res = run_episode(world, graph, pool, est, start, goal, limits)
 print(f"success={res.success} steps={res.steps} "
       f"edges_traversed={res.edges_traversed} collisions={res.collisions}")
 
 # the same machinery, batched over a sampled test set
 test_set = make_test_set(world, graph, 4, 8, np.random.default_rng(1), limits)
-rate, results = evaluate(world, graph, est, test_set, limits, bp)
+rate, results = evaluate(world, graph, est, test_set, limits)
 print(f"\nevaluate over {len(results)} episodes: success rate {rate:.2f}")
 for i, r in enumerate(results):
     print(f"  episode {i}: {'ok' if r.success else r.failure_reason}")

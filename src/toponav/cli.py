@@ -221,6 +221,14 @@ def load_config(path: str | None) -> ExperimentConfig:
     return cfg
 
 
+def _generated_map(cfg: ExperimentConfig, seed: int) -> GridMap:
+    try:  # a size the generator rejects is a config error
+        return generate_rooms_map(cfg.width, cfg.height, cfg.resolution,
+                                  cfg.rooms_x, cfg.rooms_y, cfg.door_width, seed)
+    except InvalidInput as e:
+        raise ConfigError(str(e)) from e
+
+
 def make_grid(cfg: ExperimentConfig, seed: int) -> GridMap:
     """The configured map, holding the configured robot radius and sensor."""
     if cfg.map_file is not None:
@@ -230,8 +238,7 @@ def make_grid(cfg: ExperimentConfig, seed: int) -> GridMap:
     elif cfg.map == "apartment":
         grid = apartment_map(cfg.resolution)
     else:
-        grid = generate_rooms_map(cfg.width, cfg.height, cfg.resolution,
-                                  cfg.rooms_x, cfg.rooms_y, cfg.door_width, seed)
+        grid = _generated_map(cfg, seed)
     return GridMap(grid.resolution, grid.occupied, cfg.robot_radius, cfg.make(SensorConfig))
 
 
@@ -312,8 +319,7 @@ def _episode_line(tag: str, res) -> str:
 
 def _cmd_gen_map(args, cfg: ExperimentConfig) -> int:
     out = _require_out(args)
-    grid = generate_rooms_map(cfg.width, cfg.height, cfg.resolution,
-                              cfg.rooms_x, cfg.rooms_y, cfg.door_width, args.seed)
+    grid = _generated_map(cfg, args.seed)
     save_map(grid, out)
     if args.verbose:
         print(f"wrote {grid.nx}x{grid.ny} map ({grid.size_x:.1f} x "
@@ -346,8 +352,8 @@ def _cmd_navigate(args, cfg: ExperimentConfig) -> int:
     world = make_world(cfg, grid, first_id=max(
         list(graph.vertices) + [o.id for o in pool], default=-1) + 1)
     res = run_episode(world, graph, pool, estimator, _parse_pose(args.start),
-                      args.goal, cfg.limits(), graph.build_params,
-                      cfg.make(MaintenanceParams), maintain=args.maintain,
+                      args.goal, cfg.limits(), maint_params=cfg.make(MaintenanceParams),
+                      maintain=args.maintain,
                       expand_rng=np.random.default_rng([args.seed, EXPAND_STREAM]))
     print(_episode_line(f"episode goal={args.goal}", res))
     if args.verbose:
@@ -366,7 +372,7 @@ def _cmd_evaluate(args, cfg: ExperimentConfig) -> int:
     limits = cfg.limits()
     test_set = make_test_set(world, graph, cfg.n_goals, cfg.n_episodes,
                              np.random.default_rng([args.seed, TEST_SET_STREAM]), limits)
-    rate, results = evaluate(world, graph, estimator, test_set, limits, graph.build_params)
+    rate, results = evaluate(world, graph, estimator, test_set, limits)
     lines = [_episode_line(f"episode={i} goal={goal}", r)
              for i, ((_, goal), r) in enumerate(zip(test_set, results))]
     lines.append(f"success_rate={rate:.6f} episodes={len(results)}")

@@ -83,12 +83,12 @@ def apply_traversal_update(graph: TopoGraph, edge: tuple[int, int],
     None.  Existence always gets the Bayes update; distance is refined
     only on success, with the graph's `sigma2_init` as the sample's
     variance.  A failure that drops the belief below R_p removes the
-    edge.  A negative or NaN distance raises InvalidInput and leaves the
-    belief untouched.
+    edge.  A distance outside [0, inf), NaN included, raises InvalidInput
+    and leaves the belief untouched.
     """
     succeeded = observed_distance is not None
-    if succeeded and not observed_distance >= 0.0:
-        raise InvalidInput("a traversal distance must be nonnegative")
+    if succeeded and not 0.0 <= observed_distance < math.inf:
+        raise InvalidInput("a traversal distance must be nonnegative and finite")
     belief = graph.edges.get(edge)
     if belief is None:
         raise EdgeNotFound(str(edge))
@@ -122,12 +122,11 @@ def add_novel_node(graph: TopoGraph, pool: TrajectoryPool, obs: Observation,
 
 
 def expand_for_plan(graph: TopoGraph, pool: TrajectoryPool, start: int, goal: int,
-                    estimator, build_params: BuildParams,
-                    maint_params: MaintenanceParams, rng):
+                    estimator, maint_params: MaintenanceParams, rng):
     """Bridge a failed plan by sampling vertices from the pool.
 
     Pool observations are drawn in rng-shuffled order and added
-    tentatively, wired up under loosened thresholds (D_c stretched,
+    tentatively, wired under the graph's loosened thresholds (D_c stretched,
     D_m shrunk).  After each draw the plan is retried.  On success only
     the drawn vertices that lie on the found path stay (and leave the
     pool); every other tentative vertex and its edges are rolled back.
@@ -138,9 +137,9 @@ def expand_for_plan(graph: TopoGraph, pool: TrajectoryPool, start: int, goal: in
         raise InvalidVertex(f"{start} or {goal}")
     if plan(graph, start, goal) is not None:
         raise InvalidInput("plan already exists; expansion is for dead ends")
-    relaxed = replace(build_params,
-                      D_m=build_params.D_m * maint_params.relax_D_m_factor,
-                      D_c=build_params.D_c * maint_params.relax_D_c_factor)
+    bp = graph.build_params
+    relaxed = replace(bp, D_m=bp.D_m * maint_params.relax_D_m_factor,
+                      D_c=bp.D_c * maint_params.relax_D_c_factor)
     snapshot = list(pool)
     order = rng.permutation(len(snapshot))
     added: list[int] = []

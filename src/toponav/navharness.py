@@ -42,7 +42,7 @@ from .topograph import (
     TrajectoryPool,
     localize,
     plan,
-    reach,
+    traversal_succeeded,
 )
 
 # Evaluation observations live in their own id namespace so repeated
@@ -226,18 +226,6 @@ def _rotate_in_place(world, state: AgentState, angle: float) -> AgentState:
     return state
 
 
-def traversal_succeeded(estimator, subgoal_obs: Observation, arrival_obs: Observation,
-                        params: BuildParams) -> bool:
-    """Did the drive end somewhere the subgoal considers adjacent?
-
-    Uses the connect test's probability and upper distance bound but not
-    its lower bound: ending up closer than D_m is a good traversal, not a
-    failed one.
-    """
-    return reach(subgoal_obs, arrival_obs, estimator, 0.0, math.nextafter(params.D_c, math.inf),
-                 params.r_connect_min) is not None
-
-
 def _pose_errors(pose: Pose2D, goal_pose: Pose2D) -> tuple[float, float]:
     return (math.hypot(pose.x - goal_pose.x, pose.y - goal_pose.y),
             abs(wrap_angle(pose.theta - goal_pose.theta)))
@@ -262,7 +250,7 @@ def _end_reason(state: AgentState, goal_pose: Pose2D, collisions: int,
 
 
 def run_episode(world: World, graph: TopoGraph, pool, estimator, start: Pose2D,
-                goal: int, limits: EpisodeLimits, build_params: BuildParams,
+                goal: int, limits: EpisodeLimits, *,
                 maint_params: MaintenanceParams | None = None, maintain: bool = False,
                 expand_rng=None) -> EpisodeResult:
     """One navigation episode from a free pose to a graph vertex.
@@ -286,7 +274,7 @@ def run_episode(world: World, graph: TopoGraph, pool, estimator, start: Pose2D,
     maintenance on, failed planning also expands from the pool in the
     order `expand_rng` draws, and each edge traversal updates that edge's
     belief; maintenance needs both `maint_params` and `expand_rng`.
-    Observation ids come from `world`.
+    Observation ids come from `world`, windows from `graph.build_params`.
     """
     if goal not in graph.vertices:
         raise InvalidGoal(f"goal vertex {goal} is not in the graph")
@@ -305,15 +293,15 @@ def run_episode(world: World, graph: TopoGraph, pool, estimator, start: Pose2D,
     reason = _end_reason(state, goal_pose, collisions, limits)
     while reason is None:
         obs = world.observe(state.pose)
-        vid = localize(graph, obs, estimator, build_params, last_path)
+        vid = localize(graph, obs, estimator, graph.build_params, last_path)
         if vid is None and maintain and recoveries >= limits.max_recovery_rotations:
             # Only a full sweep of failed rotations marks the pose as novel.
-            vid = add_novel_node(graph, pool, obs, estimator, build_params)
+            vid = add_novel_node(graph, pool, obs, estimator, graph.build_params)
             recoveries = 0
         path = None if vid is None else plan(graph, vid, goal)
         if path is None and vid is not None and maintain:
             expanded = expand_for_plan(graph, pool, vid, goal, estimator,
-                                       build_params, maint_params, expand_rng)
+                                       maint_params, expand_rng)
             if expanded is not None:
                 path = expanded[0]
         progressed = False
@@ -350,7 +338,7 @@ def run_episode(world: World, graph: TopoGraph, pool, estimator, start: Pose2D,
             # episode; failed drives are exactly the evidence pruning needs.
             if maintain and subgoal != vid and (vid, subgoal) in graph.edges:
                 arrival = world.observe(state.pose)
-                succeeded = traversal_succeeded(estimator, subgoal_obs, arrival, build_params)
+                succeeded = traversal_succeeded(graph, subgoal, arrival, estimator)
                 events.append(apply_traversal_update(
                     graph, (vid, subgoal),
                     waypoint_distance(w_hat) if succeeded else None, maint_params))
@@ -375,8 +363,7 @@ def run_episode(world: World, graph: TopoGraph, pool, estimator, start: Pose2D,
                          *_pose_errors(state.pose, goal_pose))
 
 
-def evaluate(world: World, graph: TopoGraph, estimator, test_set, limits: EpisodeLimits,
-             build_params: BuildParams):
+def evaluate(world: World, graph: TopoGraph, estimator, test_set, limits: EpisodeLimits):
     """Success rate of the test set against a frozen graph.
 
     Episodes run without maintenance, each in a copy of `world` whose
@@ -390,7 +377,7 @@ def evaluate(world: World, graph: TopoGraph, estimator, test_set, limits: Episod
         episode_world = World(world.grid, world.gains, world.dt,
                               first_id=EVAL_ID_BASE + idx * EVAL_ID_STRIDE)
         results.append(run_episode(episode_world, graph, None, estimator, start, goal,
-                                   limits, build_params, maintain=False))
+                                   limits, maintain=False))
     rate = sum(r.success for r in results) / len(results)
     return rate, results
 
@@ -432,22 +419,24 @@ def run_lifelong(world: World, graph: TopoGraph, pool: TrajectoryPool, estimator
                  seed: int = 0) -> LifelongCurve:
     """Maintained random queries with periodic frozen-set evaluation.
 
-    Query sampling and graph expansion draw from separate streams derived
-    from the seed, so the whole run is a pure function of its inputs.
-    The query-0 baseline point is always present.
+    Query sampling and expansion draw from separate streams of the seed,
+    so the run is a pure function of its inputs; `build_params` must be
+    the graph's own.  The query-0 baseline point is always present.
     """
     if eval_every < 1 or (n_queries > 0 and n_queries % eval_every != 0):
         raise InvalidInput("eval_every must divide n_queries")
+    if build_params != graph.build_params:
+        raise InvalidInput("build_params differ from the graph's own")
     sample_rng = np.random.default_rng([seed, QUERY_STREAM])
     expand_rng = np.random.default_rng([seed, EXPAND_STREAM])
-    rate, _ = evaluate(world, graph, estimator, test_set, limits, build_params)
+    rate, _ = evaluate(world, graph, estimator, test_set, limits)
     points = [(0, rate, graph.n_vertices, graph.n_edges)]
     for q in range(1, n_queries + 1):
         start, goal = _sample_query(world, graph, sample_rng, limits)
-        run_episode(world, graph, pool, estimator, start, goal, limits, build_params,
-                    maint_params, maintain=True, expand_rng=expand_rng)
+        run_episode(world, graph, pool, estimator, start, goal, limits,
+                    maint_params=maint_params, maintain=True, expand_rng=expand_rng)
         if q % eval_every == 0:
-            rate, _ = evaluate(world, graph, estimator, test_set, limits, build_params)
+            rate, _ = evaluate(world, graph, estimator, test_set, limits)
             points.append((q, rate, graph.n_vertices, graph.n_edges))
     return LifelongCurve(points)
 

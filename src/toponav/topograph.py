@@ -201,6 +201,14 @@ def is_connectable(src: Observation, dst: Observation, estimator, params: BuildP
     return None if hit is None else EdgeBelief(p=hit[1], mu=hit[0], sigma2=params.sigma2_init)
 
 
+def traversal_succeeded(graph: TopoGraph, subgoal: int, arrival: Observation, estimator) -> bool:
+    """Whether arrival lies in the graph's connect window from vertex
+    `subgoal`, less its lower bound: ending closer than D_m is no failure."""
+    p = graph.build_params
+    return reach(graph.vertices[subgoal], arrival, estimator, 0.0,
+                 math.nextafter(p.D_c, math.inf), p.r_connect_min) is not None
+
+
 def connect(graph: TopoGraph, obs: Observation, estimator, params: BuildParams) -> bool:
     """Add obs as a vertex wired to every vertex it connects with.
 

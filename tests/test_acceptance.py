@@ -174,7 +174,7 @@ def test_expansion_admits_exactly_the_route_candidates():
     grid = two_room_map()
     world = World(grid)
     est = OracleEstimator(grid)
-    bp, mp, limits = BuildParams(), MaintenanceParams(), EpisodeLimits()
+    mp, limits = MaintenanceParams(), EpisodeLimits()
     graph = TopoGraph()
     a = world.observe(Pose2D(1.5, 1.0, math.pi / 2))
     b = world.observe(Pose2D(1.5, 4.4, math.pi / 2))
@@ -188,7 +188,7 @@ def test_expansion_admits_exactly_the_route_candidates():
     assert plan(graph, a.id, b.id) is None
 
     start = Pose2D(1.5, 1.2, math.pi / 2)
-    res = run_episode(world, graph, pool, est, start, b.id, limits, bp, mp,
+    res = run_episode(world, graph, pool, est, start, b.id, limits, maint_params=mp,
                       maintain=True, expand_rng=np.random.default_rng(4))
     assert res.success
     assert bridge.id in graph.vertices
@@ -196,7 +196,7 @@ def test_expansion_admits_exactly_the_route_candidates():
     assert (a.id, bridge.id) in graph.edges and (bridge.id, b.id) in graph.edges
     remaining = [o.id for o in pool]
     assert bridge.id not in remaining and decoy.id in remaining
-    rate, _ = evaluate(world, graph, est, [(start, b.id)], limits, bp)
+    rate, _ = evaluate(world, graph, est, [(start, b.id)], limits)
     assert rate == 1.0
     assert time.perf_counter() - t0 < 60.0
 

@@ -512,7 +512,10 @@ def test_build_writes_the_graph_lifelong_builds(tmp_path, auto_variance):
 @pytest.mark.parametrize("command, text", [
     ("collect", "[navharness]\nodom_pos_sigma = inf\n"),
     ("lifelong", "[navharness]\nn_queries = 10\neval_every = 25\n"),
-], ids=["odom_pos_sigma=inf", "eval_every_not_dividing"])
+    ("gen-map", "[gridworld]\nmap = generated\ndoor_width = 4.0\n"),
+    ("lifelong", "[gridworld]\nmap = generated\nwidth = 0.2\n"),
+], ids=["odom_pos_sigma=inf", "eval_every_not_dividing", "generated_door_too_wide",
+        "generated_map_too_small"])
 def test_bad_run_settings_exit_two_before_any_work(tmp_path, capsys, command, text):
     cfgp = tmp_path / "bad.ini"
     cfgp.write_text(text)

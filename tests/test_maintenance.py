@@ -196,7 +196,7 @@ class TestApplyTraversalUpdate:
         assert before == after
 
     def test_negative_or_nan_distance_raises_and_leaves_the_belief(self):
-        for d in (-1.0, math.nan):
+        for d in (-1.0, math.nan, math.inf):
             g = edge_graph()
             with pytest.raises(InvalidInput):
                 apply_traversal_update(g, (1, 2), d, MP)
@@ -272,14 +272,14 @@ class TestExpandForPlan:
         g = self._clusters()
         pool = TrajectoryPool()
         with pytest.raises(InvalidInput):
-            expand_for_plan(g, pool, 0, 1, self.est, BP, MP, np.random.default_rng(0))
+            expand_for_plan(g, pool, 0, 1, self.est, MP, np.random.default_rng(0))
 
     def test_empty_pool_returns_none_unchanged(self, tmp_path):
         g = self._clusters()
         pool = TrajectoryPool()
         p1, p2 = str(tmp_path / "a.txt"), str(tmp_path / "b.txt")
         save_graph(g, pool, p1)
-        assert expand_for_plan(g, pool, 0, 3, self.est, BP, MP,
+        assert expand_for_plan(g, pool, 0, 3, self.est, MP,
                                np.random.default_rng(0)) is None
         save_graph(g, pool, p2)
         assert open(p1, "rb").read() == open(p2, "rb").read()
@@ -291,7 +291,7 @@ class TestExpandForPlan:
         bridge = mk_obs(self.grid, 10, Pose2D(4.45, 2.5, 0.35))
         decoy = mk_obs(self.grid, 11, Pose2D(1.5, 2.5, math.pi))
         pool = TrajectoryPool([bridge, decoy])
-        out = expand_for_plan(g, pool, 0, 3, self.est, BP, MP, np.random.default_rng(1))
+        out = expand_for_plan(g, pool, 0, 3, self.est, MP, np.random.default_rng(1))
         g.check()
         assert out is not None
         path, kept = out
@@ -312,7 +312,7 @@ class TestExpandForPlan:
         pool = TrajectoryPool([mk_obs(grid, 20, Pose2D(6.5, 2.5, 0.0))])
         p1, p2 = str(tmp_path / "a.txt"), str(tmp_path / "b.txt")
         save_graph(g, pool, p1)
-        assert expand_for_plan(g, pool, 0, 3, est, BP, MP,
+        assert expand_for_plan(g, pool, 0, 3, est, MP,
                                np.random.default_rng(2)) is None
         g.check()
         save_graph(g, pool, p2)
@@ -324,7 +324,7 @@ class TestExpandForPlan:
         decoy = mk_obs(self.grid, 11, Pose2D(1.5, 2.5, math.pi))
         pool = TrajectoryPool([bridge, decoy])
         before = set(g.vertices) | set(pool.ids())
-        out = expand_for_plan(g, pool, 0, 3, self.est, BP, MP, np.random.default_rng(3))
+        out = expand_for_plan(g, pool, 0, 3, self.est, MP, np.random.default_rng(3))
         assert out is not None
         assert set(g.vertices) | set(pool.ids()) == before
         assert set(g.vertices) & set(pool.ids()) == set()

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from toponav import gridworld, perception
+from toponav import gridworld, navharness, perception
 from toponav.errors import InvalidGoal, InvalidInput, InvalidPose, LoadError, RouteError
 from toponav.fixtures import apartment_map, apartment_route, two_room_map, two_room_route
 from toponav.gridworld import GridMap, SensorConfig, raycast_scan, sample_free_pose
@@ -20,7 +20,6 @@ from toponav.navharness import (
     make_test_set,
     run_episode,
     run_lifelong,
-    traversal_succeeded,
     wall_crossing_edges,
 )
 from toponav.maintenance import MaintenanceParams
@@ -37,6 +36,7 @@ from toponav.topograph import (
     plan,
     save_graph,
     save_trajectory,
+    traversal_succeeded,
 )
 
 from test_gridworld import wall_distance, with_sensor
@@ -281,14 +281,14 @@ def test_episode_rejects_unknown_goal(grid, estimator):
     graph, _ = chain_graph(world, [Pose2D(1.5, 2.5, 0.0)])
     with pytest.raises(InvalidGoal):
         run_episode(world, graph, None, estimator, Pose2D(1.5, 1.5, 0.0), 99,
-                    LIMITS, BP)
+                    LIMITS)
 
 
 def test_episode_immediate_success(grid, estimator):
     world = fresh_world(grid)
     graph, obs = chain_graph(world, [Pose2D(3.2, 2.5, 0.0)])
     res = run_episode(world, graph, None, estimator, Pose2D(3.0, 2.5, 0.1),
-                      obs[0].id, LIMITS, BP)
+                      obs[0].id, LIMITS)
     assert res.success and res.failure_reason is None
     assert res.edges_traversed == 0
     assert res.steps == 0
@@ -299,7 +299,7 @@ def test_episode_single_edge(grid, estimator):
     world = fresh_world(grid)
     graph, obs = chain_graph(world, [Pose2D(1.5, 2.5, 0.0), Pose2D(2.5, 2.5, 0.0)])
     res = run_episode(world, graph, None, estimator, Pose2D(1.6, 2.5, 0.0),
-                      obs[1].id, LIMITS, BP)
+                      obs[1].id, LIMITS)
     assert res.success
     assert res.edges_traversed == 1
     assert res.steps > 0
@@ -312,7 +312,7 @@ def test_episode_multi_edge_chain(grid, estimator):
     graph, obs = chain_graph(world, [
         Pose2D(1.5, 2.5, 0.0), Pose2D(2.5, 2.5, 0.0), Pose2D(3.2, 2.5, 0.0)])
     res = run_episode(world, graph, None, estimator, Pose2D(1.6, 2.5, 0.0),
-                      obs[2].id, LIMITS, BP)
+                      obs[2].id, LIMITS)
     assert res.success
     assert res.edges_traversed >= 1
     assert res.collisions == 0
@@ -326,7 +326,7 @@ def test_episode_unreachable_goal_gets_stuck(grid, estimator):
     graph.add_vertex(near)
     graph.add_vertex(island)
     res = run_episode(world, graph, None, estimator, Pose2D(1.6, 2.5, 0.0),
-                      island.id, LIMITS, BP)
+                      island.id, LIMITS)
     assert not res.success
     assert res.failure_reason == "stuck"
     assert res.steps > 0  # recovery rotations consume simulator steps
@@ -339,7 +339,7 @@ def test_episode_without_maintenance_never_mutates(grid, estimator, tmp_path):
     before = str(tmp_path / "before"), str(tmp_path / "after")
     save_graph(graph, pool, before[0])
     run_episode(world, graph, pool, estimator, Pose2D(1.6, 2.5, 0.0),
-                obs[1].id, LIMITS, BP)
+                obs[1].id, LIMITS)
     save_graph(graph, pool, before[1])
     assert open(before[0]).read() == open(before[1]).read()
 
@@ -355,8 +355,8 @@ def test_spurious_wall_edge_is_pruned_after_failures(grid, estimator):
     pool = TrajectoryPool()
     start = Pose2D(2.7, 1.0, 0.0)
 
-    first = run_episode(world, graph, pool, estimator, start, b.id, LIMITS, BP,
-                        MP, maintain=True, expand_rng=np.random.default_rng(0))
+    first = run_episode(world, graph, pool, estimator, start, b.id, LIMITS,
+                        maint_params=MP, maintain=True, expand_rng=np.random.default_rng(0))
     assert not first.success
     assert first.failure_reason == "stuck"
     # pressing against the wall for the whole attempt is one collision
@@ -367,8 +367,8 @@ def test_spurious_wall_edge_is_pruned_after_failures(grid, estimator):
     assert updates[0].new_p == pytest.approx(9 / 17)
     assert (a.id, b.id) in graph.edges
 
-    second = run_episode(world, graph, pool, estimator, start, b.id, LIMITS, BP,
-                         MP, maintain=True, expand_rng=np.random.default_rng(0))
+    second = run_episode(world, graph, pool, estimator, start, b.id, LIMITS,
+                         maint_params=MP, maintain=True, expand_rng=np.random.default_rng(0))
     assert not second.success
     updates = [e for e in second.maintenance_events if e.edge == (a.id, b.id)]
     assert [e.action for e in updates] == ["pruned"]
@@ -382,7 +382,8 @@ def test_maintained_episode_needs_its_params_and_expansion_stream(grid, estimato
     for maint_params, expand_rng in ((MP, None), (None, np.random.default_rng(0))):
         with pytest.raises(InvalidInput):
             run_episode(world, graph, TrajectoryPool(), estimator, start, obs[1].id,
-                        LIMITS, BP, maint_params, maintain=True, expand_rng=expand_rng)
+                        LIMITS, maint_params=maint_params, maintain=True,
+                        expand_rng=expand_rng)
 
 
 def test_expansion_bridges_disconnected_goal(grid, estimator):
@@ -402,7 +403,7 @@ def test_expansion_bridges_disconnected_goal(grid, estimator):
 
     start = Pose2D(1.5, 1.2, math.pi / 2)
     res = run_episode(world, graph, pool, estimator, start,
-                      b.id, LIMITS, BP, MP, maintain=True,
+                      b.id, LIMITS, maint_params=MP, maintain=True,
                       expand_rng=np.random.default_rng(4))
     assert res.success
     assert bridge.id in graph.vertices
@@ -411,7 +412,7 @@ def test_expansion_bridges_disconnected_goal(grid, estimator):
     remaining = [o.id for o in pool]
     assert bridge.id not in remaining and decoy.id in remaining
     # the repaired graph now serves the same query without maintenance
-    rate, _ = evaluate(world, graph, estimator, [(start, b.id)], LIMITS, BP)
+    rate, _ = evaluate(world, graph, estimator, [(start, b.id)], LIMITS)
     assert rate == 1.0
 
 
@@ -420,8 +421,15 @@ def test_traversal_success_judgement(grid, estimator):
     subgoal = world.observe(Pose2D(2.5, 2.5, 0.0))
     at_subgoal = world.observe(Pose2D(2.52, 2.5, 0.02))
     far_away = world.observe(Pose2D(5.5, 1.0, 0.0))
-    assert traversal_succeeded(estimator, subgoal, at_subgoal, BP)
-    assert not traversal_succeeded(estimator, subgoal, far_away, BP)
+    graph, short = TopoGraph(), TopoGraph(BuildParams(D_c=1.0))
+    graph.add_vertex(subgoal)
+    short.add_vertex(subgoal)
+    assert traversal_succeeded(graph, subgoal.id, at_subgoal, estimator)
+    assert not traversal_succeeded(graph, subgoal.id, far_away, estimator)
+    # 1.3 m ahead: inside the default connect window, beyond the short one.
+    ahead = world.observe(Pose2D(3.8, 2.5, 0.0))
+    assert traversal_succeeded(graph, subgoal.id, ahead, estimator)
+    assert not traversal_succeeded(short, subgoal.id, ahead, estimator)
 
 
 def test_episode_limit_validation():
@@ -446,7 +454,7 @@ def test_evaluate_trivial_and_failing_episodes(grid, estimator):
         (Pose2D(1.6, 2.5, 0.0), obs[1].id),   # one edge away
         (Pose2D(1.6, 2.5, 0.0), island.id),   # no route to the island
     ]
-    rate, results = evaluate(world, graph, estimator, test_set, LIMITS, BP)
+    rate, results = evaluate(world, graph, estimator, test_set, LIMITS)
     assert rate == pytest.approx(2 / 3)
     assert [r.success for r in results] == [True, True, False]
 
@@ -455,7 +463,7 @@ def test_evaluate_requires_episodes(grid, estimator):
     world = fresh_world(grid)
     graph, _ = chain_graph(world, [Pose2D(1.5, 2.5, 0.0)])
     with pytest.raises(InvalidInput):
-        evaluate(world, graph, estimator, [], LIMITS, BP)
+        evaluate(world, graph, estimator, [], LIMITS)
 
 
 def test_evaluate_is_repeatable_with_noise(grid):
@@ -468,8 +476,8 @@ def test_evaluate_is_repeatable_with_noise(grid):
         Pose2D(1.5, 2.5, 0.0), Pose2D(2.5, 2.5, 0.0), Pose2D(3.2, 2.5, 0.0)])
     test_set = [(Pose2D(1.6, 2.5, 0.0), obs[2].id),
                 (Pose2D(3.0, 2.5, 0.0), obs[0].id)]
-    first = evaluate(world, graph, noisy, test_set, LIMITS, BP)
-    second = evaluate(world, graph, noisy, test_set, LIMITS, BP)
+    first = evaluate(world, graph, noisy, test_set, LIMITS)
+    second = evaluate(world, graph, noisy, test_set, LIMITS)
     assert first[0] == second[0]
     assert [(r.success, r.steps, r.edges_traversed) for r in first[1]] == \
            [(r.success, r.steps, r.edges_traversed) for r in second[1]]
@@ -585,6 +593,18 @@ def test_lifelong_eval_cadence_must_divide(grid, estimator):
     with pytest.raises(InvalidInput):
         run_lifelong(world, graph, TrajectoryPool(), estimator, 5, 2,
                      test_set, LIMITS, BP, MP, seed=0)
+
+
+def test_lifelong_rejects_params_other_than_the_graphs(grid, estimator, monkeypatch):
+    world = fresh_world(grid)
+    graph, obs = chain_graph(world, [Pose2D(1.5, 2.5, 0.0), Pose2D(2.5, 2.5, 0.0)])
+    test_set = [(Pose2D(1.6, 2.5, 0.0), obs[1].id)]
+    episodes = []
+    monkeypatch.setattr(navharness, "run_episode", lambda *a, **k: episodes.append(a))
+    with pytest.raises(InvalidInput):
+        run_lifelong(world, graph, TrajectoryPool(), estimator, 2, 1,
+                     test_set, LIMITS, BuildParams(D_loc=0.5), MP, seed=0)
+    assert episodes == []
 
 
 def test_lifelong_same_seed_is_identical(grid, tmp_path):

@@ -94,6 +94,31 @@ def test_only_gridworld_reads_the_sensor_and_no_function_takes_a_fov():
     assert found == []
 
 
+def test_no_function_takes_a_graph_beside_its_build_params():
+    # A graph holds the params it was built with; a function given the
+    # graph reads them from it.  connect and is_mergeable are the window
+    # primitives, wired under relaxed params by expand_for_plan.  localize,
+    # add_novel_node and run_lifelong keep their params until the benchmark
+    # calls them by keyword (ROADMAP item 1), since bench/workloads.py
+    # passes them by position.
+    allowed = {"connect", "is_mergeable", "localize", "add_novel_node", "run_lifelong"}
+    found = []
+    for path in sorted((ROOT / "src" / "toponav").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            a = node.args
+            # A parameter's name and annotation, e.g. ("params", "BuildParams").
+            kinds = {(arg.arg, getattr(arg.annotation, "id", None))
+                     for arg in a.posonlyargs + a.args + a.kwonlyargs}
+            takes_graph = any(n == "graph" or t == "TopoGraph" for n, t in kinds)
+            takes_params = any(n == "build_params" or t == "BuildParams" for n, t in kinds)
+            if (takes_graph and takes_params and not node.name.startswith("_")
+                    and node.name not in allowed):
+                found.append(f"{path.name}: {node.name}")
+    assert found == []
+
+
 def test_no_module_assigns_to_a_config_attribute():
     # load_config sets the config once; a command that needs other params
     # derives them (dataclasses.replace) and leaves the config as it was read.

@@ -7,7 +7,6 @@ import pytest
 from toponav.errors import (EdgeNotFound, GraphInvariantError, InvalidInput, InvalidVertex,
                             LoadError)
 from toponav.gridworld import DepthScan
-from toponav.navharness import traversal_succeeded
 from toponav.perception import Observation, OracleEstimator, Prediction
 from toponav.se2 import Pose2D, Waypoint, waypoint_distance
 from toponav.topograph import (
@@ -24,6 +23,7 @@ from toponav.topograph import (
     plan,
     reach,
     save_graph,
+    traversal_succeeded,
 )
 
 from test_gridworld import empty_room, room_with_column_wall
@@ -266,7 +266,7 @@ class TestReachWindows:
         localized = {i for i in range(1, 7)
                      if localize(graph, dummy_obs(i), est, PARAMS) == 0}
         traversed = {i for i in range(1, 7)
-                     if traversal_succeeded(est, v, dummy_obs(i), PARAMS)}
+                     if traversal_succeeded(graph, 0, dummy_obs(i), est)}
         assert merged == {2}
         assert connected == {1, 3, 5, 6}
         assert localized == {1, 2, 6}
