@@ -18,7 +18,7 @@ world = World(grid)
 traj = collect_trajectory(world, two_room_route(), loops=1, spacing=0.2)
 est = OracleEstimator(grid)
 bp = BuildParams()
-graph, pool = build_graph(traj, est, bp)
+graph, _ = build_graph(traj, est, bp)
 limits = EpisodeLimits()
 print(f"graph: {graph.n_vertices} vertices, {graph.n_edges} edges")
 
@@ -30,7 +30,7 @@ start = Pose2D(1.4, 1.2, 0.0)
 print(f"start ({start.x}, {start.y}) -> goal vertex {goal} "
       f"({gp.x:.2f}, {gp.y:.2f})")
 
-res = run_episode(world, graph, pool, est, start, goal, limits)
+res = run_episode(world, graph, est, start, goal, limits)
 print(f"success={res.success} steps={res.steps} "
       f"edges_traversed={res.edges_traversed} collisions={res.collisions}")
 

@@ -14,6 +14,7 @@ from toponav import (
     run_lifelong, wall_crossing_edges,
 )
 from toponav.fixtures import two_room_map, two_room_route
+from toponav.navharness import TEST_SET_STREAM
 
 seed = 1
 grid = two_room_map()
@@ -28,8 +29,8 @@ print(f"built: {graph.n_vertices} vertices, {graph.n_edges} edges")
 print(f"edges whose endpoints cannot see each other (through the wall): "
       f"{len(walls)}")
 
-test_set = make_test_set(world, graph, 8, 16, np.random.default_rng([seed, 3]),
-                         limits)
+test_set = make_test_set(world, graph, 8, 16,
+                         np.random.default_rng([seed, TEST_SET_STREAM]), limits)
 curve = run_lifelong(world, graph, pool, est, n_queries=100, eval_every=25,
                      test_set=test_set, limits=limits, build_params=bp,
                      maint_params=mp, seed=seed)

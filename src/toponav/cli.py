@@ -351,10 +351,9 @@ def _cmd_navigate(args, cfg: ExperimentConfig) -> int:
     graph, pool = load_graph(args.graph)
     world = make_world(cfg, grid, first_id=max(
         list(graph.vertices) + [o.id for o in pool], default=-1) + 1)
-    res = run_episode(world, graph, pool, estimator, _parse_pose(args.start),
-                      args.goal, cfg.limits(), maint_params=cfg.make(MaintenanceParams),
-                      maintain=args.maintain,
-                      expand_rng=np.random.default_rng([args.seed, EXPAND_STREAM]))
+    res = run_episode(world, graph, estimator, _parse_pose(args.start), args.goal, cfg.limits(),
+                      maintain=cfg.make(MaintenanceParams) if args.maintain else None,
+                      pool=pool, expand_rng=np.random.default_rng([args.seed, EXPAND_STREAM]))
     print(_episode_line(f"episode goal={args.goal}", res))
     if args.verbose:
         for ev in res.maintenance_events:

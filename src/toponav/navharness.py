@@ -65,6 +65,8 @@ class World:
 
     def __init__(self, grid: GridMap, gains: ControllerGains = ControllerGains(),
                  dt: float = 0.1, first_id: int = 0):
+        if not (0.0 < dt < math.inf):
+            raise InvalidInput("dt must be positive and finite")
         self.grid = grid
         self.gains = gains
         self.dt = dt
@@ -249,10 +251,9 @@ def _end_reason(state: AgentState, goal_pose: Pose2D, collisions: int,
     return None
 
 
-def run_episode(world: World, graph: TopoGraph, pool, estimator, start: Pose2D,
-                goal: int, limits: EpisodeLimits, *,
-                maint_params: MaintenanceParams | None = None, maintain: bool = False,
-                expand_rng=None) -> EpisodeResult:
+def run_episode(world: World, graph: TopoGraph, estimator, start: Pose2D, goal: int,
+                limits: EpisodeLimits, *, maintain: MaintenanceParams | None = None,
+                pool: TrajectoryPool | None = None, expand_rng=None) -> EpisodeResult:
     """One navigation episode from a free pose to a graph vertex.
 
     Each cycle observes, localizes, plans to the goal vertex and drives
@@ -270,16 +271,17 @@ def run_episode(world: World, graph: TopoGraph, pool, estimator, start: Pose2D,
     that with maintenance on a failed localization then adds the
     observation as a novel vertex and the cycle goes on.
 
-    maintain=False leaves graph and pool strictly untouched; with
-    maintenance on, failed planning also expands from the pool in the
-    order `expand_rng` draws, and each edge traversal updates that edge's
-    belief; maintenance needs both `maint_params` and `expand_rng`.
+    `maintain` is the episode's MaintenanceParams, or None to leave the
+    graph untouched and read neither `pool` nor `expand_rng`.  Maintenance
+    also expands from `pool` in the order `expand_rng` draws when planning
+    fails, and folds each traversal into its edge's belief; it needs both.
     Observation ids come from `world`, windows from `graph.build_params`.
     """
     if goal not in graph.vertices:
         raise InvalidGoal(f"goal vertex {goal} is not in the graph")
-    if maintain and (maint_params is None or expand_rng is None):
-        raise InvalidInput("maintenance requires MaintenanceParams and an expansion stream")
+    if maintain is not None and not (isinstance(maintain, MaintenanceParams)
+                                     and pool is not None and expand_rng is not None):
+        raise InvalidInput("maintenance takes MaintenanceParams, a pool and an expansion stream")
     goal_pose = graph.vertices[goal].true_pose
     state = AgentState(pose=start)
     events: list = []
@@ -300,8 +302,7 @@ def run_episode(world: World, graph: TopoGraph, pool, estimator, start: Pose2D,
             recoveries = 0
         path = None if vid is None else plan(graph, vid, goal)
         if path is None and vid is not None and maintain:
-            expanded = expand_for_plan(graph, pool, vid, goal, estimator,
-                                       maint_params, expand_rng)
+            expanded = expand_for_plan(graph, pool, vid, goal, estimator, maintain, expand_rng)
             if expanded is not None:
                 path = expanded[0]
         progressed = False
@@ -341,7 +342,7 @@ def run_episode(world: World, graph: TopoGraph, pool, estimator, start: Pose2D,
                 succeeded = traversal_succeeded(graph, subgoal, arrival, estimator)
                 events.append(apply_traversal_update(
                     graph, (vid, subgoal),
-                    waypoint_distance(w_hat) if succeeded else None, maint_params))
+                    waypoint_distance(w_hat) if succeeded else None, maintain))
             last_path = path
             # Wedged against an obstacle, or the controller believes it has
             # arrived while the goal test disagrees: that is no progress.
@@ -376,8 +377,7 @@ def evaluate(world: World, graph: TopoGraph, estimator, test_set, limits: Episod
     for idx, (start, goal) in enumerate(test_set):
         episode_world = World(world.grid, world.gains, world.dt,
                               first_id=EVAL_ID_BASE + idx * EVAL_ID_STRIDE)
-        results.append(run_episode(episode_world, graph, None, estimator, start, goal,
-                                   limits, maintain=False))
+        results.append(run_episode(episode_world, graph, estimator, start, goal, limits))
     rate = sum(r.success for r in results) / len(results)
     return rate, results
 
@@ -433,8 +433,8 @@ def run_lifelong(world: World, graph: TopoGraph, pool: TrajectoryPool, estimator
     points = [(0, rate, graph.n_vertices, graph.n_edges)]
     for q in range(1, n_queries + 1):
         start, goal = _sample_query(world, graph, sample_rng, limits)
-        run_episode(world, graph, pool, estimator, start, goal, limits,
-                    maint_params=maint_params, maintain=True, expand_rng=expand_rng)
+        run_episode(world, graph, estimator, start, goal, limits,
+                    maintain=maint_params, pool=pool, expand_rng=expand_rng)
         if q % eval_every == 0:
             rate, _ = evaluate(world, graph, estimator, test_set, limits)
             points.append((q, rate, graph.n_vertices, graph.n_edges))

@@ -328,14 +328,16 @@ _GRAPH_SECTIONS = ("[params]", "[observations]", "[vertices]", "[edges]", "[pool
 _TRAJ_HEADER = "toponav-trajectory/v1"
 
 
-def _write_observation(fh, o: Observation) -> None:
+def _observation_line(o: Observation) -> str:
     s = o.scan
+    if s is None:
+        raise InvalidInput(f"observation {o.id} has no scan to save")
     vals = [repr(float(v)) for v in (
         o.true_pose.x, o.true_pose.y, o.true_pose.theta,
         o.odom_pose.x, o.odom_pose.y, o.odom_pose.theta, s.max_range)]
     angles = " ".join(map(repr, s.angles.tolist()))
     ranges = " ".join(map(repr, s.ranges.tolist()))
-    fh.write(f"{o.id} {' '.join(vals)} {len(s.angles)} {angles} {ranges}\n")
+    return f"{o.id} {' '.join(vals)} {len(s.angles)} {angles} {ranges}\n"
 
 
 def _parse_observation(line: str) -> Observation:
@@ -369,11 +371,12 @@ def _read_body(path: str, header: str) -> list[str]:
 
 
 def save_trajectory(observations, path: str) -> None:
-    """Write the observations in order, one line each."""
+    """Write the observations in order, one line each.  Raises InvalidInput,
+    before the file is opened, when one has no scan."""
+    lines = [_observation_line(o) for o in observations]
     with open(path, "w") as fh:
         fh.write(_TRAJ_HEADER + "\n")
-        for o in observations:
-            _write_observation(fh, o)
+        fh.writelines(lines)
 
 
 def load_trajectory(path: str) -> list[Observation]:
@@ -387,9 +390,11 @@ def load_trajectory(path: str) -> list[Observation]:
 def save_graph(graph: TopoGraph, pool: TrajectoryPool, path: str) -> None:
     """Write graph, pool, and build params as versioned sectioned text.
     Orderings are deterministic so identical runs produce identical files.
-    Raises GraphInvariantError when the pool holds a vertex."""
+    Raises, before the file is opened, GraphInvariantError when the pool
+    holds a vertex and InvalidInput when an observation has no scan."""
     if any(o.id in graph.vertices for o in pool):
         raise GraphInvariantError("the pool overlaps the vertices")
+    lines = [_observation_line(o) for o in list(graph.vertices.values()) + list(pool)]
     p = graph.build_params
     with open(path, "w") as fh:
         fh.write(_GRAPH_HEADER + "\n")
@@ -397,8 +402,7 @@ def save_graph(graph: TopoGraph, pool: TrajectoryPool, path: str) -> None:
         for f in fields(BuildParams):
             fh.write(f"{f.name} {getattr(p, f.name)!r}\n")
         fh.write("[observations]\n")
-        for o in list(graph.vertices.values()) + list(pool):
-            _write_observation(fh, o)
+        fh.writelines(lines)
         fh.write("[vertices]\n")
         for vid in graph.vertices:
             fh.write(f"{vid}\n")

@@ -188,8 +188,8 @@ def test_expansion_admits_exactly_the_route_candidates():
     assert plan(graph, a.id, b.id) is None
 
     start = Pose2D(1.5, 1.2, math.pi / 2)
-    res = run_episode(world, graph, pool, est, start, b.id, limits, maint_params=mp,
-                      maintain=True, expand_rng=np.random.default_rng(4))
+    res = run_episode(world, graph, est, start, b.id, limits, maintain=mp, pool=pool,
+                      expand_rng=np.random.default_rng(4))
     assert res.success
     assert bridge.id in graph.vertices
     assert decoy.id not in graph.vertices

@@ -1,7 +1,9 @@
 """Exit codes, config validation, and pipeline plumbing for the CLI."""
 
+import math
 from dataclasses import fields
 
+import numpy as np
 import pytest
 
 from toponav.cli import (
@@ -16,11 +18,14 @@ from toponav.cli import (
 from toponav.errors import ConfigError, InvalidInput
 from toponav.fixtures import two_room_map
 from toponav.gridworld import generate_rooms_map, load_map
+from toponav.maintenance import MaintenanceParams
 from toponav.navharness import (
+    EXPAND_STREAM,
     OdomNoise,
     World,
     collect_trajectory,
     estimate_distance_variance,
+    run_episode,
 )
 from toponav.perception import (
     LabeledPair,
@@ -395,6 +400,40 @@ def test_build_single_observation_trajectory(tmp_path):
     graph, pool = load_graph(out)
     assert graph.n_vertices == 1 and graph.n_edges == 0
     assert len(pool) == 0
+
+
+def test_navigate_maintain_writes_what_the_api_writes(tmp_path, capsys):
+    # navigate --maintain is load_graph, one maintained run_episode on the
+    # seed's expansion stream, and save_graph; without --maintain it
+    # writes nothing.
+    traj, gpath = str(tmp_path / "w.traj"), str(tmp_path / "w.graph")
+    cfgp = tmp_path / "exp.ini"
+    cfgp.write_text("[navharness]\nspacing = 0.3\n")
+    assert main(["collect", "--config", str(cfgp), "--out", traj]) == 0
+    assert main(["build", traj, "--config", str(cfgp), "--out", gpath]) == 0
+    graph, pool = load_graph(gpath)
+    goal = min(graph.vertices, key=lambda v: math.hypot(graph.vertices[v].true_pose.x - 2.9,
+                                                        graph.vertices[v].true_pose.y - 2.7))
+    argv = ["navigate", gpath, "--config", str(cfgp), "--seed", "3",
+            "--start", "1.6,2.0,0.6", "--goal", str(goal), "--verbose"]
+    out, frozen = str(tmp_path / "m.graph"), tmp_path / "n.graph"
+    capsys.readouterr()
+    assert main(argv + ["--maintain", "--out", out]) == 0
+    printed = capsys.readouterr().out.splitlines()
+
+    cfg = load_config(str(cfgp))
+    grid = make_grid(cfg, 3)
+    world = make_world(cfg, grid, first_id=max(list(graph.vertices) + pool.ids()) + 1)
+    res = run_episode(world, graph, make_estimator(cfg, grid, 3), Pose2D(1.6, 2.0, 0.6), goal,
+                      cfg.limits(), maintain=MaintenanceParams(), pool=pool,
+                      expand_rng=np.random.default_rng([3, EXPAND_STREAM]))
+    assert res.edges_traversed >= 1 and res.maintenance_events
+    assert printed[0].startswith(f"episode goal={goal} ")
+    assert printed[1:] == [ev.line(0) for ev in res.maintenance_events]
+    save_graph(graph, pool, str(tmp_path / "api.graph"))
+    assert open(out).read() == (tmp_path / "api.graph").read_text()
+    assert main(argv + ["--out", str(frozen)]) == 0
+    assert not frozen.exists()
 
 
 def test_navigate_unknown_goal_exits_one(tmp_path, capsys):

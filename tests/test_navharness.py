@@ -23,7 +23,12 @@ from toponav.navharness import (
     wall_crossing_edges,
 )
 from toponav.maintenance import MaintenanceParams
-from toponav.perception import OracleEstimator, ReachabilityCriteria, label_reachability
+from toponav.perception import (
+    Observation,
+    OracleEstimator,
+    ReachabilityCriteria,
+    label_reachability,
+)
 from toponav.se2 import Pose2D, relative, waypoint_distance
 from toponav.topograph import (
     BuildParams,
@@ -204,6 +209,9 @@ def test_collect_rejects_bad_inputs(grid):
     blocked = route[:2] + [Pose2D(3.55, 1.0, 0.0)]
     with pytest.raises(RouteError):
         collect_trajectory(World(grid), blocked, loops=1, spacing=0.2)
+    for dt in (0.0, math.inf):
+        with pytest.raises(InvalidInput):
+            World(grid, dt=dt)
 
 
 def test_collect_rejects_disconnected_route():
@@ -230,6 +238,22 @@ def test_trajectory_file_round_trip(grid, tmp_path):
         assert np.array_equal(a.scan.hit_points, b.scan.hit_points)
     save_trajectory(back, path + ".2")
     assert open(path).read() == open(path + ".2").read()
+
+
+def test_writers_refuse_an_observation_without_a_scan(grid, tmp_path):
+    # A scan-less observation, as load_dataset returns them, has nothing
+    # to write: both writers name it before they open the file.
+    pose = Pose2D(1.5, 1.5, 0.0)
+    bare = Observation(7, None, pose, pose)
+    graph = TopoGraph()
+    graph.add_vertex(World(grid).observe(pose))
+    path = tmp_path / "out"
+    with pytest.raises(InvalidInput, match="observation 7"):
+        save_trajectory([World(grid).observe(pose), bare], str(path))
+    assert not path.exists()
+    with pytest.raises(InvalidInput, match="observation 7"):
+        save_graph(graph, TrajectoryPool([bare]), str(path))
+    assert not path.exists()
 
 
 def test_load_trajectory_rejects_garbage(tmp_path):
@@ -280,14 +304,13 @@ def test_episode_rejects_unknown_goal(grid, estimator):
     world = fresh_world(grid)
     graph, _ = chain_graph(world, [Pose2D(1.5, 2.5, 0.0)])
     with pytest.raises(InvalidGoal):
-        run_episode(world, graph, None, estimator, Pose2D(1.5, 1.5, 0.0), 99,
-                    LIMITS)
+        run_episode(world, graph, estimator, Pose2D(1.5, 1.5, 0.0), 99, LIMITS)
 
 
 def test_episode_immediate_success(grid, estimator):
     world = fresh_world(grid)
     graph, obs = chain_graph(world, [Pose2D(3.2, 2.5, 0.0)])
-    res = run_episode(world, graph, None, estimator, Pose2D(3.0, 2.5, 0.1),
+    res = run_episode(world, graph, estimator, Pose2D(3.0, 2.5, 0.1),
                       obs[0].id, LIMITS)
     assert res.success and res.failure_reason is None
     assert res.edges_traversed == 0
@@ -298,7 +321,7 @@ def test_episode_immediate_success(grid, estimator):
 def test_episode_single_edge(grid, estimator):
     world = fresh_world(grid)
     graph, obs = chain_graph(world, [Pose2D(1.5, 2.5, 0.0), Pose2D(2.5, 2.5, 0.0)])
-    res = run_episode(world, graph, None, estimator, Pose2D(1.6, 2.5, 0.0),
+    res = run_episode(world, graph, estimator, Pose2D(1.6, 2.5, 0.0),
                       obs[1].id, LIMITS)
     assert res.success
     assert res.edges_traversed == 1
@@ -311,7 +334,7 @@ def test_episode_multi_edge_chain(grid, estimator):
     world = fresh_world(grid)
     graph, obs = chain_graph(world, [
         Pose2D(1.5, 2.5, 0.0), Pose2D(2.5, 2.5, 0.0), Pose2D(3.2, 2.5, 0.0)])
-    res = run_episode(world, graph, None, estimator, Pose2D(1.6, 2.5, 0.0),
+    res = run_episode(world, graph, estimator, Pose2D(1.6, 2.5, 0.0),
                       obs[2].id, LIMITS)
     assert res.success
     assert res.edges_traversed >= 1
@@ -325,7 +348,7 @@ def test_episode_unreachable_goal_gets_stuck(grid, estimator):
     island = world.observe(Pose2D(5.5, 2.5, 0.0))
     graph.add_vertex(near)
     graph.add_vertex(island)
-    res = run_episode(world, graph, None, estimator, Pose2D(1.6, 2.5, 0.0),
+    res = run_episode(world, graph, estimator, Pose2D(1.6, 2.5, 0.0),
                       island.id, LIMITS)
     assert not res.success
     assert res.failure_reason == "stuck"
@@ -338,8 +361,8 @@ def test_episode_without_maintenance_never_mutates(grid, estimator, tmp_path):
     pool = TrajectoryPool([world.observe(Pose2D(3.0, 2.5, 0.0))])
     before = str(tmp_path / "before"), str(tmp_path / "after")
     save_graph(graph, pool, before[0])
-    run_episode(world, graph, pool, estimator, Pose2D(1.6, 2.5, 0.0),
-                obs[1].id, LIMITS)
+    run_episode(world, graph, estimator, Pose2D(1.6, 2.5, 0.0), obs[1].id, LIMITS,
+                pool=pool)
     save_graph(graph, pool, before[1])
     assert open(before[0]).read() == open(before[1]).read()
 
@@ -355,8 +378,8 @@ def test_spurious_wall_edge_is_pruned_after_failures(grid, estimator):
     pool = TrajectoryPool()
     start = Pose2D(2.7, 1.0, 0.0)
 
-    first = run_episode(world, graph, pool, estimator, start, b.id, LIMITS,
-                        maint_params=MP, maintain=True, expand_rng=np.random.default_rng(0))
+    first = run_episode(world, graph, estimator, start, b.id, LIMITS,
+                        maintain=MP, pool=pool, expand_rng=np.random.default_rng(0))
     assert not first.success
     assert first.failure_reason == "stuck"
     # pressing against the wall for the whole attempt is one collision
@@ -367,23 +390,33 @@ def test_spurious_wall_edge_is_pruned_after_failures(grid, estimator):
     assert updates[0].new_p == pytest.approx(9 / 17)
     assert (a.id, b.id) in graph.edges
 
-    second = run_episode(world, graph, pool, estimator, start, b.id, LIMITS,
-                         maint_params=MP, maintain=True, expand_rng=np.random.default_rng(0))
+    second = run_episode(world, graph, estimator, start, b.id, LIMITS,
+                         maintain=MP, pool=pool, expand_rng=np.random.default_rng(0))
     assert not second.success
     updates = [e for e in second.maintenance_events if e.edge == (a.id, b.id)]
     assert [e.action for e in updates] == ["pruned"]
     assert (a.id, b.id) not in graph.edges
 
 
-def test_maintained_episode_needs_its_params_and_expansion_stream(grid, estimator):
+def test_maintained_episode_needs_its_params_and_expansion_stream(grid, estimator, tmp_path):
     world = fresh_world(grid)
     graph, obs = chain_graph(world, [Pose2D(1.0, 1.0, 0.0), Pose2D(2.0, 1.0, 0.0)])
+    pool = TrajectoryPool([world.observe(Pose2D(3.0, 2.5, 0.0))])
     start = Pose2D(1.0, 1.0, 0.0)
-    for maint_params, expand_rng in ((MP, None), (None, np.random.default_rng(0))):
+    # The right room localizes nowhere, so a maintained episode there adds
+    # a novel vertex once its recovery rotations run out.
+    unseen = Pose2D(5.5, 2.5, 0.0)
+    rng = np.random.default_rng(0)
+    paths = str(tmp_path / "before"), str(tmp_path / "after")
+    save_graph(graph, pool, paths[0])
+    for begin, maintain, episode_pool, expand_rng in ((start, MP, pool, None),
+                                                      (start, True, pool, rng),
+                                                      (unseen, MP, None, rng)):
         with pytest.raises(InvalidInput):
-            run_episode(world, graph, TrajectoryPool(), estimator, start, obs[1].id,
-                        LIMITS, maint_params=maint_params, maintain=True,
-                        expand_rng=expand_rng)
+            run_episode(world, graph, estimator, begin, obs[1].id, LIMITS,
+                        maintain=maintain, pool=episode_pool, expand_rng=expand_rng)
+        save_graph(graph, pool, paths[1])
+        assert open(paths[0]).read() == open(paths[1]).read()
 
 
 def test_expansion_bridges_disconnected_goal(grid, estimator):
@@ -402,9 +435,8 @@ def test_expansion_bridges_disconnected_goal(grid, estimator):
     assert plan(graph, a.id, b.id) is None
 
     start = Pose2D(1.5, 1.2, math.pi / 2)
-    res = run_episode(world, graph, pool, estimator, start,
-                      b.id, LIMITS, maint_params=MP, maintain=True,
-                      expand_rng=np.random.default_rng(4))
+    res = run_episode(world, graph, estimator, start, b.id, LIMITS,
+                      maintain=MP, pool=pool, expand_rng=np.random.default_rng(4))
     assert res.success
     assert bridge.id in graph.vertices
     assert (a.id, bridge.id) in graph.edges and (bridge.id, b.id) in graph.edges
