@@ -7,22 +7,20 @@ the robot's radius and its depth sensor, so every disc check, path query
 and sampled pose on it clears the same robot, and every scan and
 co-visibility test on it looks through the same sensor; co_visible alone
 decides what that sensor sees from a pose.  Caches on GridMap
-(scans, and once per map the clearance mask, passable mask and cell graph)
-are memoization only and never change observable behavior; each path
-search runs on demand.
+(scans, and once per map the clearance mask and the passable cells) are
+memoization only and never change observable behavior; each path search
+runs on demand.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.ndimage
-import scipy.sparse
-import scipy.sparse.csgraph
 
 from .errors import InvalidInput, InvalidMap, InvalidPose
 from .se2 import Pose2D, wrap_angle
@@ -195,19 +193,34 @@ class GridMap:
         """(k, mask): the subcell mask of positions where the robot disc hits
         a wall, at k subcells per cell.
 
-        Built from a k-times upsampled euclidean distance transform: a
-        subcell is blocked when its centre lies within robot_radius + h of
-        an occupied subcell's centre, h being the subcell half-diagonal.  A
-        pose and the wall point nearest it each lie within h of those
-        centres, so a pose the mask calls free lies at least
-        robot_radius - h from every occupied cell (h is about 18 mm at
-        0.1 m resolution), and can lie closer than robot_radius.
+        A subcell is blocked when its centre lies within robot_radius + h of
+        an occupied subcell's centre, h being the subcell half-diagonal: the
+        occupied subcells are dilated by the disc of offsets (di, dj) with
+        sqrt(di*di + dj*dj) * sub < robot_radius + h, the float test a
+        euclidean distance transform of the upsampled grid would make.  The
+        disc is one run of offsets per row, so each row offset ORs in a
+        window sum along x.  A pose and the wall point nearest it each lie
+        within h of those centres, so a pose the mask calls free lies at
+        least robot_radius - h from every occupied cell (h is about 18 mm
+        at 0.1 m resolution), and can lie closer than robot_radius.
         """
         k = max(1, int(round(self.resolution / _SUBCELL_TARGET)))
         occ_up = np.kron(self.occupied, np.ones((k, k), dtype=bool))
         sub = self.resolution / k
-        dist = scipy.ndimage.distance_transform_edt(~occ_up) * sub
-        blocked = dist < self.robot_radius + sub * SQRT2 / 2.0
+        reach = self.robot_radius + sub * SQRT2 / 2.0
+        r = int(reach / sub) + 2
+        d = np.arange(r + 1, dtype=float)
+        # half[i]: the largest |dj| in the disc's row at |di| = i, -1 if none.
+        half = (np.sqrt(d[:, None] ** 2 + d ** 2) * sub < reach).sum(axis=1) - 1
+        ny, nx = occ_up.shape
+        counts = np.zeros((ny + 2 * r, nx + 2 * r + 1), dtype=np.int32)
+        np.cumsum(np.pad(occ_up, r), axis=1, out=counts[:, 1:])
+        blocked = np.zeros((ny, nx), dtype=bool)
+        for w in np.unique(half[half >= 0]):
+            run = counts[:, r + w + 1 : r + w + 1 + nx] > counts[:, r - w : r - w + nx]
+            for i in np.flatnonzero(half == w):
+                blocked |= run[r + i : r + i + ny]
+                blocked |= run[r - i : r - i + ny]
         blocked.setflags(write=False)
         return k, blocked
 
@@ -223,9 +236,6 @@ class GridMap:
             return True
         return bool(blocked[int(fy), int(fx)])
 
-    def pose_free(self, pose: Pose2D) -> bool:
-        return not self.disc_blocked(pose.x, pose.y)
-
     @cached_property
     def passable(self) -> np.ndarray:
         """Read-only cell mask for path planning: centers that keep the disc
@@ -235,34 +245,11 @@ class GridMap:
         mask.setflags(write=False)
         return mask
 
-    # -- cell graph ------------------------------------------------------
-
     @cached_property
-    def _cell_graph(self):
-        """8-connected graph over passable cells, each edge stored in both
-        directions, so a search runs on it as a directed graph."""
-
-        def shift(n, d):
-            # (source, destination) index ranges for a step of d along an axis
-            return slice(max(0, -d), n - max(0, d)), slice(max(0, d), n - max(0, -d))
-
-        passable = self.passable
-        ny, nx = passable.shape
-        idx = np.arange(nx * ny).reshape(ny, nx)
-        rows, cols, data = [], [], []
-        for dy, dx, w in ((0, 1, self.resolution), (1, 0, self.resolution),
-                          (1, 1, self.resolution * SQRT2), (1, -1, self.resolution * SQRT2)):
-            ys, yd = shift(ny, dy)
-            xs, xd = shift(nx, dx)
-            m = passable[ys, xs] & passable[yd, xd]
-            src, dst = idx[ys, xs][m], idx[yd, xd][m]
-            rows += [src, dst]
-            cols += [dst, src]
-            data += [np.full(len(src), w)] * 2
-        return scipy.sparse.csr_matrix(
-            (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(nx * ny, nx * ny),
-        )
+    def _unreached(self) -> list[float]:
+        """The path search's starting distances, a flat list indexed
+        iy * nx + ix: inf on passable cells, -1 on the rest."""
+        return np.where(self.passable, math.inf, -1.0).ravel().tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -455,9 +442,30 @@ def shortest_feasible_path(grid: GridMap, a: Pose2D, b: Pose2D,
     passable = grid.passable
     if not (passable[ca[1], ca[0]] and passable[cb[1], cb[0]]):
         return math.inf
-    f = scipy.sparse.csgraph.dijkstra(grid._cell_graph, directed=True,
-                                      indices=ca[1] * grid.nx + ca[0], limit=limit)
-    return float(f[cb[1] * grid.nx + cb[0]])
+    # Dijkstra on flat cell indices.  A passable cell is off the occupied
+    # border, so its eight neighbours never wrap across a row.  dist starts
+    # at -1 on impassable cells, which no step length improves.
+    nx, dist = grid.nx, grid._unreached.copy()
+    axis, diagonal = grid.resolution, grid.resolution * SQRT2
+    steps = ((1, axis), (-1, axis), (nx, axis), (-nx, axis), (nx + 1, diagonal),
+             (nx - 1, diagonal), (1 - nx, diagonal), (-1 - nx, diagonal))
+    goal = cb[1] * nx + cb[0]
+    start = ca[1] * nx + ca[0]
+    dist[start] = 0.0
+    heap = [(0.0, start)]
+    pop, push = heapq.heappop, heapq.heappush
+    while heap:
+        d, i = pop(heap)
+        if i == goal:
+            return d
+        if d > dist[i]:
+            continue
+        for s, w in steps:
+            j, nd = i + s, d + w
+            if nd < dist[j] and nd <= limit:
+                dist[j] = nd
+                push(heap, (nd, j))
+    return math.inf
 
 
 def staircase_length(grid: GridMap, a: Pose2D, b: Pose2D) -> float:
@@ -511,8 +519,8 @@ def step_agent(grid: GridMap, state: AgentState, cmd: VelocityCmd, dt: float) ->
     last clear sample and the collision counter increments.  Pure rotation
     cannot collide (the disc does not move).
     """
-    if not (dt > 0.0):
-        raise InvalidInput("dt must be positive")
+    if not (0.0 < dt < math.inf and math.isfinite(cmd.v) and math.isfinite(cmd.omega)):
+        raise InvalidInput("dt must be positive and finite, and v and omega finite")
     arc_len = abs(cmd.v) * dt
     n = max(1, int(math.ceil(arc_len / (0.5 * grid.resolution))))
     step = (dt - dt / n) / (n - 1) if n > 1 else 0.0

@@ -26,6 +26,7 @@ from .gridworld import (
     raycast_scan,  # noqa: F401  a traced binding of bench/tracer.py; scans are cast on read
     sample_free_pose,
     shortest_feasible_path,
+    staircase_length,
     step_agent,
 )
 from .maintenance import (
@@ -169,12 +170,16 @@ def collect_trajectory(world: World, route, loops: int, spacing: float,
     if spacing <= 0.0:
         raise InvalidInput("spacing must be positive")
     grid = world.grid
+    if not route:
+        raise RouteError("need at least one route pose")
     for p in route:
-        if not grid.pose_free(p):
+        if grid.disc_blocked(p.x, p.y):
             raise RouteError(f"route pose ({p.x:.2f}, {p.y:.2f}) is not free")
     ring = list(route) + [route[0]]
     for a, b in zip(ring, ring[1:]):
-        if not math.isfinite(shortest_feasible_path(grid, a, b)):
+        # A clear staircase is a path already; only a blocked one is searched.
+        if math.isinf(staircase_length(grid, a, b)) and math.isinf(
+                shortest_feasible_path(grid, a, b)):
             raise RouteError("route legs must be connected in free space")
 
     noisy = odom_noise is not None and (odom_noise.pos_sigma > 0 or odom_noise.theta_sigma > 0)

@@ -563,24 +563,65 @@ def cell_centre(g, ix, iy):
     return Pose2D((ix + 0.5) * g.resolution, (iy + 0.5) * g.resolution)
 
 
+def reference_cell_graph(g):
+    """8-connected graph over passable cells as a scipy CSR matrix, each edge
+    stored in both directions; a diagonal step needs only its two ends
+    passable."""
+
+    def shift(n, d):
+        # (source, destination) index ranges for a step of d along an axis
+        return slice(max(0, -d), n - max(0, d)), slice(max(0, d), n - max(0, -d))
+
+    passable = g.passable
+    ny, nx = passable.shape
+    idx = np.arange(nx * ny).reshape(ny, nx)
+    rows, cols, data = [], [], []
+    for dy, dx, w in ((0, 1, g.resolution), (1, 0, g.resolution),
+                      (1, 1, g.resolution * math.sqrt(2.0)),
+                      (1, -1, g.resolution * math.sqrt(2.0))):
+        ys, yd = shift(ny, dy)
+        xs, xd = shift(nx, dx)
+        m = passable[ys, xs] & passable[yd, xd]
+        src, dst = idx[ys, xs][m], idx[yd, xd][m]
+        rows += [src, dst]
+        cols += [dst, src]
+        data += [np.full(len(src), w)] * 2
+    return scipy.sparse.csr_matrix(
+        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(nx * ny, nx * ny),
+    )
+
+
 class TestPathFields:
     """Path searches on the symmetric cell graph, full and bounded."""
 
     @pytest.mark.parametrize("map_index", range(3), ids=MAP_IDS)
     def test_symmetric_graph_fields_equal_undirected_search(self, map_index):
         g = MAPS[map_index]()
-        graph = g._cell_graph
+        graph = reference_cell_graph(g)
         assert (graph != graph.T).nnz == 0
         # Each edge once, as the undirected search takes it.
         upper = scipy.sparse.triu(graph, k=1).tocsr()
         assert 2 * upper.nnz == graph.nnz
         passable = np.argwhere(g.passable)
         rng = np.random.default_rng(map_index)
+        outcomes = set()
         for iy, ix in passable[rng.choice(len(passable), 50, replace=False)]:
-            want = scipy.sparse.csgraph.dijkstra(upper, directed=False, indices=iy * g.nx + ix)
+            src = iy * g.nx + ix
+            fields = {limit: scipy.sparse.csgraph.dijkstra(upper, directed=False, indices=src,
+                                                           limit=limit)
+                      for limit in (0.0, 1.0, 4.0 * (1 + 1e-9), math.inf)}
             for jy, jx in passable[rng.choice(len(passable), 10, replace=False)]:
-                got = shortest_feasible_path(g, cell_centre(g, ix, iy), cell_centre(g, jx, jy))
-                assert got == want[jy * g.nx + jx]
+                a, b = cell_centre(g, ix, iy), cell_centre(g, jx, jy)
+                full = fields[math.inf][jy * g.nx + jx]
+                if math.isfinite(full):
+                    fields[full] = scipy.sparse.csgraph.dijkstra(
+                        upper, directed=False, indices=src, limit=full)
+                for limit in (0.0, 1.0, 4.0 * (1 + 1e-9), full, math.inf):
+                    got = shortest_feasible_path(g, a, b, limit)
+                    assert got == fields[limit][jy * g.nx + jx], (a, b, limit)
+                    outcomes.add(math.isfinite(got))
+        assert outcomes == {False, True}
 
     @pytest.mark.parametrize("map_index", range(3), ids=MAP_IDS)
     def test_bounded_field_is_the_full_field_up_to_the_limit(self, map_index):
@@ -722,6 +763,13 @@ class TestStepAgent:
         with pytest.raises(InvalidInput):
             step_agent(g, AgentState(Pose2D(5, 5, 0)), VelocityCmd(0.1, 0.0), 0.0)
 
+    @pytest.mark.parametrize("cmd, dt", [(VelocityCmd(0.1, 0.0), math.inf),
+                                         (VelocityCmd(math.inf, 0.0), 0.1),
+                                         (VelocityCmd(0.1, math.nan), 0.1)])
+    def test_non_finite_input_rejected(self, cmd, dt):
+        with pytest.raises(InvalidInput):
+            step_agent(two_room_map(), AgentState(Pose2D(1.3, 1.0, 0.0)), cmd, dt)
+
 
 class TestFeedbackControl:
     GAINS = ControllerGains()
@@ -796,6 +844,21 @@ def test_free_poses_clear_the_radius_less_a_subcell_half_diagonal(map_index, rad
     assert min(dist) >= radius - h
     # The bound is close to tight: the mask is not conservative.
     assert min(dist) < radius
+
+
+@pytest.mark.parametrize("resolution", [0.025, 0.05, 0.07, 0.1, 0.13])
+@pytest.mark.parametrize("map_index", range(len(MAPS)), ids=MAP_IDS)
+def test_clearance_mask_is_the_distance_transform_threshold(map_index, resolution):
+    # Each map's cells read at 1 to 5 subcells per cell, and radii from
+    # none to 0.45 m.
+    occ = MAPS[map_index]().occupied
+    for radius in (0.0, 0.01, 0.18, 0.22, 0.3, 0.45):
+        g = GridMap(resolution, occ, radius)
+        k, blocked = g._blocked
+        sub = resolution / k
+        occ_up = np.kron(occ, np.ones((k, k), dtype=bool))
+        dist = scipy.ndimage.distance_transform_edt(~occ_up) * sub
+        assert np.array_equal(blocked, dist < radius + sub * math.sqrt(2.0) / 2.0), radius
 
 
 def reference_disc_blocked(grid, xs, ys):
@@ -932,7 +995,7 @@ class TestScalarMotion:
                 if not reference_disc_blocked(grid, [x], [y])[0]:
                     break
             assert got == Pose2D(x, y, theta)
-            assert grid.pose_free(got)
+            assert not grid.disc_blocked(got.x, got.y)
         assert rng.bit_generator.state == ref.bit_generator.state
 
     @pytest.mark.parametrize("k", SPECIAL + [0.5, 1.5, -1.5, 2.0])
@@ -962,7 +1025,7 @@ class TestHelpers:
         rng = np.random.default_rng(3)
         for _ in range(50):
             p = sample_free_pose(g, rng)
-            assert g.pose_free(p)
+            assert not g.disc_blocked(p.x, p.y)
 
     def test_render_ascii_shape(self):
         g = empty_room(2.0, 1.0, 0.1)

@@ -209,6 +209,8 @@ def test_collect_rejects_bad_inputs(grid):
     blocked = route[:2] + [Pose2D(3.55, 1.0, 0.0)]
     with pytest.raises(RouteError):
         collect_trajectory(World(grid), blocked, loops=1, spacing=0.2)
+    with pytest.raises(RouteError):
+        collect_trajectory(World(grid), [], loops=1, spacing=0.2)
     for dt in (0.0, math.inf):
         with pytest.raises(InvalidInput):
             World(grid, dt=dt)
@@ -220,8 +222,27 @@ def test_collect_rejects_disconnected_route():
     occ[:, 15] = True  # full divider, no door
     sealed = GridMap(0.1, occ)
     route = [Pose2D(0.7, 1.5, 0.0), Pose2D(2.3, 1.5, 0.0)]
-    with pytest.raises(RouteError):
+    with pytest.raises(RouteError, match="connected"):
         collect_trajectory(World(sealed), route, loops=1, spacing=0.2)
+
+
+def test_collect_searches_only_the_legs_with_a_blocked_staircase(monkeypatch, grid):
+    searches = counted(monkeypatch, navharness, "shortest_feasible_path")
+    collect_trajectory(World(grid), two_room_route(), loops=1, spacing=0.4)
+    assert searches == []
+    # A one-cell pillar whose margin covers the staircase's cells above
+    # y = 2.5 but not the straight drive along it: the first leg is searched
+    # and connects by the row below.
+    occ = np.zeros((50, 50), dtype=bool)
+    occ[0, :] = occ[-1, :] = occ[:, 0] = occ[:, -1] = True
+    occ[27, 38] = True
+    pillar = GridMap(0.1, occ)
+    points = [(1.0, 2.5), (4.0, 2.5), (2.5, 1.0)]
+    route = [Pose2D(x, y, math.atan2(y - py, x - px))
+             for (x, y), (px, py) in zip(points, points[-1:] + points[:-1])]
+    assert gridworld.staircase_length(pillar, route[0], route[1]) == math.inf
+    assert collect_trajectory(World(pillar), route, loops=1, spacing=0.2)
+    assert [args[1:] for args in searches] == [(route[0], route[1])]
 
 
 def test_trajectory_file_round_trip(grid, tmp_path):
@@ -548,7 +569,7 @@ def test_one_map_radius_drives_starts_labels_and_the_oracle(grid):
     rng = np.random.default_rng(0)
     starts = [s for s, _ in make_test_set(world, graph, 2, 100, rng, LIMITS)]
     starts += [_sample_query(world, graph, rng, LIMITS)[0] for _ in range(100)]
-    assert all(wide.pose_free(s) for s in starts)
+    assert not any(wide.disc_blocked(s.x, s.y) for s in starts)
     # The clearance mask resolves wall distance to about one subcell
     # half-diagonal (under 2 cm), well short of the 0.12 m between radii.
     assert min(wall_distance(wide, s.x, s.y) for s in starts) > 0.3 - 0.02

@@ -7,7 +7,10 @@ script.
 """
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import toponav
@@ -131,3 +134,14 @@ def test_no_module_assigns_to_a_config_attribute():
                       for t in targets for n in ast.walk(t) if isinstance(n, ast.Attribute)
                       and isinstance(n.value, ast.Name) and n.value.id == "cfg"]
     assert found == []
+
+
+def test_the_package_runs_on_numpy_without_scipy():
+    # scipy is a test dependency only: importing the package and its command
+    # line loads none of it.
+    code = ("import sys, toponav, toponav.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"
