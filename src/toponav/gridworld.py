@@ -6,17 +6,19 @@ agent carries is its pose and its collision/step counters.  A GridMap holds
 the robot's radius and its depth sensor, so every disc check, path query
 and sampled pose on it clears the same robot, and every scan and
 co-visibility test on it looks through the same sensor; co_visible alone
-decides what that sensor sees from a pose.  Caches on GridMap
-(scans, and once per map the clearance mask and the passable cells) are
-memoization only and never change observable behavior; each path search
-runs on demand.
+decides what that sensor sees from a pose.  A scan belongs to the
+observation that took it (perception.Observation), so the map keeps none:
+co_visible reads the two scans it compares from its caller, and casts one
+on the map only when the caller has none.  The map caches its clearance
+mask and passable cells once, which never changes observable behavior;
+each path search runs on demand.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from collections import OrderedDict
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -37,9 +39,6 @@ ARRIVE_YAW_TOL = 0.1
 # Subcell size targeted by the clearance mask; collision checks resolve wall
 # distance to roughly this precision.
 _SUBCELL_TARGET = 0.025
-
-# One depth scan per simulated observation; keep a bounded FIFO of them.
-_SCAN_CACHE_CAP = 4096
 
 # raycast's rows of gridline offsets for a ray going + on x and on y.
 _AXIS_ROWS = np.array([0, 2])
@@ -150,7 +149,6 @@ class GridMap:
         self.occupied.setflags(write=False)
         self.robot_radius = robot_radius
         self.sensor = sensor
-        self._scan_cache: OrderedDict = OrderedDict()
 
     @property
     def ny(self) -> int:
@@ -323,22 +321,14 @@ def raycast(grid: GridMap, x0: float, y0: float, angles, max_range: float) -> np
 
 
 def raycast_scan(grid: GridMap, pose: Pose2D) -> DepthScan:
-    """Cast the map's sensor sweep from a pose.  Cached per pose on the map."""
-    key = (pose.x, pose.y, pose.theta)
-    cached = grid._scan_cache.get(key)
-    if cached is not None:
-        return cached
+    """Cast the map's sensor sweep from a pose."""
     sensor = grid.sensor
     if sensor.n_rays == 1:
         angles = np.array([pose.theta])
     else:
         angles = pose.theta + np.linspace(-sensor.fov / 2.0, sensor.fov / 2.0, sensor.n_rays)
     ranges = raycast(grid, pose.x, pose.y, angles, sensor.max_range)
-    scan = DepthScan.from_ranges(pose.x, pose.y, angles, ranges, sensor.max_range)
-    if len(grid._scan_cache) >= _SCAN_CACHE_CAP:
-        grid._scan_cache.popitem(last=False)
-    grid._scan_cache[key] = scan
-    return scan
+    return DepthScan.from_ranges(pose.x, pose.y, angles, ranges, sensor.max_range)
 
 
 def _overlap_rays(grid: GridMap, src_scan: DepthScan, dst: Pose2D):
@@ -357,23 +347,29 @@ def _overlap_rays(grid: GridMap, src_scan: DepthScan, dst: Pose2D):
     return bearing[cand], dist[cand]
 
 
-def co_visible(grid: GridMap, a: Pose2D, b: Pose2D, min_overlap: float) -> bool:
+def co_visible(grid: GridMap, a: Pose2D, b: Pose2D, min_overlap: float,
+               scan_a: Callable[[], DepthScan] | None = None,
+               scan_b: Callable[[], DepthScan] | None = None) -> bool:
     """Whether the map's sensor at a sees b: b is in range, in the field of
     view, in a free cell and on a clear sight line from a, and the two
     poses co-observe at least min_overlap of each other's depth returns.
     A min_overlap that is not positive leaves the sight line alone to
     decide; a target at a's own position is in view.
 
+    scan_a and scan_b, when given, are called with no argument for the
+    depth scans taken at a and at b, each at most once and only when the
+    overlap test reaches it; when not given, that scan is cast on the map.
+
     The overlap of one direction is the fraction of one pose's impact
     points that the other pose sees (in view, in range, unoccluded); the
     overlap of the pair is the smaller of the two, and a pose with no
     returns scores 0.  The tests run in the order above, the cheap ones
     first, and at most two raycast calls are made besides the scans of a
-    and b, which the map caches.  The first casts from b toward a's
-    returns; a pair that fails there never casts b's scan.  The second
-    casts from a the sight line to b together with the rays toward b's
-    returns, capped at the larger of the two distances tested.  Raising a
-    ray's cap above the distance its test compares with changes no result:
+    and b.  The first casts from b toward a's returns; a pair that fails
+    there never reads b's scan.  The second casts from a the sight line to
+    b together with the rays toward b's returns, capped at the larger of
+    the two distances tested.  Raising a ray's cap above the distance its
+    test compares with changes no result:
     a hit inside the lower cap is still the first hit, and a ray clear up
     to the lower cap returns at least that cap either way.  Neither call is
     made when the returns in view are too few to reach min_overlap even if
@@ -394,7 +390,7 @@ def co_visible(grid: GridMap, a: Pose2D, b: Pose2D, min_overlap: float) -> bool:
     # An impact point sits on its cell's boundary; an unobstructed ray
     # toward it enters that cell no more than one cell diagonal early.
     tol = grid.resolution * SQRT2 + 1e-9
-    scan_a = raycast_scan(grid, a)
+    scan_a = raycast_scan(grid, a) if scan_a is None else scan_a()
     n_a = len(scan_a.hit_points)
     rays, dist = _overlap_rays(grid, scan_a, b)
     if not len(dist) or len(dist) / n_a < min_overlap:
@@ -405,7 +401,7 @@ def co_visible(grid: GridMap, a: Pose2D, b: Pose2D, min_overlap: float) -> bool:
     r = raycast(grid, b.x, b.y, rays, min(sensor.max_range, dist.max()))
     if int((r >= dist - tol).sum()) / n_a < min_overlap:
         return False
-    scan_b = raycast_scan(grid, b)
+    scan_b = raycast_scan(grid, b) if scan_b is None else scan_b()
     n_b = len(scan_b.hit_points)
     rays, dist = _overlap_rays(grid, scan_b, a)
     if not len(dist) or len(dist) / n_b < min_overlap:
@@ -521,8 +517,10 @@ def step_agent(grid: GridMap, state: AgentState, cmd: VelocityCmd, dt: float) ->
     """
     if not (0.0 < dt < math.inf and math.isfinite(cmd.v) and math.isfinite(cmd.omega)):
         raise InvalidInput("dt must be positive and finite, and v and omega finite")
-    arc_len = abs(cmd.v) * dt
-    n = max(1, int(math.ceil(arc_len / (0.5 * grid.resolution))))
+    samples = abs(cmd.v) * dt / (0.5 * grid.resolution)
+    if not math.isfinite(samples):
+        raise InvalidInput("v * dt is too long an arc to sample")
+    n = max(1, int(math.ceil(samples)))
     step = (dt - dt / n) / (n - 1) if n > 1 else 0.0
     pose = state.pose
     for i in range(n):

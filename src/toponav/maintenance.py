@@ -113,8 +113,13 @@ def add_novel_node(graph: TopoGraph, pool: TrajectoryPool, obs: Observation,
 
     Connections are attempted against every existing vertex in both
     directions at the standard thresholds; zero resulting edges is fine.
-    The observation leaves the pool if it was there.
+    The observation leaves the pool if it was there.  Raises InvalidInput,
+    before any label, when the graph already holds obs.id or the pool holds
+    it for another observation.
     """
+    held = pool.get(obs.id)
+    if obs.id in graph.vertices or (held is not None and held is not obs):
+        raise InvalidInput(f"observation id {obs.id} is taken in the graph or the pool")
     if not connect(graph, obs, estimator, build_params):
         graph.add_vertex(obs)
     pool.discard(obs.id)

@@ -1,19 +1,33 @@
-"""Reachability labeling and the pluggable pose/reachability estimator.
+"""Observations, reachability labeling and the pluggable pose/reachability
+estimator.
 
-An estimator is anything with three methods:
+An observation owns its sensing: its depth scan is cast on the map the
+first time it is read, or parsed from the file line it was loaded from,
+and kept.  Scoring a pair of observations compares their two scans, as the
+paper's estimator compares two stored images.
+
+An estimator is anything with five methods:
 
 * distance_floor(src_obs, dst_obs) -> float, a lower bound on
   waypoint_distance(waypoint(src_obs, dst_obs)), 0.0 when none is known;
+* distance_floor_many(graph, obs) -> ndarray, for each vertex of a
+  topograph.TopoGraph in id order, a lower bound on distance_floor between
+  that vertex and obs in either direction: a vectorised prefilter;
+* waypoint_distance(src_obs, dst_obs) -> float, equal bit for bit to
+  se2.waypoint_distance(waypoint(src_obs, dst_obs));
 * waypoint(src_obs, dst_obs) -> Waypoint, the predicted relative pose;
 * predict(src_obs, dst_obs) -> Prediction, the reachability score r_hat
   together with the same waypoint as w_hat.
 
 topograph.reach tests a pair's distance window on the floor, then on
-waypoint(), and asks predict() for the score only when the pair can still
-pass, so a costly score is only computed on demand.  The oracle
-implementation computes ground truth on the map and corrupts it with
-configurable noise; its randomness is keyed on (seed, src.id, dst.id), so a
-flipped label stays flipped for that pair for the life of a run.
+waypoint_distance(), and asks predict() for the score only when the pair
+can still pass, so a costly score is only computed on demand; a search
+over a graph first drops the vertices whose distance_floor_many lies
+beyond the window.
+The oracle implementation computes ground truth on the map from the two
+observations' scans and corrupts it with configurable noise; its
+randomness is keyed on (seed, src.id, dst.id), so a flipped label stays
+flipped for that pair for the life of a run.
 """
 
 from __future__ import annotations
@@ -21,6 +35,7 @@ from __future__ import annotations
 import logging
 import math
 from collections import OrderedDict
+from collections.abc import Callable
 from dataclasses import dataclass, fields
 from typing import NamedTuple
 
@@ -36,11 +51,22 @@ from .gridworld import (
     shortest_feasible_path,
     staircase_length,
 )
-from .se2 import Pose2D, Waypoint, dubins_sample, relative, wrap_angle
+from .se2 import (
+    Pose2D,
+    Waypoint,
+    dubins_sample,
+    log_norm,
+    relative,
+    relative_xy,
+    waypoint_distance,
+    wrap_angle,
+)
 
 logger = logging.getLogger(__name__)
 
 _PAIR_CACHE_CAP = 65536
+
+_SQRT2 = math.sqrt(2.0)
 
 
 class Observation:
@@ -48,12 +74,14 @@ class Observation:
 
     true_pose is simulator ground truth (used by labeling and evaluation);
     odom_pose is the accumulated odometry estimate (used for self-supervised
-    waypoint labels).  An observation given a `view` map instead of a scan
-    casts its scan from true_pose through raycast_scan on the first read of
-    `scan`, and keeps it.
+    waypoint labels).  The scan is read through `scan`: an observation
+    given a `view` map instead of a scan casts it from true_pose through
+    raycast_scan on the first read, and one read from a file line
+    (from_record) parses it from that line on the first read; either keeps
+    it.  An observation with neither has no scan.
     """
 
-    __slots__ = ("id", "true_pose", "odom_pose", "_scan", "_view")
+    __slots__ = ("id", "true_pose", "odom_pose", "_scan", "_view", "_record")
 
     def __init__(self, id: int, scan: DepthScan | None, true_pose: Pose2D, odom_pose: Pose2D,
                  view: GridMap | None = None):
@@ -62,13 +90,72 @@ class Observation:
         self.true_pose = true_pose
         self.odom_pose = odom_pose
         self._view = view
+        self._record = None
 
     @property
     def scan(self) -> DepthScan | None:
-        if self._view is not None:
-            self._scan = raycast_scan(self._view, self.true_pose)
-            self._view = None
+        if self._scan is None:
+            if self._view is not None:
+                self._scan = raycast_scan(self._view, self.true_pose)
+                self._view = None
+            elif self._record is not None:
+                self._scan = _scan_of_record(self._record.split())
         return self._scan
+
+    def record(self) -> str:
+        """The observation's line in a trajectory or graph file, without
+        its newline: "id tx ty ttheta ox oy otheta max_range n", then the
+        n scan bearings and the n ranges, every float in repr form.  An
+        observation read by from_record gives back the line it was read
+        from, as it was read.  Raises InvalidInput when there is no scan."""
+        if self._record is not None:
+            return self._record
+        s = self.scan
+        if s is None:
+            raise InvalidInput(f"observation {self.id} has no scan to save")
+        vals = [repr(float(v)) for v in (
+            self.true_pose.x, self.true_pose.y, self.true_pose.theta,
+            self.odom_pose.x, self.odom_pose.y, self.odom_pose.theta, s.max_range)]
+        angles = " ".join(map(repr, s.angles.tolist()))
+        ranges = " ".join(map(repr, s.ranges.tolist()))
+        return f"{self.id} {' '.join(vals)} {len(s.angles)} {angles} {ranges}"
+
+    @classmethod
+    def from_record(cls, line: str) -> Observation:
+        """The observation of one record() line.  Every value is checked
+        here, and the line is kept, so the scan is built from it on the
+        first read of `scan` and record() returns it unchanged.  Raises
+        LoadError for a count of ray values other than 2n, a non-finite
+        value, a max_range that is not positive or a range outside
+        [0, max_range]; ValueError or IndexError for a line that does not
+        parse."""
+        parts = line.split()
+        oid = int(parts[0])
+        poses = [float(v) for v in parts[1:7]]
+        max_range = float(parts[7])
+        n = int(parts[8])
+        rest = list(map(float, parts[9:]))
+        if len(rest) != 2 * n:
+            raise LoadError(f"observation {oid}: expected {2 * n} ray values")
+        if not (all(map(math.isfinite, poses)) and math.isfinite(max_range)
+                and all(map(math.isfinite, rest))):
+            raise LoadError(f"observation {oid}: non-finite value")
+        ranges = rest[n:]
+        if not (max_range > 0.0 and min(ranges, default=0.0) >= 0.0
+                and max(ranges, default=0.0) <= max_range):
+            raise LoadError(f"observation {oid}: ranges must lie in [0, max_range], "
+                            "max_range > 0")
+        obs = cls(oid, None, Pose2D(*poses[:3]), Pose2D(*poses[3:]))
+        obs._record = line
+        return obs
+
+
+def _scan_of_record(parts: list[str]) -> DepthScan:
+    """The scan of a checked record line, split into its fields."""
+    n = int(parts[8])
+    values = np.array(list(map(float, parts[9:])))
+    return DepthScan.from_ranges(float(parts[1]), float(parts[2]), values[:n], values[n:],
+                                 float(parts[7]))
 
 
 @dataclass(frozen=True)
@@ -133,6 +220,8 @@ def label_reachability(
     a: Pose2D,
     b: Pose2D,
     criteria: ReachabilityCriteria,
+    scan_a: Callable[[], DepthScan] | None = None,
+    scan_b: Callable[[], DepthScan] | None = None,
 ) -> int:
     """Ground-truth reachability of b from a.  1 iff every criterion holds:
 
@@ -149,7 +238,9 @@ def label_reachability(
     the Dubins and path checks last.  The path search runs only when the
     straightest staircase of cells between the two poses is blocked or too
     long to decide the ratio.  Poses within one resolution of each other
-    are labelled reachable once the near gates pass.
+    are labelled reachable once the near gates pass.  scan_a and scan_b
+    are co_visible's: callables for the scans taken at a and b, read only
+    when the overlap test needs them, or None to cast on the map.
     """
     c = criteria
     euclid = math.hypot(b.x - a.x, b.y - a.y)
@@ -161,7 +252,7 @@ def label_reachability(
         # Same place to within a cell: every remaining criterion is
         # direction- or view-dependent and passes trivially.
         return 1
-    if not co_visible(grid, a, b, c.L_min):
+    if not co_visible(grid, a, b, c.L_min, scan_a, scan_b):
         return 0
     poses = dubins_sample(a, b, c.turn_radius, 0.5 * grid.resolution)
     if any(grid.disc_blocked(x, y) for x, y in poses[:, :2].tolist()):
@@ -214,13 +305,29 @@ class OracleEstimator:
         self._cache: OrderedDict = OrderedDict()
 
     def true_label(self, a: Observation, b: Observation) -> int:
-        return label_reachability(self.grid, a.true_pose, b.true_pose, self.criteria)
+        """label_reachability of the two true poses, comparing the two
+        observations' own scans; an observation without one is cast on
+        the map."""
+        return label_reachability(self.grid, a.true_pose, b.true_pose, self.criteria,
+                                  lambda: self._scan(a), lambda: self._scan(b))
+
+    def _scan(self, o: Observation) -> DepthScan:
+        scan = o.scan
+        return raycast_scan(self.grid, o.true_pose) if scan is None else scan
+
+    def _exact(self, a: Observation, b: Observation) -> tuple[float, float, float]:
+        """relative(a.true_pose, b.true_pose) + 0.0, as floats before a
+        Waypoint wraps the heading once more.  + 0.0 turns a -0.0 into
+        +0.0, as adding a zero-sigma Gaussian draw does; the sign of a zero
+        can flip a later atan2.  Every wrap of relative() and Waypoint is
+        kept: wrap_angle can move a heading one float below pi up to pi,
+        so a second wrap is not always a no-op."""
+        dx, dy = relative_xy(a.true_pose, b.true_pose)
+        dtheta = wrap_angle(b.true_pose.theta - a.true_pose.theta)
+        return dx + 0.0, dy + 0.0, wrap_angle(dtheta + 0.0)
 
     def _exact_waypoint(self, a: Observation, b: Observation) -> Waypoint:
-        # + 0.0 turns a -0.0 component into +0.0, as adding a zero-sigma
-        # Gaussian draw does; the sign of a zero can flip a later atan2.
-        w = relative(a.true_pose, b.true_pose)
-        return Waypoint(w.dx + 0.0, w.dy + 0.0, wrap_angle(w.dtheta + 0.0))
+        return Waypoint(*self._exact(a, b))
 
     def _noisy_waypoints(self) -> bool:
         return self.noise.pos_sigma != 0.0 or self.noise.theta_sigma != 0.0
@@ -250,20 +357,47 @@ class OracleEstimator:
 
     def distance_floor(self, a: Observation, b: Observation) -> float:
         """A lower bound on waypoint_distance(waypoint(a, b)) that costs no
-        waypoint: with exact waypoints, the euclidean distance between the
-        true positions, less a relative 1e-9 for rounding and an absolute
-        1e-150 for squares that underflow in waypoint_distance; 0.0 with
-        pose noise.
+        waypoint: with exact waypoints, the norm of (position offset,
+        sqrt(2) * heading change), the heading change wrapped and less an
+        absolute 1e-9, the norm less a relative 1e-9 for rounding and an
+        absolute 1e-150 for squares that underflow in waypoint_distance;
+        0.0 with pose noise.
 
         The bound holds because the translation part of the SE(2) log is
         V(theta)^-1 applied to the rotated position offset, and V(theta) is
         a rotation scaled by at most 1, so it is no shorter than the offset;
-        the rotation term adds a non-negative 2 * omega^2.
+        the rotation term adds 2 * omega^2, omega being the wrapped heading
+        change.
         """
         if self._noisy_waypoints():
             return 0.0
         pa, pb = a.true_pose, b.true_pose
-        return max(0.0, math.hypot(pb.x - pa.x, pb.y - pa.y) * (1.0 - 1e-9) - 1e-150)
+        turn = max(0.0, abs(wrap_angle(pb.theta - pa.theta)) - 1e-9)
+        return max(0.0, math.hypot(pb.x - pa.x, pb.y - pa.y, _SQRT2 * turn) * (1.0 - 1e-9)
+                   - 1e-150)
+
+    def distance_floor_many(self, graph, obs: Observation) -> np.ndarray:
+        """distance_floor between obs and each vertex of graph, in id order
+        and either direction, with twice its margins: numpy's hypot and
+        remainder may round otherwise than math.hypot and wrap_angle, so
+        the margins keep each value at or below the scalar floor."""
+        poses = graph.poses
+        if self._noisy_waypoints():
+            return np.zeros(len(poses))
+        p = obs.true_pose
+        turn = np.abs(np.remainder(poses[:, 2] - p.theta + math.pi, 2.0 * math.pi) - math.pi)
+        offset = np.hypot(poses[:, 0] - p.x, poses[:, 1] - p.y)
+        norm = np.hypot(offset, _SQRT2 * np.maximum(turn - 2e-9, 0.0))
+        return np.maximum(norm * (1.0 - 2e-9) - 2e-150, 0.0)
+
+    def waypoint_distance(self, a: Observation, b: Observation) -> float:
+        """waypoint_distance(waypoint(a, b)), bit for bit.  With exact
+        waypoints it builds no Waypoint: the heading gets Waypoint's own
+        wrap, and the norm is se2's."""
+        if self._noisy_waypoints():
+            return waypoint_distance(self.waypoint(a, b))
+        dx, dy, dtheta = self._exact(a, b)
+        return log_norm(dx, dy, wrap_angle(dtheta))
 
     def waypoint(self, a: Observation, b: Observation) -> Waypoint:
         """predict(a, b).w_hat, without labelling the pair."""

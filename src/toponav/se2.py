@@ -77,11 +77,16 @@ def compose(base: Pose2D, w: Waypoint) -> Pose2D:
     )
 
 
-def relative(a: Pose2D, b: Pose2D) -> Waypoint:
-    """Waypoint from a to b, i.e. b expressed in a's frame."""
+def relative_xy(a: Pose2D, b: Pose2D) -> tuple[float, float]:
+    """The translation (dx, dy) of relative(a, b), without the Waypoint."""
     c, s = math.cos(a.theta), math.sin(a.theta)
     dx_w, dy_w = b.x - a.x, b.y - a.y
-    return Waypoint(c * dx_w + s * dy_w, -s * dx_w + c * dy_w, b.theta - a.theta)
+    return c * dx_w + s * dy_w, -s * dx_w + c * dy_w
+
+
+def relative(a: Pose2D, b: Pose2D) -> Waypoint:
+    """Waypoint from a to b, i.e. b expressed in a's frame."""
+    return Waypoint(*relative_xy(a, b), b.theta - a.theta)
 
 
 def waypoint_matrix(w: Waypoint) -> np.ndarray:
@@ -90,21 +95,25 @@ def waypoint_matrix(w: Waypoint) -> np.ndarray:
     return np.array([[c, -s, w.dx], [s, c, w.dy], [0.0, 0.0, 1.0]])
 
 
-def se2_log(w: Waypoint) -> Twist:
-    """Matrix logarithm of T(w), as a tangent vector.
+def _log(dx: float, dy: float, th: float) -> tuple[float, float]:
+    """(vx, vy) of the matrix logarithm of T(dx, dy, th); omega is th.
 
     Uses the closed form [vx, vy] = V(theta)^-1 [dx, dy]; near theta = 0 the
     inverse is replaced by its 2nd-order Taylor expansion to avoid 0/0.
     """
-    th = w.dtheta
     if abs(th) < _EPS_THETA:
         a = 1.0 - th * th / 12.0
         b = 0.5 * th
-        return Twist(a * w.dx + b * w.dy, -b * w.dx + a * w.dy, th)
+        return a * dx + b * dy, -b * dx + a * dy
     A = math.sin(th) / th
     B = (1.0 - math.cos(th)) / th
     den = A * A + B * B
-    return Twist((A * w.dx + B * w.dy) / den, (-B * w.dx + A * w.dy) / den, th)
+    return (A * dx + B * dy) / den, (-B * dx + A * dy) / den
+
+
+def se2_log(w: Waypoint) -> Twist:
+    """Matrix logarithm of T(w), as a tangent vector."""
+    return Twist(*_log(w.dx, w.dy, w.dtheta), w.dtheta)
 
 
 def se2_exp(t: Twist) -> Waypoint:
@@ -125,8 +134,15 @@ def waypoint_distance(w: Waypoint) -> float:
     The log matrix carries omega twice off-diagonal, so a pure rotation of
     theta scores |theta| * sqrt(2).
     """
-    t = se2_log(w)
-    return math.sqrt(t.vx * t.vx + t.vy * t.vy + 2.0 * t.omega * t.omega)
+    return log_norm(w.dx, w.dy, w.dtheta)
+
+
+def log_norm(dx: float, dy: float, dtheta: float) -> float:
+    """waypoint_distance(Waypoint(dx, dy, dtheta)) for a dtheta that
+    Waypoint leaves as it is (wrap_angle(dtheta) == dtheta), with no
+    Waypoint or Twist built."""
+    vx, vy = _log(dx, dy, dtheta)
+    return math.sqrt(vx * vx + vy * vy + 2.0 * dtheta * dtheta)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,11 @@ sampling from a trajectory pool: observations too close to an existing
 vertex are merged away, observations within controller range become new
 vertices wired to everything they can reach.  Planning runs Dijkstra over
 the mean edge distances.
+
+The graph keeps its vertex ids and true poses as arrays in id order,
+so a window test over every vertex first drops, in one vectorised
+estimator call, the vertices too far to pass, and tests the rest one by
+one.
 """
 
 from __future__ import annotations
@@ -17,9 +22,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import EdgeNotFound, GraphInvariantError, InvalidInput, InvalidVertex, LoadError
-from .gridworld import DepthScan
 from .perception import Observation
-from .se2 import Pose2D, waypoint_distance
 
 
 @dataclass
@@ -82,6 +85,9 @@ class TrajectoryPool:
     def ids(self) -> list[int]:
         return list(self._obs)
 
+    def get(self, obs_id: int) -> Observation | None:
+        return self._obs.get(obs_id)
+
     def discard(self, obs_id: int) -> None:
         self._obs.pop(obs_id, None)
 
@@ -89,14 +95,17 @@ class TrajectoryPool:
 class TopoGraph:
     """Directed graph keyed by observation id.
 
-    Mutate it through its methods only: they keep `edges` and the
-    per-vertex successor index in step.
+    Mutate it through its methods only: they keep `edges`, the per-vertex
+    successor index, and the arrays `ids` (vertex ids, ascending) and
+    `poses` (their true x, y, theta, one row each) in step.
     """
 
     def __init__(self, build_params: BuildParams = BuildParams()):
         self.vertices: dict[int, Observation] = {}
         self.edges: dict[tuple[int, int], EdgeBelief] = {}
         self._succ: dict[int, set[int]] = {}
+        self.ids = np.empty(0, dtype=np.int64)
+        self.poses = np.empty((0, 3))
         self.build_params = build_params
 
     @property
@@ -112,6 +121,10 @@ class TopoGraph:
             raise InvalidVertex(f"vertex {obs.id} already present")
         self.vertices[obs.id] = obs
         self._succ[obs.id] = set()
+        k = int(np.searchsorted(self.ids, obs.id))
+        self.ids = np.concatenate((self.ids[:k], [obs.id], self.ids[k:]))
+        p = obs.true_pose
+        self.poses = np.concatenate((self.poses[:k], [(p.x, p.y, p.theta)], self.poses[k:]))
 
     def add_edge(self, src: int, dst: int, belief: EdgeBelief) -> None:
         if src not in self.vertices or dst not in self.vertices:
@@ -135,6 +148,9 @@ class TopoGraph:
         if vid not in self.vertices:
             raise InvalidVertex(str(vid))
         del self.vertices[vid]
+        k = int(np.searchsorted(self.ids, vid))
+        self.ids = np.concatenate((self.ids[:k], self.ids[k + 1:]))
+        self.poses = np.concatenate((self.poses[:k], self.poses[k + 1:]))
         for dst in self._succ.pop(vid):
             del self.edges[(vid, dst)]
         for src, succ in self._succ.items():
@@ -151,8 +167,9 @@ class TopoGraph:
     def check(self) -> None:
         """Raise GraphInvariantError unless every edge joins two vertices
         and has a valid belief (p in [0, 1], finite mu >= 0, finite
-        sigma2 > 0), and the successor index is exactly what a scan of the
-        edges gives."""
+        sigma2 > 0), the successor index is exactly what a scan of the
+        edges gives, and `ids` and `poses` list every vertex's id and true
+        pose in id order."""
         scan: dict[int, set[int]] = {vid: set() for vid in self.vertices}
         for (src, dst), belief in self.edges.items():
             if src not in self.vertices or dst not in self.vertices:
@@ -163,6 +180,10 @@ class TopoGraph:
             scan[src].add(dst)
         if self._succ != scan:
             raise GraphInvariantError("successor index does not match the edges")
+        order = sorted(self.vertices)
+        poses = [[p.x, p.y, p.theta] for p in (self.vertices[v].true_pose for v in order)]
+        if self.ids.tolist() != order or self.poses.tolist() != poses:
+            raise GraphInvariantError("ids or poses do not match the vertices")
 
 
 def reach(src: Observation, dst: Observation, estimator, lo: float, hi: float,
@@ -172,24 +193,41 @@ def reach(src: Observation, dst: Observation, estimator, lo: float, hi: float,
 
     This is the one window test behind merging, connecting, localizing and
     judging a traversal.  It checks the estimator's distance floor, then
-    the waypoint's distance, and only then asks for the score, which is the
-    costly half of a prediction; most pairs fall outside the window.  An
-    inclusive upper bound x is passed as math.nextafter(x, math.inf).
+    its waypoint distance (_distance_in), and only then asks for the
+    score, which is the costly half of a prediction; most pairs fall
+    outside the window.  An inclusive upper bound x is passed as
+    math.nextafter(x, math.inf).
     """
-    if estimator.distance_floor(src, dst) >= hi:
-        return None
-    d = waypoint_distance(estimator.waypoint(src, dst))
-    if not lo <= d < hi:
+    d = _distance_in(src, dst, estimator, lo, hi)
+    if d is None:
         return None
     r_hat = estimator.predict(src, dst).r_hat
     return (d, r_hat) if r_hat >= r_min else None
+
+
+def _distance_in(src: Observation, dst: Observation, estimator, lo: float, hi: float):
+    """The waypoint distance from src to dst when it lies in [lo, hi),
+    else None: reach without the score."""
+    if estimator.distance_floor(src, dst) >= hi:
+        return None
+    d = estimator.waypoint_distance(src, dst)
+    return d if lo <= d < hi else None
+
+
+def _near(graph: TopoGraph, obs: Observation, estimator, hi: float) -> list[int]:
+    """Ascending ids of the vertices whose distance_floor_many to obs lies
+    below hi.  That floor is at most the scalar one, so every vertex that
+    reach could pass within a window ending at hi, in either direction, is
+    kept."""
+    return graph.ids[estimator.distance_floor_many(graph, obs) < hi].tolist()
 
 
 def is_mergeable(candidate: Observation, graph: TopoGraph, estimator, params: BuildParams) -> bool:
     """True when some vertex already covers the candidate: the estimator
     reaches it with distance below D_m."""
     return any(reach(graph.vertices[vid], candidate, estimator, 0.0, params.D_m,
-                     params.r_connect_min) is not None for vid in sorted(graph.vertices))
+                     params.r_connect_min) is not None
+               for vid in _near(graph, candidate, estimator, params.D_m))
 
 
 def is_connectable(src: Observation, dst: Observation, estimator, params: BuildParams):
@@ -217,7 +255,7 @@ def connect(graph: TopoGraph, obs: Observation, estimator, params: BuildParams) 
     is left untouched.  Returns whether obs was added.
     """
     edges = []
-    for vid in sorted(graph.vertices):
+    for vid in _near(graph, obs, estimator, math.nextafter(params.D_c, math.inf)):
         vobs = graph.vertices[vid]
         out = is_connectable(obs, vobs, estimator, params)
         if out is not None:
@@ -266,14 +304,19 @@ def build_graph(traj, estimator, params: BuildParams = BuildParams()):
     return graph, pool
 
 
-def _best_within(graph, ids, obs, estimator, params):
-    best = None
+def _nearest(graph, ids, obs, estimator, params):
+    """The vertex of ids that reaches obs within [0, D_loc) at the least
+    (distance, id), or None.  Only the candidates inside the window are
+    scored, nearest first, up to the first that passes."""
+    window = []
     for vid in ids:
-        hit = reach(graph.vertices[vid], obs, estimator, 0.0, params.D_loc,
-                    params.r_connect_min)
-        if hit is not None and (best is None or (hit[0], vid) < best):
-            best = (hit[0], vid)
-    return None if best is None else best[1]
+        d = _distance_in(graph.vertices[vid], obs, estimator, 0.0, params.D_loc)
+        if d is not None:
+            window.append((d, vid))
+    for _, vid in sorted(window):
+        if estimator.predict(graph.vertices[vid], obs).r_hat >= params.r_connect_min:
+            return vid
+    return None
 
 
 def localize(graph: TopoGraph, obs: Observation, estimator, params: BuildParams, last_path=None):
@@ -284,14 +327,15 @@ def localize(graph: TopoGraph, obs: Observation, estimator, params: BuildParams,
     given, its vertices and their out-neighbors are searched first and the
     global search only runs if that local set fails.
     """
+    near = _near(graph, obs, estimator, params.D_loc)
     if last_path:
         local = {vid for vid in last_path if vid in graph.vertices}
         for vid in list(local):
             local.update(graph.out_neighbors(vid))
-        hit = _best_within(graph, sorted(local), obs, estimator, params)
+        hit = _nearest(graph, [vid for vid in near if vid in local], obs, estimator, params)
         if hit is not None:
             return hit
-    return _best_within(graph, sorted(graph.vertices), obs, estimator, params)
+    return _nearest(graph, near, obs, estimator, params)
 
 
 def plan(graph: TopoGraph, start: int, goal: int):
@@ -328,35 +372,6 @@ _GRAPH_SECTIONS = ("[params]", "[observations]", "[vertices]", "[edges]", "[pool
 _TRAJ_HEADER = "toponav-trajectory/v1"
 
 
-def _observation_line(o: Observation) -> str:
-    s = o.scan
-    if s is None:
-        raise InvalidInput(f"observation {o.id} has no scan to save")
-    vals = [repr(float(v)) for v in (
-        o.true_pose.x, o.true_pose.y, o.true_pose.theta,
-        o.odom_pose.x, o.odom_pose.y, o.odom_pose.theta, s.max_range)]
-    angles = " ".join(map(repr, s.angles.tolist()))
-    ranges = " ".join(map(repr, s.ranges.tolist()))
-    return f"{o.id} {' '.join(vals)} {len(s.angles)} {angles} {ranges}\n"
-
-
-def _parse_observation(line: str) -> Observation:
-    parts = line.split()
-    oid = int(parts[0])
-    tx, ty, tth, ox, oy, oth, max_range = (float(v) for v in parts[1:8])
-    n = int(parts[8])
-    rest = [float(v) for v in parts[9:]]
-    if len(rest) != 2 * n:
-        raise LoadError(f"observation {oid}: expected {2 * n} ray values")
-    if not all(map(math.isfinite, [tx, ty, tth, ox, oy, oth, max_range] + rest)):
-        raise LoadError(f"observation {oid}: non-finite value")
-    ranges = np.array(rest[n:])
-    if not (max_range > 0.0 and (ranges >= 0.0).all() and (ranges <= max_range).all()):
-        raise LoadError(f"observation {oid}: ranges must lie in [0, max_range], max_range > 0")
-    scan = DepthScan.from_ranges(tx, ty, np.array(rest[:n]), ranges, max_range)
-    return Observation(oid, scan, Pose2D(tx, ty, tth), Pose2D(ox, oy, oth))
-
-
 def _read_body(path: str, header: str) -> list[str]:
     """The non-blank lines after the file's first line, which must be
     `header`.  An unreadable file or another header is a LoadError."""
@@ -371,18 +386,22 @@ def _read_body(path: str, header: str) -> list[str]:
 
 
 def save_trajectory(observations, path: str) -> None:
-    """Write the observations in order, one line each.  Raises InvalidInput,
-    before the file is opened, when one has no scan."""
-    lines = [_observation_line(o) for o in observations]
+    """Write the observations in order, one Observation.record() line
+    each: an observation read from a file writes back the line it was read
+    from.  Raises InvalidInput, before the file is opened, when one has no
+    scan."""
+    lines = [o.record() + "\n" for o in observations]
     with open(path, "w") as fh:
         fh.write(_TRAJ_HEADER + "\n")
         fh.writelines(lines)
 
 
 def load_trajectory(path: str) -> list[Observation]:
-    """Inverse of save_trajectory."""
+    """Inverse of save_trajectory.  Every value is checked here (a
+    LoadError); each observation keeps its line and parses its scan from
+    it on the first read."""
     try:
-        return [_parse_observation(ln) for ln in _read_body(path, _TRAJ_HEADER)]
+        return [Observation.from_record(ln) for ln in _read_body(path, _TRAJ_HEADER)]
     except (ValueError, IndexError) as e:
         raise LoadError(f"malformed trajectory file: {e}") from e
 
@@ -390,11 +409,14 @@ def load_trajectory(path: str) -> list[Observation]:
 def save_graph(graph: TopoGraph, pool: TrajectoryPool, path: str) -> None:
     """Write graph, pool, and build params as versioned sectioned text.
     Orderings are deterministic so identical runs produce identical files.
-    Raises, before the file is opened, GraphInvariantError when the pool
-    holds a vertex and InvalidInput when an observation has no scan."""
+    Each observation is one Observation.record() line, in repr form, except
+    that one read from a file writes back its line as it was read, even
+    when its numbers were not in repr form.  Raises, before the file is
+    opened, GraphInvariantError when the pool holds a vertex and
+    InvalidInput when an observation has no scan."""
     if any(o.id in graph.vertices for o in pool):
         raise GraphInvariantError("the pool overlaps the vertices")
-    lines = [_observation_line(o) for o in list(graph.vertices.values()) + list(pool)]
+    lines = [o.record() + "\n" for o in list(graph.vertices.values()) + list(pool)]
     p = graph.build_params
     with open(path, "w") as fh:
         fh.write(_GRAPH_HEADER + "\n")
@@ -417,7 +439,8 @@ def save_graph(graph: TopoGraph, pool: TrajectoryPool, path: str) -> None:
 
 def load_graph(path: str):
     """Inverse of save_graph.  Returns (graph, pool).  Any other layout of
-    sections, params or observations than save_graph's is a LoadError."""
+    sections, params or observations than save_graph's, or a value that
+    load_trajectory would refuse, is a LoadError."""
     lines = _read_body(path, _GRAPH_HEADER)
     heads = [k for k, ln in enumerate(lines) if ln.startswith("[")]
     if heads[:1] != [0] or [lines[k] for k in heads] != list(_GRAPH_SECTIONS):
@@ -431,7 +454,7 @@ def load_graph(path: str):
             raise LoadError("[params] must list the build parameters in order")
         params = BuildParams(**{f.name: type(f.default)(v)
                                 for f, (_, v) in zip(fields(BuildParams), raw)})
-        obs = {o.id: o for o in map(_parse_observation, obs_lines)}
+        obs = {o.id: o for o in map(Observation.from_record, obs_lines)}
         graph = TopoGraph(params)
         for ln in vertex_lines:
             graph.add_vertex(obs[int(ln)])

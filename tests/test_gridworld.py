@@ -297,17 +297,6 @@ class TestRaycast:
         assert raycast(g, p, p, [angle], 5.0)[0] == t
         assert reference_raycast(g, p, p, [angle], 5.0)[0] == t
 
-    def test_evicted_scan_casts_again_to_the_same_ranges(self, monkeypatch):
-        monkeypatch.setattr(gridworld, "_SCAN_CACHE_CAP", 3)
-        g = generate_rooms_map(seed=2)
-        poses = [Pose2D(2.0, 2.0 + 0.1 * i, 1.0) for i in range(5)]
-        first = [raycast_scan(g, p) for p in poses]
-        assert len(g._scan_cache) == 3
-        again = raycast_scan(g, poses[0])
-        assert again is not first[0]
-        assert np.array_equal(again.ranges, first[0].ranges)
-        assert len(g._scan_cache) == 3
-
     def test_open_room_all_max_range(self):
         g = with_sensor(empty_room(), SensorConfig(max_range=2.0))
         scan = raycast_scan(g, Pose2D(5.0, 5.0, 0.7))
@@ -466,16 +455,15 @@ class TestCoVisible:
     def test_at_most_two_raycasts(self, monkeypatch):
         g = apartment_map()
         pairs = near_pose_pairs(g, np.random.default_rng(5), 40)
-        for pose in [p for pair in pairs for p in pair]:  # cast and cache the scans first
-            raycast_scan(g, pose)
+        scans = [(raycast_scan(g, a), raycast_scan(g, b)) for a, b in pairs]
         calls = []
         cast = gridworld.raycast
         monkeypatch.setattr(gridworld, "raycast",
                             lambda *args: calls.append(1) or cast(*args))
         counts = []
-        for a, b in pairs:
+        for (a, b), (sa, sb) in zip(pairs, scans):
             calls.clear()
-            co_visible(g, a, b, 0.3)
+            co_visible(g, a, b, 0.3, lambda: sa, lambda: sb)
             counts.append(len(calls))
         assert max(counts) == 2 and 1 in counts
 
@@ -486,13 +474,14 @@ class TestCoVisible:
         g = apartment_map()
         sensor, t = g.sensor, 0.3
         pairs = near_pose_pairs(g, np.random.default_rng(6), 150)
+        scans = {}
         expected = {}
         for i, (a, b) in enumerate(pairs):
             d = math.hypot(b.x - a.x, b.y - a.y)
             bearing = math.atan2(b.y - a.y, b.x - a.x)
             if d > sensor.max_range or abs(wrap_angle(bearing - a.theta)) > sensor.fov / 2:
                 continue
-            scan_a, scan_b = raycast_scan(g, a), raycast_scan(g, b)
+            scan_a, scan_b = scans[i] = raycast_scan(g, a), raycast_scan(g, b)
             in_view_a = len(gridworld._overlap_rays(g, scan_a, b)[1])
             in_view_b = len(gridworld._overlap_rays(g, scan_b, a)[1])
             if in_view_a < t * len(scan_a.hit_points):
@@ -507,7 +496,8 @@ class TestCoVisible:
                             lambda *args: calls.append(1) or cast(*args))
         for i, n_casts in expected.items():
             calls.clear()
-            assert not co_visible(g, *pairs[i], t)
+            scan_a, scan_b = scans[i]
+            assert not co_visible(g, *pairs[i], t, lambda: scan_a, lambda: scan_b)
             assert len(calls) == n_casts, pairs[i]
         assert set(expected.values()) == {0, 1}
 
@@ -769,6 +759,13 @@ class TestStepAgent:
     def test_non_finite_input_rejected(self, cmd, dt):
         with pytest.raises(InvalidInput):
             step_agent(two_room_map(), AgentState(Pose2D(1.3, 1.0, 0.0)), cmd, dt)
+
+    def test_a_finite_arc_too_long_to_sample_is_rejected(self):
+        # v * dt / (half a resolution) overflows to inf, which no sample
+        # count can hold; it used to raise OverflowError.
+        with pytest.raises(InvalidInput):
+            step_agent(two_room_map(), AgentState(Pose2D(1.3, 1.0, 0.0)),
+                       VelocityCmd(1e308, 0.0), 0.1)
 
 
 class TestFeedbackControl:

@@ -15,6 +15,9 @@ from toponav.maintenance import (
     expand_for_plan,
     gaussian_weight_update,
 )
+from toponav.fixtures import two_room_map, two_room_route
+from toponav.gridworld import sample_free_pose
+from toponav.navharness import World, collect_trajectory
 from toponav.perception import OracleEstimator
 from toponav.se2 import Pose2D
 from toponav.topograph import (
@@ -22,13 +25,14 @@ from toponav.topograph import (
     EdgeBelief,
     TopoGraph,
     TrajectoryPool,
+    build_graph,
     localize,
     plan,
     save_graph,
 )
 
 from test_gridworld import empty_room
-from test_perception import mk_obs
+from test_perception import count_labels, mk_obs
 
 MP = MaintenanceParams()
 BP = BuildParams()
@@ -250,6 +254,49 @@ class TestAddNovelNode:
         pool = TrajectoryPool([novel])
         add_novel_node(g, pool, novel, self.est, BP)
         assert pool.ids() == []
+
+    def test_an_id_the_graph_or_pool_holds_for_another_observation_is_refused(
+            self, monkeypatch):
+        # A world whose id counter starts at 0 observes beside a graph built
+        # from every third two-room observation, with the rest as its pool.
+        # Its first novel vertex took id 1 and dropped the pool's own
+        # observation 1 (434 -> 433 pool observations) without an error.
+        grid = two_room_map()
+        traj = collect_trajectory(World(grid), two_room_route(), 1, 0.2)
+        est = OracleEstimator(grid)
+        graph, leftovers = build_graph(traj[::3], est, BP)
+        pool = TrajectoryPool(sorted([o for i, o in enumerate(traj) if i % 3] + list(leftovers),
+                                     key=lambda o: o.id))
+        world = World(grid)
+        rng = np.random.default_rng(4)
+        held = len(pool)
+        taken = 0
+        for _ in range(40):
+            obs = world.observe(sample_free_pose(grid, rng))
+            if localize(graph, obs, est, BP) is not None:
+                continue
+            if obs.id not in graph.vertices and obs.id not in pool.ids():
+                add_novel_node(graph, pool, obs, est, BP)
+                continue
+            before = (graph.n_vertices, graph.n_edges, pool.ids())
+            labels = count_labels(monkeypatch)
+            with pytest.raises(InvalidInput):
+                add_novel_node(graph, pool, obs, est, BP)
+            monkeypatch.undo()
+            assert labels == [] and (graph.n_vertices, graph.n_edges, pool.ids()) == before
+            taken += 1
+        assert taken > 0 and len(pool) == held
+
+    def test_only_a_free_id_or_the_pools_own_observation_is_added(self):
+        g = self._base_graph()
+        novel = mk_obs(self.grid, 0, Pose2D(3.2, 2.5, 0.0))
+        with pytest.raises(InvalidInput):
+            add_novel_node(g, TrajectoryPool(), novel, self.est, BP)
+        held = mk_obs(self.grid, 5, Pose2D(3.2, 2.5, 0.0))
+        other = mk_obs(self.grid, 5, Pose2D(3.3, 2.5, 0.0))
+        with pytest.raises(InvalidInput):
+            add_novel_node(g, TrajectoryPool([held]), other, self.est, BP)
+        assert add_novel_node(g, TrajectoryPool([held]), held, self.est, BP) == 5
 
 
 class TestExpandForPlan:

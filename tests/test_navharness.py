@@ -143,17 +143,34 @@ def test_observe_rejects_a_pose_outside_free_space(grid, pose):
         World(grid).observe(pose)
 
 
-def test_collect_and_build_cast_no_collection_scan(monkeypatch, tmp_path):
-    # The oracle labels by pose, so no observation's scan is read until the
-    # graph is saved, which casts one per saved observation.
+def test_build_casts_each_compared_scan_once_and_save_casts_the_rest(monkeypatch, tmp_path):
+    # An observation owns its scan: build casts the scan of each
+    # observation whose scan co-visibility compares, once, and the oracle
+    # casts nothing on its own map.  Saving then casts only the saved
+    # observations that build never scanned.
     grid = apartment_map()
     traj = collect_trajectory(World(grid), apartment_route(), loops=1, spacing=0.2,
                               odom_noise=OdomNoise(0.02, 0.01, seed=1))
+    assert len({o.true_pose for o in traj}) == len(traj)
     casts = counted(monkeypatch, perception, "raycast_scan")
+    map_casts = counted(monkeypatch, gridworld, "raycast_scan")
+    compared = set()
+    co_visible = perception.co_visible
+
+    def spy(grid, a, b, min_overlap, scan_a, scan_b):
+        return co_visible(grid, a, b, min_overlap, lambda: compared.add(a) or scan_a(),
+                          lambda: compared.add(b) or scan_b())
+
+    monkeypatch.setattr(perception, "co_visible", spy)
     graph, pool = build_graph(traj, OracleEstimator(grid))
-    assert casts == []
+    cast_poses = [args[1] for args in casts]
+    assert map_casts == [] and compared
+    assert len(set(cast_poses)) == len(cast_poses)
+    assert set(cast_poses) == compared
+    saved = list(graph.vertices.values()) + list(pool)
+    unscanned = [o for o in saved if o.true_pose not in compared]
     save_graph(graph, pool, str(tmp_path / "g.graph"))
-    assert len(casts) == graph.n_vertices + len(pool) < len(traj)
+    assert len(casts) == len(compared) + len(unscanned) <= len(traj)
 
 
 # ---------------------------------------------------------------------------

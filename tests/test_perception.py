@@ -35,19 +35,39 @@ from toponav.perception import (
     loss_total,
     save_dataset,
 )
-from toponav.se2 import Pose2D, Waypoint, dubins_sample, relative, waypoint_distance, wrap_angle
-from toponav.topograph import BuildParams, TopoGraph, localize
+from toponav.navharness import World
+from toponav.se2 import (
+    Pose2D,
+    Waypoint,
+    dubins_sample,
+    relative,
+    se2_log,
+    waypoint_distance,
+    wrap_angle,
+)
+from toponav.topograph import BuildParams, TopoGraph, load_trajectory, localize, save_trajectory
 
 from test_gridworld import (
     MAPS,
     empty_room,
     is_visible,
+    near_pose_pairs,
     room_with_column_wall,
     visual_overlap,
     with_sensor,
 )
 
 CRIT = ReachabilityCriteria()
+
+# Offsets between two poses: any size, tiny ones down to where squares
+# underflow, and signed zeros.
+OFFSETS = st.one_of(st.floats(-20.0, 20.0), st.floats(-1e-6, 1e-6),
+                    st.floats(-1e-150, 1e-150), st.sampled_from([0.0, -0.0]))
+# Heading offsets within 1e-6 of 0 and of +-pi, and signed zeros.
+HEADING_OFFSETS = st.one_of(
+    st.floats(-math.pi, math.pi), st.floats(-1e-6, 1e-6),
+    st.floats(-1e-6, 1e-6).map(lambda e: math.pi + e),
+    st.floats(-1e-6, 1e-6).map(lambda e: -math.pi + e), st.sampled_from([0.0, -0.0]))
 
 
 def mk_obs(grid, oid, pose):
@@ -376,6 +396,74 @@ class TestOracleEstimator:
         b = Observation(1, None, Pose2D(bx, by, ath + dth), Pose2D(bx, by, ath + dth))
         assert est.distance_floor(a, b) <= waypoint_distance(est.waypoint(a, b))
 
+    @given(st.floats(-20.0, 20.0), st.floats(-20.0, 20.0),
+           st.one_of(st.floats(-math.pi, math.pi), st.sampled_from([0.0, -0.0, math.pi])),
+           OFFSETS, OFFSETS, HEADING_OFFSETS, st.booleans(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=800, deadline=None)
+    def test_waypoint_distance_is_the_waypoints_bit_for_bit(self, ax, ay, ath, ox, oy, dth,
+                                                            noisy, seed):
+        noise = (NoiseConfig(pos_sigma=0.05, theta_sigma=0.02, seed=seed) if noisy
+                 else NoiseConfig(seed=seed))
+        est = OracleEstimator(empty_room(5.0, 5.0), noise)
+        pa, pb = Pose2D(ax, ay, ath), Pose2D(ax + ox, ay + oy, ath + dth)
+        a, b = Observation(0, None, pa, pa), Observation(1, None, pb, pb)
+        d = est.waypoint_distance(a, b)
+        assert repr(d) == repr(waypoint_distance(est.waypoint(a, b)))
+        if not noisy:
+            # The objects the oracle used to build: relative()'s Waypoint,
+            # the + 0.0 Waypoint and se2_log's Twist.
+            w = relative(pa, pb)
+            w = Waypoint(w.dx + 0.0, w.dy + 0.0, wrap_angle(w.dtheta + 0.0))
+            t = se2_log(w)
+            ref = math.sqrt(t.vx * t.vx + t.vy * t.vy + 2.0 * t.omega * t.omega)
+            assert repr(d) == repr(ref)
+            got = est.waypoint(a, b)
+            assert (repr(got.dx), repr(got.dy), repr(got.dtheta)) == (
+                repr(w.dx), repr(w.dy), repr(w.dtheta))
+
+    @given(st.lists(st.tuples(OFFSETS, OFFSETS), min_size=1, max_size=25),
+           st.floats(-20.0, 20.0), st.floats(-20.0, 20.0), st.floats(-math.pi, math.pi),
+           st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_distance_floor_many_keeps_every_vertex_the_scalar_floor_keeps(
+            self, offsets, x, y, theta, noisy):
+        noise = NoiseConfig(pos_sigma=0.05) if noisy else NoiseConfig()
+        est = OracleEstimator(empty_room(5.0, 5.0), noise)
+        graph = TopoGraph()
+        for i, (dx, dy) in enumerate(offsets):
+            p = Pose2D(x + dx, y + dy, 0.3 * i)
+            graph.add_vertex(Observation(2 * i, None, p, p))
+        obs = Observation(1, None, Pose2D(x, y, theta), Pose2D(x, y, theta))
+        many = est.distance_floor_many(graph, obs)
+        assert many.shape == (graph.n_vertices,)
+        for k, vid in enumerate(graph.ids.tolist()):
+            v = graph.vertices[vid]
+            for scalar in (est.distance_floor(v, obs), est.distance_floor(obs, v)):
+                # The tightest window that the scalar floor lets through.
+                assert many[k] < math.nextafter(scalar, math.inf)
+
+    @pytest.mark.parametrize("make_map", [two_room_map, apartment_map],
+                             ids=["two-room", "apartment"])
+    def test_labels_from_owned_and_loaded_scans_equal_labels_by_pose(self, make_map,
+                                                                     tmp_path):
+        # An observation's own scan, cast when first read or parsed from
+        # its file line, labels every pair as casting on the map did.
+        grid = make_map()
+        rng = np.random.default_rng(37)
+        pairs = [(a, Pose2D(b.x, b.y, a.theta + rng.uniform(-1.2, 1.2)))
+                 for a, b in near_pose_pairs(grid, rng, 500, max_dist=3.0)]
+        world = World(grid)
+        observed = [(world.observe(a), world.observe(b)) for a, b in pairs]
+        path = str(tmp_path / "pairs.traj")
+        save_trajectory([World(grid).observe(p, i) for i, p in
+                         enumerate(p for pair in pairs for p in pair)], path)
+        loaded = load_trajectory(path)
+        by_pose = [label_reachability(grid, a, b, CRIT) for a, b in pairs]
+        est = OracleEstimator(grid)
+        assert [est.true_label(a, b) for a, b in observed] == by_pose
+        assert [est.true_label(a, b) for a, b in zip(loaded[::2], loaded[1::2])] == by_pose
+        assert 50 <= sum(by_pose) <= 450
+
     @pytest.mark.parametrize("noise", [NoiseConfig(pos_sigma=0.05),
                                        NoiseConfig(theta_sigma=0.02)],
                              ids=["pos_sigma", "theta_sigma"])
@@ -385,7 +473,9 @@ class TestOracleEstimator:
         a = mk_obs(g, 0, Pose2D(2.0, 2.0, 0.0))
         b = mk_obs(g, 1, Pose2D(5.0, 6.0, 1.0))
         assert est.distance_floor(a, b) == 0.0
-        assert OracleEstimator(g).distance_floor(a, b) == pytest.approx(5.0)
+        # Exact waypoints: the 5 m offset and the 1 rad turn, as the log's
+        # norm weighs them.
+        assert OracleEstimator(g).distance_floor(a, b) == pytest.approx(math.sqrt(27.0))
 
     def test_waypoint_noise_magnitude(self):
         g = empty_room()

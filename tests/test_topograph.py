@@ -7,7 +7,9 @@ import pytest
 from toponav.errors import (EdgeNotFound, GraphInvariantError, InvalidInput, InvalidVertex,
                             LoadError)
 from toponav.gridworld import DepthScan
-from toponav.perception import Observation, OracleEstimator, Prediction
+from toponav.fixtures import two_room_map, two_room_route
+from toponav.navharness import World, collect_trajectory
+from toponav.perception import NoiseConfig, Observation, OracleEstimator, Prediction
 from toponav.se2 import Pose2D, Waypoint, waypoint_distance
 from toponav.topograph import (
     BuildParams,
@@ -19,10 +21,12 @@ from toponav.topograph import (
     is_connectable,
     is_mergeable,
     load_graph,
+    load_trajectory,
     localize,
     plan,
     reach,
     save_graph,
+    save_trajectory,
     traversal_succeeded,
 )
 
@@ -139,6 +143,39 @@ class TestTopoGraphStructure:
             with pytest.raises(GraphInvariantError):
                 g.check()
 
+    def test_vertex_arrays_follow_adds_and_removals(self):
+        g = TopoGraph()
+        for vid in (4, 1, 7, 3):
+            p = Pose2D(float(vid), 2.0 * vid, 0.0)
+            g.add_vertex(Observation(vid, None, p, p))
+        g.remove_vertex(7)
+        g.check()
+        assert g.ids.tolist() == [1, 3, 4]
+        assert g.poses.tolist() == [[1.0, 2.0, 0.0], [3.0, 6.0, 0.0], [4.0, 8.0, 0.0]]
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda g: g.vertices.__setitem__(9, dummy_obs(9)),
+        lambda g: g.vertices.__setitem__(4, dummy_obs(4)),
+        lambda g: g.poses.__setitem__((0, 1), 5.0),
+        lambda g: g.poses.__setitem__((0, 2), 0.5),
+        lambda g: setattr(g, "ids", g.ids[::-1].copy()),
+    ], ids=["vertex-not-in-ids", "moved-vertex", "moved-position", "turned-heading",
+            "unsorted-ids"])
+    @pytest.mark.parametrize("last", ["add_vertex", "remove_vertex"])
+    def test_check_rejects_vertex_arrays_that_disagree_with_the_vertices(self, corrupt, last):
+        g = TopoGraph()
+        for vid in (1, 4, 6):
+            p = Pose2D(float(vid), 1.0, 0.0)
+            g.add_vertex(Observation(vid, None, p, p))
+        if last == "add_vertex":
+            g.add_vertex(dummy_obs(2))
+        else:
+            g.remove_vertex(6)
+        g.check()
+        corrupt(g)
+        with pytest.raises(GraphInvariantError):
+            g.check()
+
     @pytest.mark.parametrize("mu, sigma2", [
         (math.nan, 0.25), (math.inf, 0.25), (-1.0, 0.25), (1.0, math.nan), (1.0, math.inf),
     ])
@@ -228,8 +265,15 @@ class WindowStub:
     def distance_floor(self, a, b):
         return self.dist[b.id] if self.exact_floor else 0.0
 
-    def waypoint(self, a, b):
+    def distance_floor_many(self, graph, obs):
+        # Distances are known by a pair's end only: no floor for obs -> vertex.
+        return np.zeros(len(graph.ids))
+
+    def waypoint_distance(self, a, b):
         self.waypoints.append(b.id)
+        return self.dist[b.id]
+
+    def waypoint(self, a, b):
         return Waypoint(self.dist[b.id], 0.0, 0.0)
 
     def predict(self, a, b):
@@ -593,6 +637,72 @@ class TestPersistence:
         p.write_text("\n".join(edit(lines, heads)) + "\n")
         with pytest.raises(LoadError):
             load_graph(str(p))
+
+    @pytest.mark.parametrize("edit", [
+        lambda parts, n: parts[:9 + 2 * n - 1] + ["nan"],
+        lambda parts, n: parts[:9] + ["inf"] + parts[10:],
+        lambda parts, n: parts[:-1],
+        lambda parts, n: parts + ["1.0"],
+        lambda parts, n: parts[:-1] + ["-0.5"],
+        lambda parts, n: parts[:-1] + [repr(float(parts[7]) + 1.0)],
+        lambda parts, n: parts[:7] + ["0.0"] + parts[8:],
+        lambda parts, n: parts[:7] + ["-5.0"] + parts[8:],
+    ], ids=["nan-range", "inf-angle", "2n-1-values", "2n+1-values", "negative-range",
+            "range-over-max", "max_range=0", "max_range<0"])
+    @pytest.mark.parametrize("kind", ["graph", "trajectory"])
+    def test_malformed_scan_values_fail_the_load_itself(self, tmp_path, edit, kind):
+        # Scans are parsed on first read, but every value is checked when
+        # the file loads.
+        graph, pool = self._fixture()
+        p = tmp_path / "f.txt"
+        if kind == "graph":
+            save_graph(graph, pool, str(p))
+        else:
+            save_trajectory(list(graph.vertices.values()), str(p))
+        lines = p.read_text().splitlines()
+        i = lines.index("[observations]") + 1 if kind == "graph" else 1
+        parts = lines[i].split()
+        lines[i] = " ".join(edit(parts, int(parts[8])))
+        p.write_text("\n".join(lines) + "\n")
+        load = load_graph if kind == "graph" else load_trajectory
+        with pytest.raises(LoadError):
+            load(str(p))
+
+    def test_a_set_up_graph_round_trips_without_building_a_scan(self, tmp_path, monkeypatch):
+        # The query set-up: collect, keep every third observation, build
+        # through files.  Loading and saving the graph again writes its
+        # lines back as read, so no scan is parsed.
+        grid = two_room_map()
+        traj_path, graph_path = str(tmp_path / "t.traj"), str(tmp_path / "a.graph")
+        save_trajectory(collect_trajectory(World(grid), two_room_route(), 1, 0.2), traj_path)
+        est = OracleEstimator(grid, NoiseConfig(false_positive_rate=0.1))
+        save_graph(*build_graph(load_trajectory(traj_path)[::3], est), graph_path)
+        built = []
+        from_ranges = DepthScan.from_ranges.__func__
+        monkeypatch.setattr(DepthScan, "from_ranges",
+                            classmethod(lambda cls, *a: built.append(1) or from_ranges(cls, *a)))
+        save_graph(*load_graph(graph_path), str(tmp_path / "b.graph"))
+        assert built == []
+        assert (tmp_path / "a.graph").read_bytes() == (tmp_path / "b.graph").read_bytes()
+
+    def test_a_line_not_in_repr_form_is_written_back_as_read(self, tmp_path):
+        graph, pool = self._fixture()
+        p, q = tmp_path / "a.txt", tmp_path / "b.txt"
+        save_graph(graph, pool, str(p))
+        lines = p.read_text().splitlines()
+        i = lines.index("[observations]") + 1
+        parts = lines[i].split()
+        n = int(parts[8])
+        parts[1:3] = [f"{float(v):.3f}" for v in parts[1:3]]
+        parts[9] = f"{float(parts[9]):.6e}"
+        parts[9 + n] = parts[9 + n] + "000"
+        lines[i] = " ".join(parts)
+        p.write_text("\n".join(lines) + "\n")
+        loaded, loaded_pool = load_graph(str(p))
+        obs = loaded.vertices[int(parts[0])]
+        assert obs.true_pose.x == float(parts[1]) and obs.scan.angles[0] == float(parts[9])
+        save_graph(loaded, loaded_pool, str(q))
+        assert q.read_text() == p.read_text()
 
     def test_save_rejects_a_pool_that_overlaps_the_vertices(self, tmp_path):
         graph, _ = self._fixture()
