@@ -30,7 +30,6 @@ from .perception import (
     OracleEstimator,
     ReachabilityCriteria,
     label_reachability,
-    loss_total,
 )
 from .topograph import (
     BuildParams,
@@ -82,7 +81,6 @@ __all__ = [
     "load_graph",
     "load_trajectory",
     "localize",
-    "loss_total",
     "make_test_set",
     "plan",
     "relative",

@@ -1,10 +1,10 @@
 """Command-line front end.
 
-Subcommands cover the whole pipeline: map generation, trajectory
-collection, graph construction, single episodes, evaluation, the
-lifelong maintenance experiment, and dataset loss reporting.  Every
-run is a pure function of the config file plus --seed, so identical
-invocations produce identical outputs.
+Subcommands cover the whole pipeline on a bundled map (two-room or
+apartment): trajectory collection, graph construction, single episodes,
+evaluation, and the lifelong maintenance experiment.  Every run is a
+pure function of the config file plus --seed, so identical invocations
+produce identical outputs.
 
 Exit codes: 0 on success, 1 on runtime errors, 2 on usage or config
 errors.
@@ -22,15 +22,7 @@ import numpy as np
 
 from .errors import ConfigError, Error, InvalidInput
 from .fixtures import apartment_map, apartment_route, two_room_map, two_room_route
-from .gridworld import (
-    DEFAULT_ROBOT_RADIUS,
-    ControllerGains,
-    GridMap,
-    SensorConfig,
-    generate_rooms_map,
-    load_map,
-    save_map,
-)
+from .gridworld import DEFAULT_ROBOT_RADIUS, ControllerGains, GridMap, SensorConfig
 from .maintenance import MaintenanceParams
 from .navharness import (
     EXPAND_STREAM,
@@ -45,16 +37,7 @@ from .navharness import (
     run_episode,
     run_lifelong,
 )
-from .perception import (
-    NoiseConfig,
-    OracleEstimator,
-    ReachabilityCriteria,
-    load_dataset,
-    loss_position,
-    loss_reachability,
-    loss_rotation,
-    loss_total,
-)
+from .perception import NoiseConfig, OracleEstimator, ReachabilityCriteria
 from .se2 import Pose2D
 from .topograph import (
     BuildParams,
@@ -65,49 +48,29 @@ from .topograph import (
     save_trajectory,
 )
 
+# The bundled maps, each with the route that collection drives on it.
+_MAPS = {"two-room": (two_room_map, two_room_route),
+         "apartment": (apartment_map, apartment_route)}
+
 
 @dataclass(frozen=True)
 class MapSettings:
-    """The map to run on (`map_file` overrides `map`) and the robot body."""
+    """The bundled map to run on and the robot body."""
 
     map: str = "two-room"
-    map_file: str | None = None
-    width: float = 10.0
-    height: float = 8.0
     resolution: float = 0.1
-    rooms_x: int = 2
-    rooms_y: int = 2
-    door_width: float = 0.8
     dt: float = 0.1
     robot_radius: float = DEFAULT_ROBOT_RADIUS
 
     def __post_init__(self):
-        if self.map not in ("two-room", "apartment", "generated"):
-            raise InvalidInput(f"unknown map {self.map!r}: "
-                               "expected two-room, apartment, or generated")
+        if self.map not in _MAPS:
+            raise InvalidInput(f"unknown map {self.map!r}: expected two-room or apartment")
         if not (0.0 < self.resolution < math.inf):
             raise InvalidInput("map resolution must be positive and finite")
-        for name in ("width", "height", "door_width"):
-            if not (0.0 < getattr(self, name) < math.inf):
-                raise InvalidInput(f"{name} must be positive and finite")
-        if not (self.rooms_x >= 1 and self.rooms_y >= 1):
-            raise InvalidInput("rooms_x and rooms_y must be at least 1")
         if not (0.0 < self.dt < math.inf):
             raise InvalidInput("dt must be positive and finite")
         if not (0.0 <= self.robot_radius < math.inf):
             raise InvalidInput("robot_radius must be non-negative and finite")
-
-
-@dataclass(frozen=True)
-class LossWeights:
-    """Weights of the position and rotation terms in `loss_total`."""
-
-    alpha: float = 1.0
-    beta: float = 1.0
-
-    def __post_init__(self):
-        if not (0.0 <= self.alpha < math.inf and 0.0 <= self.beta < math.inf):
-            raise InvalidInput("alpha and beta must be non-negative and finite")
 
 
 @dataclass(frozen=True)
@@ -140,7 +103,7 @@ class RunSettings:
 # ExperimentConfig holds one value per name.
 _SECTIONS = {
     "gridworld": (MapSettings, SensorConfig, ControllerGains),
-    "perception": (NoiseConfig, ReachabilityCriteria, LossWeights),
+    "perception": (NoiseConfig, ReachabilityCriteria),
     "topograph": (BuildParams,),
     "maintenance": (MaintenanceParams,),
     "navharness": (RunSettings, EpisodeLimits),
@@ -149,8 +112,7 @@ _NOT_KEYS = ("seed", "rng_seed")
 
 
 # Field type (a string under postponed annotations) -> its configparser getter.
-_GETTERS = {"str": "get", "str | None": "get", "int": "getint", "float": "getfloat",
-            "bool": "getboolean"}
+_GETTERS = {"str": "get", "int": "getint", "float": "getfloat", "bool": "getboolean"}
 
 
 def _keys() -> dict[tuple[str, str], Field]:
@@ -221,34 +183,15 @@ def load_config(path: str | None) -> ExperimentConfig:
     return cfg
 
 
-def _generated_map(cfg: ExperimentConfig, seed: int) -> GridMap:
-    try:  # a size the generator rejects is a config error
-        return generate_rooms_map(cfg.width, cfg.height, cfg.resolution,
-                                  cfg.rooms_x, cfg.rooms_y, cfg.door_width, seed)
-    except InvalidInput as e:
-        raise ConfigError(str(e)) from e
-
-
 def make_grid(cfg: ExperimentConfig, seed: int) -> GridMap:
-    """The configured map, holding the configured robot radius and sensor."""
-    if cfg.map_file is not None:
-        grid = load_map(cfg.map_file)
-    elif cfg.map == "two-room":
-        grid = two_room_map(cfg.resolution)
-    elif cfg.map == "apartment":
-        grid = apartment_map(cfg.resolution)
-    else:
-        grid = _generated_map(cfg, seed)
+    """The configured map, holding the configured robot radius and sensor.
+    Every bundled map is fixed, so the seed does not change it."""
+    grid = _MAPS[cfg.map][0](cfg.resolution)
     return GridMap(grid.resolution, grid.occupied, cfg.robot_radius, cfg.make(SensorConfig))
 
 
 def make_route(cfg: ExperimentConfig) -> list[Pose2D]:
-    if cfg.map_file is None and cfg.map == "two-room":
-        return two_room_route()
-    if cfg.map_file is None and cfg.map == "apartment":
-        return apartment_route()
-    raise ConfigError("collection needs a bundled map with a route: "
-                      "set [gridworld] map = two-room or apartment")
+    return _MAPS[cfg.map][1]()
 
 
 def make_world(cfg: ExperimentConfig, grid: GridMap, first_id: int = 0) -> World:
@@ -315,16 +258,6 @@ def _episode_line(tag: str, res) -> str:
 # ---------------------------------------------------------------------------
 # Subcommands.
 # ---------------------------------------------------------------------------
-
-
-def _cmd_gen_map(args, cfg: ExperimentConfig) -> int:
-    out = _require_out(args)
-    grid = _generated_map(cfg, args.seed)
-    save_map(grid, out)
-    if args.verbose:
-        print(f"wrote {grid.nx}x{grid.ny} map ({grid.size_x:.1f} x "
-              f"{grid.size_y:.1f} m) to {out}")
-    return 0
 
 
 def _cmd_collect(args, cfg: ExperimentConfig) -> int:
@@ -402,37 +335,12 @@ def _cmd_lifelong(args, cfg: ExperimentConfig) -> int:
     return 0
 
 
-def _cmd_losses(args, cfg: ExperimentConfig) -> int:
-    pairs, criteria = load_dataset(args.dataset)
-    grid = make_grid(cfg, args.seed)
-    estimator = OracleEstimator(grid, cfg.make(NoiseConfig, seed=args.seed), criteria)
-    totals = []
-    reach = []
-    pos = []
-    rot = []
-    for p in pairs:
-        for o in (p.src, p.dst):
-            grid.require_free(o.true_pose.x, o.true_pose.y)
-        pred = estimator.predict(p.src, p.dst)
-        totals.append(loss_total(p.r, p.w, pred, cfg.alpha, cfg.beta))
-        reach.append(loss_reachability(p.r, pred.r_hat))
-        if p.r:
-            pos.append(loss_position(p.w, pred.w_hat))
-            rot.append(loss_rotation(p.w, pred.w_hat))
-    mean = lambda xs: sum(xs) / len(xs) if xs else float("nan")
-    return _report(args, f"pairs={len(pairs)} positive={len(pos)} "
-                   f"mean_total={mean(totals):.6f} mean_reachability={mean(reach):.6f} "
-                   f"mean_position={mean(pos):.6f} mean_rotation={mean(rot):.6f}\n")
-
-
 _COMMANDS = {
-    "gen-map": _cmd_gen_map,
     "collect": _cmd_collect,
     "build": _cmd_build,
     "navigate": _cmd_navigate,
     "evaluate": _cmd_evaluate,
     "lifelong": _cmd_lifelong,
-    "losses": _cmd_losses,
 }
 
 
@@ -447,8 +355,6 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="toponav",
         description="Topological navigation experiments on a 2D gridworld.")
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-    sub.add_parser("gen-map", parents=[common],
-                   help="generate a seeded multi-room map file")
     sub.add_parser("collect", parents=[common],
                    help="drive the bundled route and record a trajectory file")
     p = sub.add_parser("build", parents=[common],
@@ -467,12 +373,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_parser("lifelong", parents=[common],
                    help="full collect/build/maintain experiment; writes the "
                         "eval table and final graph")
-    p = sub.add_parser("losses", parents=[common],
-                       help="mean estimator losses over a dataset file",
-                       description="Mean estimator losses over a dataset file, which the "
-                       "Python API writes: toponav.perception.generate_sim_dataset or "
-                       "label_finetune_pairs, then save_dataset.")
-    p.add_argument("dataset", help="dataset file")
     return parser
 
 

@@ -14,7 +14,7 @@ class InvalidPose(Error, ValueError):
 
 
 class InvalidMap(Error, ValueError):
-    """A map violates the closed-world format (ragged rows, open border)."""
+    """A map violates the closed-world format (not a 2D grid, open border)."""
 
 
 class InvalidVertex(Error, KeyError):

@@ -1,4 +1,5 @@
-"""Hand-built maps and patrol routes shared by tests, demos, and the CLI.
+"""Hand-built maps and patrol routes shared by tests, demos, and the CLI,
+and a seeded procedural floor plan that has no route.
 
 Route legs are straight-line drivable: the feedback controller has no
 obstacle avoidance, so every leg (including the closing one) keeps a
@@ -9,6 +10,7 @@ import math
 
 import numpy as np
 
+from .errors import InvalidInput
 from .gridworld import GridMap
 from .se2 import Pose2D
 
@@ -83,3 +85,46 @@ def apartment_route() -> list[Pose2D]:
     """Rectangle through all four rooms; every leg crosses one doorway
     head-on."""
     return _headed_loop([(2.5, 2.0), (7.5, 2.0), (7.5, 6.0), (2.5, 6.0)])
+
+
+def generate_rooms_map(
+    width: float = 10.0,
+    height: float = 8.0,
+    resolution: float = 0.1,
+    rooms_x: int = 2,
+    rooms_y: int = 2,
+    door_width: float = 0.8,
+    seed: int = 0,
+) -> GridMap:
+    """Procedural floor plan: a rooms_x by rooms_y grid of rooms, one door
+    carved at a seeded-random position in every shared wall."""
+    nx = int(round(width / resolution))
+    ny = int(round(height / resolution))
+    if nx < 3 or ny < 3 or rooms_x < 1 or rooms_y < 1:
+        raise InvalidInput("map too small")
+    if seed < 0:
+        raise InvalidInput("seed must be non-negative")
+    rng = np.random.default_rng(seed)
+    occ = np.zeros((ny, nx), dtype=bool)
+    occ[0, :] = occ[-1, :] = occ[:, 0] = occ[:, -1] = True
+
+    door_cells = max(2, int(round(door_width / resolution)))
+    x_walls = [int(round(j * nx / rooms_x)) for j in range(1, rooms_x)]
+    y_walls = [int(round(j * ny / rooms_y)) for j in range(1, rooms_y)]
+    y_edges = [0] + y_walls + [ny - 1]
+    x_edges = [0] + x_walls + [nx - 1]
+
+    for cx in x_walls:
+        occ[:, cx] = True
+    for cy in y_walls:
+        occ[cy, :] = True
+    # One door per wall segment between adjacent rooms, walls across x first.
+    for walls, edges, cells in ((x_walls, y_edges, occ.T), (y_walls, x_edges, occ)):
+        for c in walls:
+            for lo, hi in zip(edges[:-1], edges[1:]):
+                span = hi - lo - 2
+                if span <= door_cells:
+                    raise InvalidInput("rooms too small for the requested door width")
+                start = lo + 1 + int(rng.integers(0, span - door_cells + 1))
+                cells[c, start : start + door_cells] = False
+    return GridMap(resolution, occ)

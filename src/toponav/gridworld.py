@@ -11,7 +11,8 @@ observation that took it (perception.Observation), so the map keeps none:
 co_visible reads the two scans it compares from its caller, and casts one
 on the map only when the caller has none.  The map caches its clearance
 mask and passable cells once, which never changes observable behavior;
-each path search runs on demand.
+each path search runs on demand.  Maps are occupancy arrays built in
+memory; toponav.fixtures holds the bundled ones.
 """
 
 from __future__ import annotations
@@ -553,96 +554,6 @@ def feedback_control(current: Pose2D, target: Pose2D, gains: ControllerGains) ->
     v = min(max(gains.k_rho * rho, 0.0), gains.v_max)
     omega = min(max(gains.k_alpha * alpha + gains.k_beta * beta, -om_cap), om_cap)
     return VelocityCmd(v, omega)
-
-
-# ---------------------------------------------------------------------------
-# Map files and generation.
-# ---------------------------------------------------------------------------
-
-
-def save_map(grid: GridMap, path: str) -> None:
-    """Write the text format: a resolution line, then rows top-down."""
-    lines = [f"resolution {grid.resolution!r}"]
-    for row in grid.occupied[::-1]:
-        lines.append("".join("#" if c else "." for c in row))
-    with open(path, "w") as f:
-        f.write("\n".join(lines) + "\n")
-
-
-def load_map(path: str) -> GridMap:
-    """Parse the text format; rejects ragged rows and bad characters."""
-    try:
-        with open(path) as f:
-            lines = [ln.rstrip("\n") for ln in f if ln.strip() != ""]
-    except OSError as e:
-        raise InvalidMap(f"{path}: cannot read map: {e}") from e
-    except UnicodeDecodeError as e:
-        raise InvalidMap(f"{path}: not a text map: {e}") from e
-    if not lines or not lines[0].startswith("resolution"):
-        raise InvalidMap(f"{path}: first line must be 'resolution <meters>'")
-    parts = lines[0].split()
-    if len(parts) != 2:
-        raise InvalidMap(f"{path}: malformed resolution line {lines[0]!r}")
-    try:
-        res = float(parts[1])
-    except ValueError as e:
-        raise InvalidMap(f"{path}: bad resolution {parts[1]!r}") from e
-    rows = lines[1:]
-    if not rows:
-        raise InvalidMap(f"{path}: no grid rows")
-    width = len(rows[0])
-    grid_rows = []
-    for i, row in enumerate(rows):
-        if len(row) != width:
-            raise InvalidMap(f"{path}: ragged row {i + 1} (len {len(row)} != {width})")
-        bad = set(row) - {".", "#"}
-        if bad:
-            raise InvalidMap(f"{path}: unexpected characters {sorted(bad)!r} in row {i + 1}")
-        grid_rows.append([c == "#" for c in row])
-    return GridMap(res, np.array(grid_rows[::-1], dtype=bool))
-
-
-def generate_rooms_map(
-    width: float = 10.0,
-    height: float = 8.0,
-    resolution: float = 0.1,
-    rooms_x: int = 2,
-    rooms_y: int = 2,
-    door_width: float = 0.8,
-    seed: int = 0,
-) -> GridMap:
-    """Procedural floor plan: a rooms_x by rooms_y grid of rooms, one door
-    carved at a seeded-random position in every shared wall."""
-    nx = int(round(width / resolution))
-    ny = int(round(height / resolution))
-    if nx < 3 or ny < 3 or rooms_x < 1 or rooms_y < 1:
-        raise InvalidInput("map too small")
-    if seed < 0:
-        raise InvalidInput("seed must be non-negative")
-    rng = np.random.default_rng(seed)
-    occ = np.zeros((ny, nx), dtype=bool)
-    occ[0, :] = occ[-1, :] = occ[:, 0] = occ[:, -1] = True
-
-    door_cells = max(2, int(round(door_width / resolution)))
-    x_walls = [int(round(j * nx / rooms_x)) for j in range(1, rooms_x)]
-    y_walls = [int(round(j * ny / rooms_y)) for j in range(1, rooms_y)]
-    y_edges = [0] + y_walls + [ny - 1]
-    x_edges = [0] + x_walls + [nx - 1]
-
-    for cx in x_walls:
-        occ[:, cx] = True
-    for cy in y_walls:
-        occ[cy, :] = True
-    # One door per wall segment between adjacent rooms, walls across x first.
-    for walls, edges, cells in ((x_walls, y_edges, occ.T), (y_walls, x_edges, occ)):
-        for c in walls:
-            for lo, hi in zip(edges[:-1], edges[1:]):
-                span = hi - lo - 2
-                if span <= door_cells:
-                    raise InvalidInput("rooms too small for the requested door width")
-                start = lo + 1 + int(rng.integers(0, span - door_cells + 1))
-                cells[c, start : start + door_cells] = False
-    return GridMap(resolution, occ)
 
 
 def sample_free_pose(grid: GridMap, rng: np.random.Generator) -> Pose2D:

@@ -165,10 +165,12 @@ def collect_trajectory(world: World, route, loops: int, spacing: float,
     odom_pose accumulates per-step deltas corrupted by noise scaled with
     each step's motion; with zero noise it equals the true pose.
     """
+    if not isinstance(loops, (int, np.integer)):
+        raise InvalidInput(f"loops must be an integer, got {loops!r}")
     if loops < 1:
         raise RouteError("need at least one loop")
-    if spacing <= 0.0:
-        raise InvalidInput("spacing must be positive")
+    if not 0.0 < spacing < math.inf:
+        raise InvalidInput("spacing must be positive and finite")
     grid = world.grid
     if not route:
         raise RouteError("need at least one route pose")

@@ -6,24 +6,21 @@ first time it is read, or parsed from the file line it was loaded from,
 and kept.  Scoring a pair of observations compares their two scans, as the
 paper's estimator compares two stored images.
 
-An estimator is anything with five methods:
+An estimator is anything with four methods:
 
-* distance_floor(src_obs, dst_obs) -> float, a lower bound on
-  waypoint_distance(waypoint(src_obs, dst_obs)), 0.0 when none is known;
 * distance_floor_many(graph, obs) -> ndarray, for each vertex of a
-  topograph.TopoGraph in id order, a lower bound on distance_floor between
-  that vertex and obs in either direction: a vectorised prefilter;
+  topograph.TopoGraph in id order, a lower bound on waypoint_distance
+  between that vertex and obs in either direction: a vectorised prefilter;
 * waypoint_distance(src_obs, dst_obs) -> float, equal bit for bit to
   se2.waypoint_distance(waypoint(src_obs, dst_obs));
 * waypoint(src_obs, dst_obs) -> Waypoint, the predicted relative pose;
 * predict(src_obs, dst_obs) -> Prediction, the reachability score r_hat
   together with the same waypoint as w_hat.
 
-topograph.reach tests a pair's distance window on the floor, then on
-waypoint_distance(), and asks predict() for the score only when the pair
-can still pass, so a costly score is only computed on demand; a search
-over a graph first drops the vertices whose distance_floor_many lies
-beyond the window.
+topograph.reach tests a pair's distance window on waypoint_distance(),
+and asks predict() for the score only when the pair can still pass, so a
+costly score is only computed on demand; a search over a graph first
+drops the vertices whose distance_floor_many lies beyond the window.
 The oracle implementation computes ground truth on the map from the two
 observations' scans and corrupts it with configurable noise; its
 randomness is keyed on (seed, src.id, dst.id), so a flipped label stays
@@ -32,11 +29,10 @@ flipped for that pair for the life of a run.
 
 from __future__ import annotations
 
-import logging
 import math
 from collections import OrderedDict
 from collections.abc import Callable
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -47,7 +43,6 @@ from .gridworld import (
     GridMap,
     co_visible,
     raycast_scan,
-    sample_free_pose,
     shortest_feasible_path,
     staircase_length,
 )
@@ -61,8 +56,6 @@ from .se2 import (
     waypoint_distance,
     wrap_angle,
 )
-
-logger = logging.getLogger(__name__)
 
 _PAIR_CACHE_CAP = 65536
 
@@ -207,14 +200,6 @@ class NoiseConfig:
             raise InvalidInput("noise seed must be non-negative")
 
 
-@dataclass
-class LabeledPair:
-    src: Observation
-    dst: Observation
-    r: int
-    w: Waypoint
-
-
 def label_reachability(
     grid: GridMap,
     a: Pose2D,
@@ -355,32 +340,22 @@ class OracleEstimator:
             self._cache.popitem(last=False)
         self._cache[key] = entry
 
-    def distance_floor(self, a: Observation, b: Observation) -> float:
-        """A lower bound on waypoint_distance(waypoint(a, b)) that costs no
-        waypoint: with exact waypoints, the norm of (position offset,
-        sqrt(2) * heading change), the heading change wrapped and less an
-        absolute 1e-9, the norm less a relative 1e-9 for rounding and an
-        absolute 1e-150 for squares that underflow in waypoint_distance;
-        0.0 with pose noise.
+    def distance_floor_many(self, graph, obs: Observation) -> np.ndarray:
+        """A lower bound on waypoint_distance between obs and each vertex of
+        graph, in id order and either direction, that costs no waypoint:
+        with exact waypoints, the norm of (position offset, sqrt(2) *
+        heading change), the heading change wrapped and less an absolute
+        2e-9, the norm less a relative 2e-9 for rounding and an absolute
+        2e-150 for squares that underflow in waypoint_distance; 0.0 with
+        pose noise.
 
         The bound holds because the translation part of the SE(2) log is
         V(theta)^-1 applied to the rotated position offset, and V(theta) is
         a rotation scaled by at most 1, so it is no shorter than the offset;
         the rotation term adds 2 * omega^2, omega being the wrapped heading
-        change.
-        """
-        if self._noisy_waypoints():
-            return 0.0
-        pa, pb = a.true_pose, b.true_pose
-        turn = max(0.0, abs(wrap_angle(pb.theta - pa.theta)) - 1e-9)
-        return max(0.0, math.hypot(pb.x - pa.x, pb.y - pa.y, _SQRT2 * turn) * (1.0 - 1e-9)
-                   - 1e-150)
-
-    def distance_floor_many(self, graph, obs: Observation) -> np.ndarray:
-        """distance_floor between obs and each vertex of graph, in id order
-        and either direction, with twice its margins: numpy's hypot and
-        remainder may round otherwise than math.hypot and wrap_angle, so
-        the margins keep each value at or below the scalar floor."""
+        change.  The offset and the turn are the same in either direction,
+        and the margins cover numpy's hypot and remainder rounding otherwise
+        than the log's own arithmetic."""
         poses = graph.poses
         if self._noisy_waypoints():
             return np.zeros(len(poses))
@@ -424,177 +399,3 @@ class OracleEstimator:
         pred = Prediction((0.95 if predicted else 0.05) + entry.wobble, entry.w_hat)
         self._store(key, pred)
         return pred
-
-
-# ---------------------------------------------------------------------------
-# Training-style losses.
-# ---------------------------------------------------------------------------
-
-_CLAMP = 1e-7
-
-
-def loss_reachability(r: int, r_hat: float) -> float:
-    """Binary cross-entropy; r_hat is clamped away from 0 and 1."""
-    p = min(max(r_hat, _CLAMP), 1.0 - _CLAMP)
-    return -(r * math.log(p) + (1 - r) * math.log(1.0 - p))
-
-
-def loss_position(w: Waypoint, w_hat: Waypoint) -> float:
-    """Euclidean error on the translation part."""
-    return math.hypot(w.dx - w_hat.dx, w.dy - w_hat.dy)
-
-
-def loss_rotation(w: Waypoint, w_hat: Waypoint) -> float:
-    """|sin - sin| + |cos - cos|, continuous across the angle wrap."""
-    return abs(math.sin(w.dtheta) - math.sin(w_hat.dtheta)) + abs(
-        math.cos(w.dtheta) - math.cos(w_hat.dtheta)
-    )
-
-
-def loss_total(
-    r: int, w: Waypoint, pred: Prediction, alpha: float = 1.0, beta: float = 1.0
-) -> float:
-    """Joint loss; the waypoint terms only count for reachable pairs."""
-    out = loss_reachability(r, pred.r_hat)
-    if r:
-        out += alpha * loss_position(w, pred.w_hat) + beta * loss_rotation(w, pred.w_hat)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Datasets.
-# ---------------------------------------------------------------------------
-
-
-def generate_sim_dataset(
-    maps: list[GridMap],
-    n_pairs: int,
-    criteria: ReachabilityCriteria,
-    rng_seed: int,
-) -> list[LabeledPair]:
-    """Sample labeled pose pairs uniformly over free space.
-
-    Each pair draws a map, then two disc-free poses; the label is ground
-    truth on that map, whose sensor takes the scans, and the waypoint is
-    the exact relative transform.
-    Observation ids run 0..2*n_pairs-1.
-    """
-    if not maps:
-        raise InvalidInput("need at least one map")
-    if n_pairs < 1:
-        raise InvalidInput("n_pairs must be >= 1")
-    if rng_seed < 0:
-        raise InvalidInput("rng_seed must be non-negative")
-    rng = np.random.default_rng(rng_seed)
-    pairs = []
-    next_id = 0
-    for _ in range(n_pairs):
-        m = maps[int(rng.integers(len(maps)))]
-        pa = sample_free_pose(m, rng)
-        pb = sample_free_pose(m, rng)
-        oa = Observation(next_id, None, pa, pa, m)
-        ob = Observation(next_id + 1, None, pb, pb, m)
-        next_id += 2
-        r = label_reachability(m, pa, pb, criteria)
-        pairs.append(LabeledPair(oa, ob, r, relative(pa, pb)))
-    pos = sum(p.r for p in pairs)
-    logger.info("sim dataset: %d pairs, %d positive (%.1f%%)", len(pairs), pos,
-                100.0 * pos / len(pairs))
-    return pairs
-
-
-def label_finetune_pairs(traj: list[Observation], H: int) -> list[LabeledPair]:
-    """Self-supervised labels from one trajectory, no map access.
-
-    For every ordered pair (o_i, o_j) with j > i: reachable iff the step gap
-    j - i is at most the horizon H; the waypoint label is the odometry delta.
-    """
-    if not traj:
-        raise InvalidInput("trajectory is empty")
-    if H < 1:
-        raise InvalidInput("horizon must be >= 1")
-    pairs = []
-    for i in range(len(traj)):
-        for j in range(i + 1, len(traj)):
-            r = 1 if (j - i) <= H else 0
-            w = relative(traj[i].odom_pose, traj[j].odom_pose)
-            pairs.append(LabeledPair(traj[i], traj[j], r, w))
-    pos = sum(p.r for p in pairs)
-    logger.info("finetune pairs: %d total, %d positive", len(pairs), pos)
-    return pairs
-
-
-_DATASET_HEADER = "toponav-dataset/v1"
-
-
-def save_dataset(pairs: list[LabeledPair], path: str, criteria: ReachabilityCriteria) -> None:
-    """Line-delimited export: a criteria header, then one record per line
-    (ids, true poses, label, waypoint; no scans)."""
-    lines = [f"# {_DATASET_HEADER}"]
-    for f in fields(ReachabilityCriteria):
-        lines.append(f"# {f.name} {getattr(criteria, f.name)!r}")
-    pos = sum(p.r for p in pairs)
-    lines.append(f"# pairs {len(pairs)} positive {pos}")
-    for p in pairs:
-        sp, dp = p.src.true_pose, p.dst.true_pose
-        lines.append(
-            f"{p.src.id} {p.dst.id} "
-            f"{sp.x!r} {sp.y!r} {sp.theta!r} {dp.x!r} {dp.y!r} {dp.theta!r} "
-            f"{p.r} {p.w.dx!r} {p.w.dy!r} {p.w.dtheta!r}"
-        )
-    with open(path, "w") as f:
-        f.write("\n".join(lines) + "\n")
-
-
-def load_dataset(path: str) -> tuple[list[LabeledPair], ReachabilityCriteria]:
-    """Inverse of save_dataset: the pairs, each observation holding its
-    record's id and true pose (as its odometry pose too) and no scan, and
-    the criteria that labelled them.  Raises LoadError unless the header
-    gives every ReachabilityCriteria field, once each, in field order, as
-    values the criteria accept, or when the pair or positive count differs
-    from the header's.  A `# regime` line, which older files carry, is skipped."""
-    try:
-        with open(path) as f:
-            lines = f.read().splitlines()
-    except (OSError, UnicodeDecodeError) as e:
-        raise LoadError(f"{path}: {e}") from e
-    if not lines or lines[0] != f"# {_DATASET_HEADER}":
-        raise LoadError(f"{path}: not a {_DATASET_HEADER} file")
-    counts = None
-    named = []
-    pairs = []
-    for ln in lines[1:]:
-        if ln.startswith("# pairs "):
-            counts = ln[2:]
-        elif ln.startswith("#") and not ln.startswith("# regime "):
-            named.append(ln[1:].split())
-        if not ln or ln.startswith("#"):
-            continue
-        parts = ln.split()
-        if len(parts) != 12:
-            raise LoadError(f"{path}: malformed record {ln!r}")
-        try:
-            src_id, dst_id, r = int(parts[0]), int(parts[1]), int(parts[8])
-            v = [float(x) for x in parts[2:8] + parts[9:]]
-        except ValueError as e:
-            raise LoadError(f"{path}: malformed record {ln!r}") from e
-        if r not in (0, 1):
-            raise LoadError(f"{path}: label must be 0 or 1 in record {ln!r}")
-        if not all(map(math.isfinite, v)):
-            raise LoadError(f"{path}: non-finite value in record {ln!r}")
-        sp, dp = Pose2D(*v[0:3]), Pose2D(*v[3:6])
-        pairs.append(LabeledPair(Observation(src_id, None, sp, sp),
-                                 Observation(dst_id, None, dp, dp), r, Waypoint(*v[6:9])))
-    names = [f.name for f in fields(ReachabilityCriteria)]
-    if [n[0] if len(n) == 2 else None for n in named] != names:
-        raise LoadError(f"{path}: the header must give the criteria {', '.join(names)}, "
-                        f"one '# name value' line each, in that order")
-    try:
-        criteria = ReachabilityCriteria(*(float(value) for _, value in named))
-    except (ValueError, InvalidInput) as e:
-        raise LoadError(f"{path}: bad criteria in the header: {e}") from e
-    # The count line save_dataset writes: a cut or edited file fails it.
-    read = f"pairs {len(pairs)} positive {sum(p.r for p in pairs)}"
-    if counts != read:
-        raise LoadError(f"{path}: header reads {counts!r} but the records hold {read!r}")
-    return pairs, criteria

@@ -8,9 +8,10 @@ vertices wired to everything they can reach.  Planning runs Dijkstra over
 the mean edge distances.
 
 The graph keeps its vertex ids and true poses as arrays in id order,
-so a window test over every vertex first drops, in one vectorised
-estimator call, the vertices too far to pass, and tests the rest one by
-one.
+so a window test over every vertex first drops the vertices too far to
+pass, in one vectorised estimator call (distance_floor_many, a lower
+bound on the waypoint distance in either direction), and tests the rest
+one by one.
 """
 
 from __future__ import annotations
@@ -192,10 +193,9 @@ def reach(src: Observation, dst: Observation, estimator, lo: float, hi: float,
     [lo, hi) from src with score r_hat >= r_min; None otherwise.
 
     This is the one window test behind merging, connecting, localizing and
-    judging a traversal.  It checks the estimator's distance floor, then
-    its waypoint distance (_distance_in), and only then asks for the
-    score, which is the costly half of a prediction; most pairs fall
-    outside the window.  An inclusive upper bound x is passed as
+    judging a traversal.  It checks the estimator's waypoint distance
+    (_distance_in), and only then asks for the score, which is the costly
+    half of a prediction; most pairs fall outside the window.  An inclusive upper bound x is passed as
     math.nextafter(x, math.inf).
     """
     d = _distance_in(src, dst, estimator, lo, hi)
@@ -208,17 +208,15 @@ def reach(src: Observation, dst: Observation, estimator, lo: float, hi: float,
 def _distance_in(src: Observation, dst: Observation, estimator, lo: float, hi: float):
     """The waypoint distance from src to dst when it lies in [lo, hi),
     else None: reach without the score."""
-    if estimator.distance_floor(src, dst) >= hi:
-        return None
     d = estimator.waypoint_distance(src, dst)
     return d if lo <= d < hi else None
 
 
 def _near(graph: TopoGraph, obs: Observation, estimator, hi: float) -> list[int]:
     """Ascending ids of the vertices whose distance_floor_many to obs lies
-    below hi.  That floor is at most the scalar one, so every vertex that
-    reach could pass within a window ending at hi, in either direction, is
-    kept."""
+    below hi.  That floor is at most the waypoint distance in either
+    direction, so every vertex that reach could pass within a window
+    ending at hi is kept."""
     return graph.ids[estimator.distance_floor_many(graph, obs) < hi].tolist()
 
 

@@ -16,8 +16,7 @@ from toponav.cli import (
     make_world,
 )
 from toponav.errors import ConfigError, InvalidInput
-from toponav.fixtures import two_room_map
-from toponav.gridworld import generate_rooms_map, load_map
+from toponav.fixtures import generate_rooms_map, two_room_map
 from toponav.maintenance import MaintenanceParams
 from toponav.navharness import (
     EXPAND_STREAM,
@@ -27,14 +26,8 @@ from toponav.navharness import (
     estimate_distance_variance,
     run_episode,
 )
-from toponav.perception import (
-    LabeledPair,
-    NoiseConfig,
-    ReachabilityCriteria,
-    generate_sim_dataset,
-    save_dataset,
-)
-from toponav.se2 import Pose2D, relative
+from toponav.perception import NoiseConfig
+from toponav.se2 import Pose2D
 from toponav.topograph import (BuildParams, TopoGraph, TrajectoryPool, load_graph, save_graph,
                                save_trajectory)
 
@@ -121,11 +114,6 @@ def test_config_rejects_bad_value(tmp_path):
     "[gridworld]\nrobot_radius = nan\n",
     "[gridworld]\nfov = inf\n",
     "[gridworld]\nmax_range = inf\n",
-    "[gridworld]\nmap = generated\nwidth = nan\n",
-    "[gridworld]\nheight = 0\n",
-    "[gridworld]\nrooms_x = 0\n",
-    "[gridworld]\nrooms_y = 0\n",
-    "[gridworld]\ndoor_width = -1\n",
     "[navharness]\nn_queries = -5\n",
     "[maintenance]\nrelax_D_c_factor = nan\n",
     "[perception]\npos_sigma = inf\n",
@@ -139,8 +127,6 @@ def test_config_rejects_bad_value(tmp_path):
     "[gridworld]\ndt = inf\n",
     "[navharness]\nrecovery_rotation_step = inf\n",
     "[navharness]\nrecovery_rotation_step = 1e6\n",
-    "[perception]\nalpha = nan\n",
-    "[perception]\nbeta = -2\n",
     "[navharness]\nauto_variance = maybe\n",
 ], ids=["D_m", "max_range", "n_rays", "resolution", "false_positive_rate",
         "pos_sigma", "pos_tol", "dt", "spacing", "loops", "eval_every", "n_goals",
@@ -148,12 +134,11 @@ def test_config_rejects_bad_value(tmp_path):
         "sigma2_init=0", "sigma2_init=inf", "sigma2_obs", "p_s_given_r1",
         "p_s_given_r0", "D_loc", "r_connect_min=nan", "r_connect_min>1", "L_min=nan",
         "L_min>1", "R_max", "E_max", "Theta_max", "turn_radius=0", "turn_radius=inf",
-        "robot_radius<0", "robot_radius=nan", "fov=inf", "max_range=inf", "width=nan",
-        "height", "rooms_x", "rooms_y", "door_width", "n_queries", "relax_D_c_factor=nan",
-        "pos_sigma=inf", "odom_pos_sigma=inf", "odom_theta_sigma=inf",
+        "robot_radius<0", "robot_radius=nan", "fov=inf", "max_range=inf", "n_queries",
+        "relax_D_c_factor=nan", "pos_sigma=inf", "odom_pos_sigma=inf", "odom_theta_sigma=inf",
         "eval_every_not_dividing", "k_rho=nan", "k_alpha=inf", "k_beta=-inf", "v_max=inf",
         "dt=inf", "recovery_rotation_step=inf", "recovery_rotation_step=1e6",
-        "alpha=nan", "beta<0", "auto_variance=maybe"])
+        "auto_variance=maybe"])
 def test_config_rejects_invalid_parameter_combination(tmp_path, text):
     p = tmp_path / "bad.ini"
     p.write_text(text)
@@ -173,7 +158,7 @@ def test_auto_variance_reads_every_boolean_word(tmp_path, word, value):
 def test_every_config_field_has_a_type_the_loader_reads():
     # load_config reads str, int, float and bool values; a field of any
     # other type would need a parser of its own.
-    readable = {"str", "str | None", "int", "float", "bool"}
+    readable = {"str", "int", "float", "bool"}
     for classes in _SECTIONS.values():
         for cls in classes:
             for f in fields(cls):
@@ -187,18 +172,11 @@ def test_no_field_name_repeats_across_sections():
     assert len(names) == len(set(names))
 
 
-# Every config key in its section, each at its default.  map_file defaults to
-# None, which INI cannot write, so it is given a path.
+# Every config key in its section, each at its default.
 ALL_KEYS = """\
 [gridworld]
 map = two-room
-map_file = maps/rooms.map
-width = 10.0
-height = 8.0
 resolution = 0.1
-rooms_x = 2
-rooms_y = 2
-door_width = 0.8
 fov = 1.5707963267948966
 n_rays = 64
 max_range = 5.0
@@ -219,8 +197,6 @@ R_max = 1.6
 E_max = 2.5
 Theta_max = 1.5707963267948966
 turn_radius = 0.3
-alpha = 1.0
-beta = 1.0
 [topograph]
 D_m = 0.5
 D_c = 2.0
@@ -257,22 +233,28 @@ def test_config_key_set_and_defaults(tmp_path):
     p.write_text(ALL_KEYS)
     cfg = load_config(str(p))
     defaults = vars(load_config(None))
-    assert len(defaults) == ALL_KEYS.count(" = ") == 54
-    assert vars(cfg) == {**defaults, "map_file": "maps/rooms.map"}
+    assert len(defaults) == ALL_KEYS.count(" = ") == 46
+    assert vars(cfg) == defaults
     # Seeds come from --seed, the criteria's fov from [gridworld], the
     # controller's arrival tolerances are gridworld constants, and
-    # maintenance fuses with the graph's [topograph] sigma2_init.
+    # maintenance fuses with the graph's [topograph] sigma2_init.  Maps
+    # are bundled, not read from a file or generated, and no loss is
+    # weighed.
     for section, key in (("perception", "fov"), ("topograph", "rng_seed"),
-                         ("gridworld", "arrive_pos_tol"), ("maintenance", "sigma2_obs")):
+                         ("gridworld", "arrive_pos_tol"), ("maintenance", "sigma2_obs"),
+                         ("gridworld", "map_file"), ("gridworld", "width"),
+                         ("gridworld", "door_width"), ("perception", "alpha"),
+                         ("perception", "beta")):
         p.write_text(f"[{section}]\n{key} = 1\n")
         with pytest.raises(ConfigError, match="unknown key"):
             load_config(str(p))
 
 
-def test_config_rejects_unknown_map(tmp_path):
+@pytest.mark.parametrize("name", ["warehouse", "generated"])
+def test_config_rejects_unknown_map(tmp_path, name):
     p = tmp_path / "bad.ini"
-    p.write_text("[gridworld]\nmap = warehouse\n")
-    with pytest.raises(ConfigError):
+    p.write_text(f"[gridworld]\nmap = {name}\n")
+    with pytest.raises(ConfigError, match="unknown map"):
         load_config(str(p))
 
 
@@ -288,8 +270,9 @@ def test_missing_config_file_is_usage_error(tmp_path, capsys):
 # ---------------------------------------------------------------------------
 
 
-def test_unknown_subcommand_is_usage_error(capsys):
-    assert main(["frobnicate"]) == 2
+@pytest.mark.parametrize("command", ["frobnicate", "gen-map", "losses"])
+def test_unknown_subcommand_is_usage_error(capsys, command):
+    assert main([command]) == 2
     assert "usage" in capsys.readouterr().err
 
 
@@ -303,7 +286,7 @@ def test_help_exits_zero(capsys):
 
 
 def test_missing_out_is_usage_error(capsys):
-    assert main(["gen-map"]) == 2
+    assert main(["collect"]) == 2
     assert "--out" in capsys.readouterr().err
 
 
@@ -314,47 +297,23 @@ def test_runtime_error_exits_one(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("kind, rc", [
-    ("config", 2), ("map", 1), ("trajectory", 1), ("graph", 1), ("dataset", 1)])
+@pytest.mark.parametrize("kind, rc", [("config", 2), ("trajectory", 1), ("graph", 1)])
 def test_non_utf8_file_is_typed_error(tmp_path, capsys, kind, rc):
     bad = tmp_path / f"bad.{kind}"
     bad.write_bytes(b"\xff\n")
-    cfgp = tmp_path / "exp.ini"
-    cfgp.write_text(f"[gridworld]\nmap_file = {bad}\n")
     out = str(tmp_path / "out")
     argv = {
         "config": ["collect", "--config", str(bad), "--out", out],
-        "map": ["collect", "--config", str(cfgp), "--out", out],
         "trajectory": ["build", str(bad), "--out", out],
         "graph": ["evaluate", str(bad)],
-        "dataset": ["losses", str(bad)],
     }[kind]
     assert main(argv) == rc
     assert "error:" in capsys.readouterr().err
 
 
-def test_unreadable_map_file_is_typed_error(tmp_path, capsys):
-    for path in (tmp_path / "missing.map", tmp_path):
-        cfgp = tmp_path / "exp.ini"
-        cfgp.write_text(f"[gridworld]\nmap_file = {path}\n")
-        assert main(["collect", "--config", str(cfgp), "--out", str(tmp_path / "t")]) == 1
-        assert "cannot read map" in capsys.readouterr().err
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
-
-
-def test_gen_map_is_seeded(tmp_path):
-    a, b, c = (str(tmp_path / n) for n in ("a.map", "b.map", "c.map"))
-    assert main(["gen-map", "--out", a, "--seed", "3"]) == 0
-    assert main(["gen-map", "--out", b, "--seed", "3"]) == 0
-    assert main(["gen-map", "--out", c, "--seed", "4"]) == 0
-    assert open(a).read() == open(b).read()
-    assert open(a).read() != open(c).read()
-    grid = load_map(a)
-    assert grid.nx == 100 and grid.ny == 80
 
 
 def test_collect_build_navigate_chain(tmp_path, capsys):
@@ -551,10 +510,14 @@ def test_build_writes_the_graph_lifelong_builds(tmp_path, auto_variance):
 @pytest.mark.parametrize("command, text", [
     ("collect", "[navharness]\nodom_pos_sigma = inf\n"),
     ("lifelong", "[navharness]\nn_queries = 10\neval_every = 25\n"),
-    ("gen-map", "[gridworld]\nmap = generated\ndoor_width = 4.0\n"),
-    ("lifelong", "[gridworld]\nmap = generated\nwidth = 0.2\n"),
-], ids=["odom_pos_sigma=inf", "eval_every_not_dividing", "generated_door_too_wide",
-        "generated_map_too_small"])
+    ("collect", "[gridworld]\nmap = generated\n"),
+    ("collect", "[gridworld]\nmap_file = maps/rooms.map\n"),
+    ("lifelong", "[gridworld]\nwidth = 10.0\n"),
+    ("lifelong", "[gridworld]\ndoor_width = 0.8\n"),
+    ("lifelong", "[perception]\nalpha = 1.0\n"),
+    ("lifelong", "[perception]\nbeta = 1.0\n"),
+], ids=["odom_pos_sigma=inf", "eval_every_not_dividing", "map=generated", "map_file", "width",
+        "door_width", "alpha", "beta"])
 def test_bad_run_settings_exit_two_before_any_work(tmp_path, capsys, command, text):
     cfgp = tmp_path / "bad.ini"
     cfgp.write_text(text)
@@ -565,19 +528,16 @@ def test_bad_run_settings_exit_two_before_any_work(tmp_path, capsys, command, te
 
 
 @pytest.mark.parametrize("argv, ini", [
-    (["gen-map"], ""), (["collect"], ""), (["collect"], "odom_pos_sigma = 0.01"),
-    (["build", "t.traj"], ""), (["navigate", "g.graph", "--start", "1.5,1.5,0", "--goal", "0"], ""),
-    (["evaluate", "g.graph"], ""), (["lifelong"], ""), (["losses", "d.txt"], ""),
-], ids=["gen-map", "collect", "collect-odom-noise", "build", "navigate", "evaluate",
-        "lifelong", "losses"])
+    (["collect"], ""), (["collect"], "odom_pos_sigma = 0.01"), (["build", "t.traj"], ""),
+    (["navigate", "g.graph", "--start", "1.5,1.5,0", "--goal", "0"], ""),
+    (["evaluate", "g.graph"], ""), (["lifelong"], ""),
+], ids=["collect", "collect-odom-noise", "build", "navigate", "evaluate", "lifelong"])
 def test_negative_seed_is_a_usage_error(tmp_path, monkeypatch, capsys, argv, ini):
     # The input files exist, so only the seed can fail; nothing is written.
     monkeypatch.chdir(tmp_path)
     (tmp_path / "exp.ini").write_text(f"[navharness]\n{ini}\n")
     save_trajectory([World(two_room_map()).observe(Pose2D(1.5, 1.5, 0.0))], "t.traj")
     assert main(["build", "t.traj", "--out", "g.graph"]) == 0
-    save_dataset(generate_sim_dataset([two_room_map()], 2, ReachabilityCriteria(), 0),
-                 "d.txt", ReachabilityCriteria())
     made = sorted(tmp_path.iterdir())
     assert main(argv + ["--config", "exp.ini", "--seed", "-1", "--out", "out"]) == 2
     assert "--seed: must be non-negative" in capsys.readouterr().err
@@ -587,97 +547,7 @@ def test_negative_seed_is_a_usage_error(tmp_path, monkeypatch, capsys, argv, ini
 @pytest.mark.parametrize("make", [
     lambda: BuildParams(rng_seed=-1), lambda: NoiseConfig(seed=-1), lambda: OdomNoise(seed=-1),
     lambda: generate_rooms_map(seed=-1),
-    lambda: generate_sim_dataset([two_room_map()], 1, ReachabilityCriteria(), -1),
-], ids=["BuildParams", "NoiseConfig", "OdomNoise", "generate_rooms_map", "generate_sim_dataset"])
+], ids=["BuildParams", "NoiseConfig", "OdomNoise", "generate_rooms_map"])
 def test_negative_seed_parameter_is_invalid_input(make):
     with pytest.raises(InvalidInput):
         make()
-
-
-def test_losses_reports_means(tmp_path, capsys):
-    pairs = generate_sim_dataset([two_room_map()], 40, ReachabilityCriteria(),
-                                 rng_seed=5)
-    dataset = str(tmp_path / "pairs.dataset")
-    save_dataset(pairs, dataset, ReachabilityCriteria())
-    assert main(["losses", dataset]) == 0
-    out = capsys.readouterr().out
-    assert "pairs=40" in out and "mean_total=" in out
-
-
-def test_losses_scores_with_the_criteria_the_dataset_records(tmp_path, capsys):
-    # The [perception] criteria keys do not reach the oracle of `losses`.
-    crit = ReachabilityCriteria(E_max=1.0)
-    dataset = str(tmp_path / "pairs.dataset")
-    save_dataset(generate_sim_dataset([two_room_map()], 200, crit, rng_seed=0), dataset, crit)
-    cfgp = tmp_path / "exp.ini"
-    cfgp.write_text("[perception]\nE_max = 1.0\n")
-    lines = []
-    for argv in ([], ["--config", str(cfgp)]):
-        assert main(["losses", dataset] + argv) == 0
-        lines.append(capsys.readouterr().out)
-    assert lines[0] == lines[1] and "pairs=200" in lines[0]
-
-
-@pytest.mark.parametrize("column, value", [(8, "5"), (8, "-1"), (9, "nan"), (2, "nan"), (7, "inf")],
-                         ids=["label=5", "label=-1", "waypoint=nan", "pose=nan", "pose=inf"])
-def test_losses_rejects_out_of_range_record(tmp_path, capsys, column, value):
-    # Columns: ids, source pose, target pose, label, waypoint.
-    pairs = generate_sim_dataset([two_room_map()], 5, ReachabilityCriteria(), rng_seed=5)
-    path = tmp_path / "pairs.dataset"
-    save_dataset(pairs, str(path), ReachabilityCriteria())
-    lines = path.read_text().splitlines()
-    parts = lines[-1].split()
-    parts[column] = value
-    lines[-1] = " ".join(parts)
-    path.write_text("\n".join(lines) + "\n")
-    assert main(["losses", str(path)]) == 1
-    assert "error:" in capsys.readouterr().err
-
-
-def _losses_mean_total(dataset, capsys) -> float:
-    assert main(["losses", dataset]) == 0
-    return float(capsys.readouterr().out.split("mean_total=")[1].split()[0])
-
-
-def test_losses_scores_each_record_at_its_own_poses(tmp_path, capsys):
-    # Two records reuse the ids 0 and 1: a near pair, and a pair too far
-    # apart to be reachable.  Together they score as they do apart.
-    world = World(two_room_map())
-    pairs = []
-    for a, b in [(Pose2D(1.0, 2.5, 0.0), Pose2D(2.0, 2.5, 0.0)),
-                 (Pose2D(1.0, 1.0, 0.0), Pose2D(3.0, 4.0, 0.0))]:
-        pairs.append(LabeledPair(world.observe(a, oid=0), world.observe(b, oid=1), 1,
-                                 relative(a, b)))
-    means = []
-    for chosen in ([pairs[0]], [pairs[1]], pairs):
-        path = str(tmp_path / "pairs.dataset")
-        save_dataset(chosen, path, ReachabilityCriteria())
-        means.append(_losses_mean_total(path, capsys))
-    assert means[0] < 0.1 < 1.0 < means[1]
-    assert means[2] == pytest.approx((means[0] + means[1]) / 2, abs=2e-6)
-
-
-def test_losses_rejects_a_record_pose_in_a_wall(tmp_path, capsys):
-    pairs = generate_sim_dataset([two_room_map()], 3, ReachabilityCriteria(), rng_seed=5)
-    path = tmp_path / "pairs.dataset"
-    save_dataset(pairs, str(path), ReachabilityCriteria())
-    lines = path.read_text().splitlines()
-    parts = lines[-1].split()
-    parts[5:7] = ["0.05", "0.05"]  # the target pose, in the border wall
-    lines[-1] = " ".join(parts)
-    path.write_text("\n".join(lines) + "\n")
-    assert main(["losses", str(path)]) == 1
-    assert "error: ray origin (0.050, 0.050) is not in free space" in capsys.readouterr().err
-
-
-def test_losses_help_names_the_dataset_writers(capsys):
-    assert main(["losses", "--help"]) == 0
-    text = " ".join(capsys.readouterr().out.split())
-    for name in ("generate_sim_dataset", "label_finetune_pairs", "save_dataset"):
-        assert name in text
-
-
-def test_losses_rejects_garbage_dataset(tmp_path, capsys):
-    p = tmp_path / "junk.dataset"
-    p.write_text("hello\n")
-    assert main(["losses", str(p)]) == 1

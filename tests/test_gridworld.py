@@ -10,7 +10,7 @@ import scipy.sparse.csgraph
 
 from toponav import gridworld
 from toponav.errors import InvalidInput, InvalidMap, InvalidPose
-from toponav.fixtures import apartment_map, two_room_map
+from toponav.fixtures import apartment_map, generate_rooms_map, two_room_map
 from toponav.gridworld import (
     AgentState,
     ControllerGains,
@@ -19,13 +19,10 @@ from toponav.gridworld import (
     VelocityCmd,
     co_visible,
     feedback_control,
-    generate_rooms_map,
-    load_map,
     raycast,
     raycast_scan,
     render_ascii,
     sample_free_pose,
-    save_map,
     shortest_feasible_path,
     staircase_length,
     step_agent,
@@ -95,37 +92,6 @@ class TestGridMap:
         g = empty_room()
         assert g.cell_of(0.05, 0.05) == (0, 0)
         assert g.cell_of(0.1, 0.25) == (1, 2)
-
-    def test_map_round_trip(self, tmp_path):
-        g = generate_rooms_map(seed=3)
-        p = str(tmp_path / "m.txt")
-        save_map(g, p)
-        g2 = load_map(p)
-        assert g2.resolution == g.resolution
-        assert np.array_equal(g2.occupied, g.occupied)
-
-    def test_ragged_rows_rejected(self, tmp_path):
-        p = tmp_path / "bad.txt"
-        p.write_text("resolution 0.1\n####\n#.#\n####\n")
-        with pytest.raises(InvalidMap):
-            load_map(str(p))
-
-    def test_bad_characters_rejected(self, tmp_path):
-        p = tmp_path / "bad.txt"
-        p.write_text("resolution 0.1\n###\n#x#\n###\n")
-        with pytest.raises(InvalidMap):
-            load_map(str(p))
-
-    def test_unreadable_path_rejected(self, tmp_path):
-        for path in (tmp_path / "missing.map", tmp_path):
-            with pytest.raises(InvalidMap):
-                load_map(str(path))
-
-    def test_missing_resolution_rejected(self, tmp_path):
-        p = tmp_path / "bad.txt"
-        p.write_text("###\n#.#\n###\n")
-        with pytest.raises(InvalidMap):
-            load_map(str(p))
 
     def test_rooms_map_is_deterministic_and_connected(self):
         g1 = generate_rooms_map(seed=5)

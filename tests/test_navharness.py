@@ -217,6 +217,15 @@ def test_odom_noise_rejects_bad_sigmas(sigmas):
         OdomNoise(**sigmas)
 
 
+@pytest.mark.parametrize("loops, spacing", [(1, math.nan), (1, math.inf), (1.5, 0.2)],
+                         ids=["spacing=nan", "spacing=inf", "loops=1.5"])
+def test_collect_rejects_a_non_finite_spacing_or_a_fractional_loop_count(loops, spacing):
+    # A non-finite spacing used to return the start observation alone, and
+    # a fractional loop count ended in a TypeError.
+    with pytest.raises(InvalidInput):
+        collect_trajectory(World(two_room_map()), two_room_route(), loops=loops, spacing=spacing)
+
+
 def test_collect_rejects_bad_inputs(grid):
     route = two_room_route()
     with pytest.raises(RouteError):
@@ -279,8 +288,8 @@ def test_trajectory_file_round_trip(grid, tmp_path):
 
 
 def test_writers_refuse_an_observation_without_a_scan(grid, tmp_path):
-    # A scan-less observation, as load_dataset returns them, has nothing
-    # to write: both writers name it before they open the file.
+    # A scan-less observation, built with neither a scan nor a map, has
+    # nothing to write: both writers name it before they open the file.
     pose = Pose2D(1.5, 1.5, 0.0)
     bare = Observation(7, None, pose, pose)
     graph = TopoGraph()

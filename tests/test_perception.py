@@ -8,32 +8,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toponav import perception
-from toponav.errors import InvalidInput, LoadError
-from toponav.fixtures import apartment_map, two_room_map
+from toponav.fixtures import apartment_map, generate_rooms_map, two_room_map
 from toponav.gridworld import (
     GridMap,
     SensorConfig,
-    generate_rooms_map,
     raycast_scan,
     sample_free_pose,
     shortest_feasible_path,
 )
 from toponav.perception import (
-    LabeledPair,
     NoiseConfig,
     Observation,
     OracleEstimator,
-    Prediction,
     ReachabilityCriteria,
-    generate_sim_dataset,
-    label_finetune_pairs,
     label_reachability,
-    load_dataset,
-    loss_position,
-    loss_reachability,
-    loss_rotation,
-    loss_total,
-    save_dataset,
 )
 from toponav.navharness import World
 from toponav.se2 import (
@@ -128,8 +116,6 @@ class TestLabelReachability:
         assert label_reachability(with_sensor(g, SensorConfig(fov=math.pi)), a, b, CRIT) == 1
 
     def test_relaxing_any_threshold_grows_positive_set(self):
-        from toponav.gridworld import generate_rooms_map
-
         g = generate_rooms_map(seed=21)
         rng = np.random.default_rng(5)
         pairs = [(sample_free_pose(g, rng), sample_free_pose(g, rng)) for _ in range(250)]
@@ -275,14 +261,16 @@ class TestStaircaseAccept:
 class TestOracleEstimator:
     def test_labels_use_the_given_sensor(self):
         # A 2 m range drops pairs that the default 5 m sensor labels
-        # reachable; the dataset and the estimator both label with it.
+        # reachable; the labels and the estimator both use it.
         g = with_sensor(two_room_map(), SensorConfig(max_range=2.0))
-        pairs = generate_sim_dataset([g], 500, CRIT, rng_seed=2)
+        rng = np.random.default_rng(2)
+        pairs = [(mk_obs(g, 2 * i, sample_free_pose(g, rng)),
+                  mk_obs(g, 2 * i + 1, sample_free_pose(g, rng))) for i in range(500)]
         est = OracleEstimator(g)
-        labels = [label_reachability(g, p.src.true_pose, p.dst.true_pose, CRIT) for p in pairs]
-        assert [p.r for p in pairs] == labels == [est.true_label(p.src, p.dst) for p in pairs]
-        assert labels != [label_reachability(two_room_map(), p.src.true_pose, p.dst.true_pose,
-                                             CRIT) for p in pairs]
+        labels = [label_reachability(g, a.true_pose, b.true_pose, CRIT) for a, b in pairs]
+        assert labels == [est.true_label(a, b) for a, b in pairs]
+        assert labels != [label_reachability(two_room_map(), a.true_pose, b.true_pose, CRIT)
+                          for a, b in pairs]
 
     def test_pair_draws_are_two_uniform_calls_then_the_normals(self):
         g = empty_room()
@@ -317,8 +305,6 @@ class TestOracleEstimator:
         assert 0.01 <= back.r_hat <= 0.09
 
     def test_zero_noise_agrees_with_labels_on_10k_pairs(self):
-        from toponav.gridworld import generate_rooms_map
-
         g = generate_rooms_map(width=6.0, height=5.0, seed=13)
         est = OracleEstimator(g)
         rng = np.random.default_rng(17)
@@ -386,16 +372,6 @@ class TestOracleEstimator:
         assert localize(graph, far, est, BuildParams()) is None
         assert labels == []
 
-    @given(st.floats(-20.0, 20.0), st.floats(-20.0, 20.0), st.floats(-math.pi, math.pi),
-           st.floats(-20.0, 20.0), st.floats(-20.0, 20.0),
-           st.one_of(st.floats(-1e-6, 1e-6), st.floats(-math.pi, math.pi)))
-    @settings(max_examples=500, deadline=None)
-    def test_distance_floor_bounds_waypoint_distance(self, ax, ay, ath, bx, by, dth):
-        est = OracleEstimator(empty_room(5.0, 5.0))
-        a = Observation(0, None, Pose2D(ax, ay, ath), Pose2D(ax, ay, ath))
-        b = Observation(1, None, Pose2D(bx, by, ath + dth), Pose2D(bx, by, ath + dth))
-        assert est.distance_floor(a, b) <= waypoint_distance(est.waypoint(a, b))
-
     @given(st.floats(-20.0, 20.0), st.floats(-20.0, 20.0),
            st.one_of(st.floats(-math.pi, math.pi), st.sampled_from([0.0, -0.0, math.pi])),
            OFFSETS, OFFSETS, HEADING_OFFSETS, st.booleans(), st.integers(0, 2**32 - 1))
@@ -421,26 +397,24 @@ class TestOracleEstimator:
             assert (repr(got.dx), repr(got.dy), repr(got.dtheta)) == (
                 repr(w.dx), repr(w.dy), repr(w.dtheta))
 
-    @given(st.lists(st.tuples(OFFSETS, OFFSETS), min_size=1, max_size=25),
-           st.floats(-20.0, 20.0), st.floats(-20.0, 20.0), st.floats(-math.pi, math.pi),
-           st.booleans())
-    @settings(max_examples=300, deadline=None)
-    def test_distance_floor_many_keeps_every_vertex_the_scalar_floor_keeps(
-            self, offsets, x, y, theta, noisy):
-        noise = NoiseConfig(pos_sigma=0.05) if noisy else NoiseConfig()
-        est = OracleEstimator(empty_room(5.0, 5.0), noise)
+    @given(st.lists(st.tuples(OFFSETS, OFFSETS, HEADING_OFFSETS), min_size=1, max_size=25),
+           st.floats(-20.0, 20.0), st.floats(-20.0, 20.0), st.floats(-math.pi, math.pi))
+    @settings(max_examples=500, deadline=None)
+    def test_distance_floor_many_bounds_waypoint_distance_both_ways(self, offsets, x, y, theta):
+        # Exact waypoints; offsets reach down to squares that underflow and
+        # heading changes within 1e-6 of 0 and of +-pi.
+        est = OracleEstimator(empty_room(5.0, 5.0))
         graph = TopoGraph()
-        for i, (dx, dy) in enumerate(offsets):
-            p = Pose2D(x + dx, y + dy, 0.3 * i)
+        for i, (dx, dy, dth) in enumerate(offsets):
+            p = Pose2D(x + dx, y + dy, theta + dth)
             graph.add_vertex(Observation(2 * i, None, p, p))
         obs = Observation(1, None, Pose2D(x, y, theta), Pose2D(x, y, theta))
         many = est.distance_floor_many(graph, obs)
         assert many.shape == (graph.n_vertices,)
         for k, vid in enumerate(graph.ids.tolist()):
             v = graph.vertices[vid]
-            for scalar in (est.distance_floor(v, obs), est.distance_floor(obs, v)):
-                # The tightest window that the scalar floor lets through.
-                assert many[k] < math.nextafter(scalar, math.inf)
+            assert many[k] <= est.waypoint_distance(v, obs)
+            assert many[k] <= est.waypoint_distance(obs, v)
 
     @pytest.mark.parametrize("make_map", [two_room_map, apartment_map],
                              ids=["two-room", "apartment"])
@@ -469,13 +443,14 @@ class TestOracleEstimator:
                              ids=["pos_sigma", "theta_sigma"])
     def test_distance_floor_is_zero_with_pose_noise(self, noise):
         g = empty_room()
-        est = OracleEstimator(g, noise)
-        a = mk_obs(g, 0, Pose2D(2.0, 2.0, 0.0))
+        graph = TopoGraph()
+        graph.add_vertex(mk_obs(g, 0, Pose2D(2.0, 2.0, 0.0)))
         b = mk_obs(g, 1, Pose2D(5.0, 6.0, 1.0))
-        assert est.distance_floor(a, b) == 0.0
+        assert OracleEstimator(g, noise).distance_floor_many(graph, b).tolist() == [0.0]
         # Exact waypoints: the 5 m offset and the 1 rad turn, as the log's
         # norm weighs them.
-        assert OracleEstimator(g).distance_floor(a, b) == pytest.approx(math.sqrt(27.0))
+        exact = OracleEstimator(g).distance_floor_many(graph, b)
+        assert exact.tolist() == pytest.approx([math.sqrt(27.0)])
 
     def test_waypoint_noise_magnitude(self):
         g = empty_room()
@@ -492,216 +467,3 @@ class TestOracleEstimator:
         errs = np.array(errs)
         assert errs.max() < 6 * 0.05 * math.sqrt(2)
         assert 0.01 < errs.mean() < 0.15
-
-
-class TestFinetunePairs:
-    def _traj(self, g, n):
-        # Chain of observations 0.3 m apart with odometry equal to truth.
-        return [mk_obs(g, i, Pose2D(2.0 + 0.3 * i, 5.0, 0.0)) for i in range(n)]
-
-    def test_horizon_boundary(self):
-        g = empty_room()
-        traj = self._traj(g, 15)
-        pairs = {(p.src.id, p.dst.id): p for p in label_finetune_pairs(traj, H=10)}
-        assert pairs[(0, 10)].r == 1
-        assert pairs[(0, 11)].r == 0
-        assert pairs[(3, 4)].r == 1
-
-    def test_pair_count_and_order(self):
-        g = empty_room()
-        traj = self._traj(g, 8)
-        pairs = label_finetune_pairs(traj, H=3)
-        assert len(pairs) == 8 * 7 // 2
-        assert all(p.src.id < p.dst.id for p in pairs)
-
-    def test_waypoint_is_odometry_delta(self):
-        g = empty_room()
-        traj = self._traj(g, 5)
-        pairs = label_finetune_pairs(traj, H=2)
-        for p in pairs:
-            w = relative(p.src.odom_pose, p.dst.odom_pose)
-            assert p.w == w
-
-    def test_empty_rejected(self):
-        with pytest.raises(InvalidInput):
-            label_finetune_pairs([], H=5)
-
-
-class TestLosses:
-    def test_bce_at_half(self):
-        assert loss_reachability(1, 0.5) == pytest.approx(math.log(2.0), abs=1e-12)
-
-    def test_bce_confident_correct_is_small(self):
-        assert loss_reachability(1, 0.95) == pytest.approx(-math.log(0.95), abs=1e-12)
-        assert loss_reachability(0, 0.05) == pytest.approx(-math.log(0.95), abs=1e-12)
-
-    def test_bce_clamps_extremes(self):
-        assert math.isfinite(loss_reachability(1, 0.0))
-        assert math.isfinite(loss_reachability(0, 1.0))
-        assert loss_reachability(1, 0.0) == pytest.approx(-math.log(1e-7), rel=1e-9)
-
-    def test_position_is_euclidean(self):
-        assert loss_position(Waypoint(3.0, 4.0, 0.0), Waypoint(0.0, 0.0, 0.0)) == pytest.approx(5.0)
-
-    def test_rotation_quarter_turn(self):
-        assert loss_rotation(Waypoint(0, 0, math.pi / 2), Waypoint(0, 0, 0.0)) == pytest.approx(
-            2.0, abs=1e-12
-        )
-
-    def test_rotation_continuous_across_wrap(self):
-        eps = 1e-4
-        w1 = Waypoint(0, 0, math.pi - eps)
-        w2 = Waypoint(0, 0, -math.pi + eps)
-        assert loss_rotation(w1, w2) < 1e-3
-
-    def test_total_gates_waypoint_terms(self):
-        w = Waypoint(1.0, 1.0, 0.5)
-        bad = Prediction(0.1, Waypoint(-3.0, 2.0, -1.0))
-        assert loss_total(0, w, bad) == pytest.approx(loss_reachability(0, bad.r_hat), abs=1e-12)
-        assert loss_total(1, w, bad) > loss_reachability(1, bad.r_hat)
-
-    @given(
-        st.floats(-math.pi, math.pi),
-        st.floats(-math.pi, math.pi),
-        st.floats(1e-6, 1 - 1e-6),
-        st.integers(0, 1),
-    )
-    @settings(max_examples=200)
-    def test_losses_nonnegative_and_bounded(self, t1, t2, r_hat, r):
-        assert loss_reachability(r, r_hat) >= 0.0
-        rot = loss_rotation(Waypoint(0, 0, t1), Waypoint(0, 0, t2))
-        assert 0.0 <= rot <= 2.0 * math.sqrt(2.0) + 1e-12
-
-
-class TestDatasets:
-    def test_generation_deterministic(self):
-        g = empty_room(6.0, 5.0)
-        d1 = generate_sim_dataset([g], 40, CRIT, rng_seed=3)
-        d2 = generate_sim_dataset([g], 40, CRIT, rng_seed=3)
-        assert [(p.src.true_pose, p.dst.true_pose, p.r) for p in d1] == [
-            (p.src.true_pose, p.dst.true_pose, p.r) for p in d2
-        ]
-        assert [p.src.id for p in d1] == list(range(0, 80, 2))
-
-    def test_straddling_sealed_wall_is_negative(self):
-        g = room_with_column_wall(6.0)
-        a = mk_obs(g, 0, Pose2D(5.5, 5.0, 0.0))
-        b = mk_obs(g, 1, Pose2D(6.6, 5.0, 0.0))
-        pair = LabeledPair(a, b, label_reachability(g, a.true_pose, b.true_pose, CRIT),
-                           relative(a.true_pose, b.true_pose))
-        assert pair.r == 0
-
-    def test_save_load_round_trip(self, tmp_path):
-        g = empty_room(6.0, 5.0)
-        pairs = generate_sim_dataset([g], 25, CRIT, rng_seed=9)
-        path = str(tmp_path / "d.txt")
-        save_dataset(pairs, path, CRIT)
-        records, _ = load_dataset(path)
-        assert len(records) == 25
-        for p, rec in zip(pairs, records):
-            assert rec.src.id == p.src.id and rec.dst.id == p.dst.id
-            assert rec.src.true_pose == p.src.true_pose
-            assert rec.dst.true_pose == p.dst.true_pose
-            assert rec.r == p.r
-            assert rec.w == p.w
-
-    def test_header_names_criteria(self, tmp_path):
-        g = empty_room(6.0, 5.0)
-        pairs = generate_sim_dataset([g], 5, CRIT, rng_seed=1)
-        path = str(tmp_path / "d.txt")
-        save_dataset(pairs, path, CRIT)
-        head = open(path).read().splitlines()[:10]
-        assert any("L_min" in ln for ln in head)
-        assert any("E_max" in ln for ln in head)
-
-    def test_load_rejects_wrong_version(self, tmp_path):
-        p = tmp_path / "bad.txt"
-        p.write_text("# something-else/v9\n")
-        with pytest.raises(LoadError):
-            load_dataset(str(p))
-
-    def test_load_returns_the_pairs_save_takes(self, tmp_path):
-        pairs = generate_sim_dataset([empty_room(6.0, 5.0)], 25, CRIT, rng_seed=9)
-        p1, p2 = tmp_path / "a.txt", tmp_path / "b.txt"
-        save_dataset(pairs, str(p1), CRIT)
-        loaded, criteria = load_dataset(str(p1))
-        save_dataset(loaded, str(p2), criteria)
-        assert p1.read_bytes() == p2.read_bytes()
-
-    def test_load_returns_the_criteria_the_header_records(self, tmp_path):
-        crit = ReachabilityCriteria(L_min=0.25, R_max=1.3, E_max=1.0, Theta_max=1.2,
-                                    turn_radius=0.4)
-        path = tmp_path / "d.txt"
-        save_dataset(generate_sim_dataset([two_room_map()], 5, crit, rng_seed=3), str(path), crit)
-        assert load_dataset(str(path))[1] == crit
-
-    @pytest.mark.parametrize("edit", [
-        lambda h: [ln for ln in h if not ln.startswith("# E_max ")],
-        lambda h: h + ["# E_max 2.5"],
-        lambda h: h + ["# fov 1.0"],
-        lambda h: [h[0], h[1], h[3], h[2]] + h[4:],
-        lambda h: [ln.replace("# L_min 0.3", "# L_min 1.5") for ln in h],
-        lambda h: [ln.replace("# R_max 1.6", "# R_max nan") for ln in h],
-        lambda h: [ln.replace("# R_max 1.6", "# R_max many") for ln in h],
-        lambda h: [ln.replace("# R_max 1.6", "# R_max 1.6 1.7") for ln in h],
-    ], ids=["missing", "repeated", "unknown", "out_of_order", "rejected", "nan",
-            "not_a_number", "two_values"])
-    def test_load_rejects_any_other_criteria_header(self, tmp_path, edit):
-        path = tmp_path / "d.txt"
-        save_dataset(generate_sim_dataset([two_room_map()], 5, CRIT, rng_seed=3), str(path), CRIT)
-        lines = path.read_text().splitlines()
-        head, crit_lines, rest = lines[:1], lines[1:6], lines[6:]
-        assert [ln.split()[1] for ln in crit_lines] == ["L_min", "R_max", "E_max", "Theta_max",
-                                                       "turn_radius"]
-        path.write_text("\n".join(head + edit(crit_lines) + rest) + "\n")
-        with pytest.raises(LoadError, match="criteria"):
-            load_dataset(str(path))
-
-    def test_saved_header_has_no_regime_line(self, tmp_path):
-        path = tmp_path / "d.txt"
-        save_dataset(generate_sim_dataset([two_room_map()], 5, CRIT, rng_seed=3), str(path), CRIT)
-        assert not [ln for ln in path.read_text().splitlines() if ln.startswith("# regime")]
-
-    def test_load_skips_the_regime_line_of_older_files(self, tmp_path):
-        pairs = generate_sim_dataset([two_room_map()], 5, CRIT, rng_seed=3)
-        path = tmp_path / "d.txt"
-        save_dataset(pairs, str(path), CRIT)
-        lines = path.read_text().splitlines()
-        path.write_text("\n".join(lines[:1] + ["# regime sim"] + lines[1:]) + "\n")
-        loaded, criteria = load_dataset(str(path))
-        assert criteria == CRIT
-        assert [(p.src.id, p.dst.id, p.r, p.w) for p in loaded] == \
-            [(p.src.id, p.dst.id, p.r, p.w) for p in pairs]
-
-    def test_load_rejects_an_unreadable_path(self, tmp_path):
-        for path in (tmp_path / "missing.txt", tmp_path):
-            with pytest.raises(LoadError):
-                load_dataset(str(path))
-
-    def test_load_rejects_a_cut_file(self, tmp_path):
-        pairs = generate_sim_dataset([two_room_map()], 200, CRIT, rng_seed=3)
-        path = tmp_path / "d.txt"
-        save_dataset(pairs, str(path), CRIT)
-        lines = path.read_text().splitlines()
-        path.write_text("\n".join(lines[:-50]) + "\n")
-        with pytest.raises(LoadError, match="pairs 200.*pairs 150"):
-            load_dataset(str(path))
-
-    def test_load_rejects_a_wrong_positive_count(self, tmp_path):
-        pairs = generate_sim_dataset([two_room_map()], 50, CRIT, rng_seed=3)
-        pos = sum(p.r for p in pairs)
-        path = tmp_path / "d.txt"
-        save_dataset(pairs, str(path), CRIT)
-        text = path.read_text()
-        assert f"# pairs 50 positive {pos}\n" in text
-        path.write_text(text.replace(f"positive {pos}\n", f"positive {pos + 1}\n"))
-        with pytest.raises(LoadError, match="positive"):
-            load_dataset(str(path))
-
-    def test_load_rejects_a_file_without_its_count_line(self, tmp_path):
-        path = tmp_path / "d.txt"
-        save_dataset(generate_sim_dataset([two_room_map()], 5, CRIT, rng_seed=3), str(path), CRIT)
-        lines = [ln for ln in path.read_text().splitlines() if not ln.startswith("# pairs")]
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(LoadError):
-            load_dataset(str(path))

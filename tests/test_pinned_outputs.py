@@ -13,7 +13,6 @@ from collections import Counter
 import numpy as np
 import pytest
 
-import toponav.cli as cli
 import toponav.navharness as navharness
 from toponav import (
     BuildParams,
@@ -127,23 +126,3 @@ def test_episode_outcomes(monkeypatch):
     text = "\n".join(repr(dataclasses.astuple(r)) for r in results)
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "12fe80f74a893293033acffb04df93f56a8266a8e866b159f99cd4ba241dcbc6")
-
-
-GEN_MAP_PINS = {
-    ("default", 0): "9424889b0c032efc7ae6430d0326abc937c6c20ac74f2e07cc45a571cff92cc3",
-    ("default", 5): "3444322276a14fd9d4bc07cb84c97463030c8619eec23caacdbc9aa08ffe1cae",
-    ("3x2", 0): "2bcd9d309e04932f98636d1ed598fbe816a1c162c4edd01bd89e21733cb11de8",
-    ("3x2", 5): "f98017d9149a794cad56a0e76fa624f8bc980b1b83fadf94599484d85006253b",
-}
-
-
-@pytest.mark.parametrize("rooms, seed", sorted(GEN_MAP_PINS))
-def test_gen_map_bytes(tmp_path, rooms, seed):
-    # The seed places every door, so the digest pins the generator's draws.
-    args = ["gen-map", "--out", str(tmp_path / "rooms.map"), "--seed", str(seed)]
-    if rooms == "3x2":
-        config = tmp_path / "rooms.ini"
-        config.write_text("[gridworld]\nrooms_x = 3\nrooms_y = 2\n")
-        args += ["--config", str(config)]
-    assert cli.main(args) == 0
-    assert _sha256(tmp_path / "rooms.map") == GEN_MAP_PINS[rooms, seed]

@@ -256,14 +256,11 @@ class TestMergeAndConnect:
 
 class WindowStub:
     """Estimator that puts every pair ending at observation i at distance
-    dist[i] with score 0.95, and its floor at that distance or at 0.0; it
-    records the ids of the pairs it gives a waypoint and a score."""
+    dist[i] with score 0.95; it records the ids of the pairs it gives a
+    waypoint distance and a score."""
 
-    def __init__(self, dist, exact_floor=True):
-        self.dist, self.exact_floor, self.waypoints, self.scored = dist, exact_floor, [], []
-
-    def distance_floor(self, a, b):
-        return self.dist[b.id] if self.exact_floor else 0.0
+    def __init__(self, dist):
+        self.dist, self.waypoints, self.scored = dist, [], []
 
     def distance_floor_many(self, graph, obs):
         # Distances are known by a pair's end only: no floor for obs -> vertex.
@@ -290,16 +287,15 @@ class TestReachWindows:
         assert reach(dummy_obs(0), dummy_obs(1), est, 0.0, 1.0, 0.5) == (0.5, 0.95)
         assert reach(dummy_obs(0), dummy_obs(1), est, 0.0, 1.0, 0.96) is None
         assert reach(dummy_obs(0), dummy_obs(2), est, 0.0, 1.0, 0.5) is None
-        # The floor rejects pair 2 before any waypoint or score.
-        assert est.waypoints == [1, 1] and est.scored == [1, 1]
+        # Pair 2's waypoint distance rejects it before any score.
+        assert est.waypoints == [1, 1, 2] and est.scored == [1, 1]
 
-    @pytest.mark.parametrize("exact_floor", [True, False])
-    def test_window_bounds(self, exact_floor):
+    def test_window_bounds(self):
         D_m, D_c, D_loc = PARAMS.D_m, PARAMS.D_c, PARAMS.D_loc
         dist = {1: D_m, 2: math.nextafter(D_m, 0.0), 3: D_c, 4: math.nextafter(D_c, math.inf),
                 5: D_loc, 6: math.nextafter(D_loc, 0.0)}
         assert all(waypoint_distance(Waypoint(d, 0.0, 0.0)) == d for d in dist.values())
-        est = WindowStub(dist, exact_floor)
+        est = WindowStub(dist)
         graph = TopoGraph()
         graph.add_vertex(dummy_obs(0))
         v = graph.vertices[0]
