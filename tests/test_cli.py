@@ -128,6 +128,39 @@ def test_config_rejects_bad_value(tmp_path):
     "[navharness]\nrecovery_rotation_step = inf\n",
     "[navharness]\nrecovery_rotation_step = 1e6\n",
     "[navharness]\nauto_variance = maybe\n",
+    "[topograph]\nD_m = 2.0\n",
+    "[topograph]\nD_c = 0.4\n",
+    "[topograph]\nD_loc = 0\n",
+    "[topograph]\nsigma2_init = nan\n",
+    "[perception]\ntheta_sigma = -0.1\n",
+    "[perception]\ntheta_sigma = inf\n",
+    "[perception]\nfalse_negative_rate = -0.1\n",
+    "[perception]\nfalse_positive_rate = nan\n",
+    "[perception]\nL_min = -0.1\n",
+    "[perception]\nR_max = nan\n",
+    "[perception]\nE_max = 0\n",
+    "[perception]\nTheta_max = nan\n",
+    "[maintenance]\nR_p = 0\n",
+    "[maintenance]\nR_p = 1\n",
+    "[maintenance]\np_s_given_r0 = 0.9\n",
+    "[maintenance]\nrelax_D_c_factor = 1\n",
+    "[maintenance]\nrelax_D_c_factor = inf\n",
+    "[maintenance]\nrelax_D_m_factor = 1\n",
+    "[maintenance]\nrelax_D_m_factor = 0\n",
+    "[navharness]\nmax_steps = 0\n",
+    "[navharness]\nmax_collisions = 0\n",
+    "[navharness]\nyaw_tol = 0\n",
+    "[navharness]\nmax_recovery_rotations = 0\n",
+    "[navharness]\nrecovery_rotation_step = 0\n",
+    "[navharness]\nspacing = nan\n",
+    "[gridworld]\nresolution = 0\n",
+    "[gridworld]\nresolution = inf\n",
+    "[gridworld]\nfov = -0.1\n",
+    "[gridworld]\nfov = nan\n",
+    "[gridworld]\nmax_range = nan\n",
+    "[gridworld]\nomega_max = nan\n",
+    "[gridworld]\nrobot_radius = inf\n",
+    "[gridworld]\ndt = nan\n",
 ], ids=["D_m", "max_range", "n_rays", "resolution", "false_positive_rate",
         "pos_sigma", "pos_tol", "dt", "spacing", "loops", "eval_every", "n_goals",
         "n_episodes", "omega_max", "v_max", "odom_pos_sigma", "odom_theta_sigma",
@@ -138,12 +171,35 @@ def test_config_rejects_bad_value(tmp_path):
         "relax_D_c_factor=nan", "pos_sigma=inf", "odom_pos_sigma=inf", "odom_theta_sigma=inf",
         "eval_every_not_dividing", "k_rho=nan", "k_alpha=inf", "k_beta=-inf", "v_max=inf",
         "dt=inf", "recovery_rotation_step=inf", "recovery_rotation_step=1e6",
-        "auto_variance=maybe"])
+        "auto_variance=maybe", "D_m=D_c", "D_c<D_m", "D_loc=0", "sigma2_init=nan",
+        "theta_sigma<0", "theta_sigma=inf", "false_negative_rate<0",
+        "false_positive_rate=nan", "L_min<0", "R_max=nan", "E_max=0", "Theta_max=nan",
+        "R_p=0", "R_p=1", "p_s_given_r0=p_s_given_r1", "relax_D_c_factor=1",
+        "relax_D_c_factor=inf", "relax_D_m_factor=1", "relax_D_m_factor=0", "max_steps=0",
+        "max_collisions=0", "yaw_tol=0", "max_recovery_rotations=0",
+        "recovery_rotation_step=0", "spacing=nan", "resolution=0", "resolution=inf",
+        "fov<0", "fov=nan", "max_range=nan", "omega_max=nan", "robot_radius=inf", "dt=nan"])
 def test_config_rejects_invalid_parameter_combination(tmp_path, text):
     p = tmp_path / "bad.ini"
     p.write_text(text)
     with pytest.raises(ConfigError):
         load_config(str(p))
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("perception", "L_min", 0.0), ("perception", "L_min", 1.0),
+    ("perception", "Theta_max", 0.0), ("perception", "false_positive_rate", 1.0),
+    ("topograph", "r_connect_min", 0.0), ("topograph", "r_connect_min", 1.0),
+    ("maintenance", "p_s_given_r0", 0.0), ("maintenance", "p_s_given_r1", 1.0),
+    ("gridworld", "fov", 0.0), ("gridworld", "robot_radius", 0.0),
+    ("navharness", "n_queries", 0), ("navharness", "recovery_rotation_step", 2.0 * math.pi),
+], ids=lambda v: v if isinstance(v, str) else repr(v))
+def test_config_accepts_each_closed_range_end(tmp_path, section, key, value):
+    # The ends of a closed range are valid values, and load as written.
+    p = tmp_path / "edge.ini"
+    p.write_text(f"[{section}]\n{key} = {value!r}\n")
+    got = getattr(load_config(str(p)), key)
+    assert got == value and type(got) is type(value)
 
 
 @pytest.mark.parametrize("word, value", [

@@ -88,6 +88,34 @@ class TestGridMap:
         with pytest.raises(InvalidMap):
             GridMap(0.1, occ)
 
+    @pytest.mark.parametrize("resolution", [0.0, -0.1, math.nan, math.inf])
+    def test_resolution_must_be_positive_and_finite(self, resolution):
+        with pytest.raises(InvalidMap):
+            GridMap(resolution, np.ones((5, 5), dtype=bool))
+
+    @pytest.mark.parametrize("shape", [(2, 5), (5, 2), (9,), (3, 3, 3)])
+    def test_grid_must_be_2d_and_at_least_three_cells_each_way(self, shape):
+        with pytest.raises(InvalidMap):
+            GridMap(0.1, np.ones(shape, dtype=bool))
+
+    @pytest.mark.parametrize("x, y", [(-1e-9, 5.0), (10.0, 5.0), (5.0, -1e-9), (5.0, 10.0),
+                                      (math.nan, 5.0), (5.0, math.inf)])
+    def test_a_point_off_the_map_is_not_in_bounds_nor_free(self, x, y):
+        # The map covers [0, size) on each axis; its far edges are not on it.
+        g = empty_room()
+        assert not g.in_bounds(x, y) and not g.cell_free(x, y)
+        with pytest.raises(InvalidPose):
+            g.require_free(x, y)
+
+    def test_require_free_refuses_a_wall_cell_only(self):
+        g = room_with_column_wall(5.0)
+        g.require_free(4.95, 3.0)
+        g.require_free(5.15, 3.0)
+        for x in (5.0, 5.05, 0.05):
+            assert g.in_bounds(x, 3.0) and not g.cell_free(x, 3.0)
+            with pytest.raises(InvalidPose):
+                g.require_free(x, 3.0)
+
     def test_cell_of(self):
         g = empty_room()
         assert g.cell_of(0.05, 0.05) == (0, 0)
@@ -997,3 +1025,13 @@ class TestHelpers:
         assert len(lines) == 10
         assert all(len(ln) == 20 for ln in lines)
         assert "@" in art
+
+    def test_render_ascii_draws_row_zero_last_and_drops_marks_off_the_map(self):
+        g = empty_room(0.5, 0.4, 0.1)
+        art = render_ascii(g, poses=[Pose2D(0.15, 0.15, 0.0), Pose2D(9.0, 9.0, 0.0)],
+                           cells=[(3, 2), (1, 1), (7, 7), (-1, 2)])
+        # Row 0 (y = 0) is the last line; (1, 1) holds both a mark and a pose.
+        assert art.splitlines() == ["#####",
+                                    "#..*#",
+                                    "#@..#",
+                                    "#####"]

@@ -99,6 +99,12 @@ def test_world_first_id(grid):
     assert world.observe(Pose2D(1.5, 1.5, 0.0)).id == 500
 
 
+@pytest.mark.parametrize("dt", [0.0, -0.1, math.nan, math.inf])
+def test_world_rejects_a_dt_that_is_not_positive_and_finite(grid, dt):
+    with pytest.raises(InvalidInput):
+        World(grid, dt=dt)
+
+
 def test_observe_matches_pose(grid):
     world = World(grid)
     o = world.observe(Pose2D(2.0, 2.0, 0.3))

@@ -18,6 +18,7 @@ from toponav.se2 import (
     dubins_sample,
     dubins_segments,
     relative,
+    relative_xy,
     se2_exp,
     se2_log,
     waypoint_distance,
@@ -101,6 +102,32 @@ class TestComposeRelative:
         assert abs(back.theta) < 1e-9
 
 
+    @given(coords, coords, angles, coords, coords, angles)
+    @settings(max_examples=100)
+    def test_relative_xy_is_b_in_the_frame_of_a(self, ax, ay, ath, bx, by, bth):
+        # inv(T(a)) applied to b's position, by the homogeneous matrices.
+        a, b = Pose2D(ax, ay, ath), Pose2D(bx, by, bth)
+        want = np.linalg.solve(waypoint_matrix(Waypoint(a.x, a.y, a.theta)), [b.x, b.y, 1.0])
+        assert relative_xy(a, b) == pytest.approx(tuple(want[:2]), abs=1e-9)
+
+    @given(coords, coords, angles, coords, coords, angles, coords, coords, angles)
+    @settings(max_examples=100)
+    def test_compose_is_the_matrix_product(self, px, py, pth, ux, uy, uth, vx, vy, vth):
+        # compose(compose(p, u), v) is T(p) T(u) T(v), whichever way it groups.
+        p, u, v = Pose2D(px, py, pth), Waypoint(ux, uy, uth), Waypoint(vx, vy, vth)
+        q = compose(compose(p, u), v)
+        m = waypoint_matrix(Waypoint(p.x, p.y, p.theta)) @ waypoint_matrix(u) @ waypoint_matrix(v)
+        assert (q.x, q.y) == pytest.approx((m[0, 2], m[1, 2]), abs=1e-9)
+        assert abs(wrap_angle(q.theta - math.atan2(m[1, 0], m[0, 0]))) < 1e-9
+
+    @pytest.mark.parametrize("cls", [Pose2D, Waypoint])
+    def test_construction_wraps_the_angle_and_refuses_a_non_finite_one(self, cls):
+        assert cls(1.0, 2.0, 3 * math.pi / 2) == cls(1.0, 2.0, wrap_angle(3 * math.pi / 2))
+        assert cls(0.0, 0.0, -math.pi) == cls(0.0, 0.0, math.pi)
+        with pytest.raises(InvalidInput):
+            cls(0.0, 0.0, math.nan)
+
+
 class TestLogExpDistance:
     def test_pure_translation(self):
         assert waypoint_distance(Waypoint(1.0, 0.0, 0.0)) == pytest.approx(1.0, abs=1e-12)
@@ -130,6 +157,16 @@ class TestLogExpDistance:
         a, b = Pose2D(0.3, 1.1, -0.7), Pose2D(1.1, 0.2, 1.2)
         assert waypoint_distance(relative(a, b)) == pytest.approx(
             waypoint_distance(relative(b, a)), abs=1e-9)
+
+    @given(coords, coords, angles, coords, coords, angles, coords, coords, angles)
+    @settings(max_examples=100)
+    def test_distance_is_invariant_under_a_common_rigid_motion(self, ax, ay, ath, bx, by, bth,
+                                                              gx, gy, gth):
+        a, b, g = Pose2D(ax, ay, ath), Pose2D(bx, by, bth), Pose2D(gx, gy, gth)
+        moved = relative(compose(g, relative(Pose2D(0, 0, 0), a)),
+                         compose(g, relative(Pose2D(0, 0, 0), b)))
+        assert waypoint_distance(moved) == pytest.approx(
+            waypoint_distance(relative(a, b)), rel=1e-9, abs=1e-9)
 
     def test_exp_log_round_trip_bulk(self):
         rng = np.random.default_rng(7)
@@ -208,6 +245,57 @@ class TestDubins:
             dubins_length(Pose2D(0, 0, 0), Pose2D(1, 0, 0), 0.0)
         with pytest.raises(InvalidInput):
             dubins_length(Pose2D(0, 0, 0), Pose2D(1, 0, 0), -1.0)
+
+    @pytest.mark.parametrize("radius", [math.nan, math.inf])
+    def test_non_finite_radius_rejected(self, radius):
+        with pytest.raises(InvalidInput):
+            dubins_segments(Pose2D(0, 0, 0), Pose2D(1, 0, 0), radius)
+
+    @staticmethod
+    def _random_pairs(seed, n=300):
+        rng = np.random.default_rng(seed)
+        for _ in range(n):
+            yield (Pose2D(rng.uniform(-3, 3), rng.uniform(-3, 3), rng.uniform(-math.pi, math.pi)),
+                   Pose2D(rng.uniform(-3, 3), rng.uniform(-3, 3), rng.uniform(-math.pi, math.pi)),
+                   rng.uniform(0.2, 1.2))
+
+    def test_a_common_rigid_motion_keeps_the_word_and_length(self):
+        g = Pose2D(1.3, -0.4, 2.2)
+        origin = Pose2D(0, 0, 0)
+        for a, b, r in self._random_pairs(21):
+            ga, gb = compose(g, relative(origin, a)), compose(g, relative(origin, b))
+            assert dubins_segments(ga, gb, r)[0] == dubins_segments(a, b, r)[0]
+            assert dubins_length(ga, gb, r) == pytest.approx(dubins_length(a, b, r), rel=1e-9)
+
+    def test_the_mirror_image_swaps_left_and_right(self):
+        swap = str.maketrans("LR", "RL")
+        for a, b, r in self._random_pairs(22):
+            ma, mb = Pose2D(a.x, -a.y, -a.theta), Pose2D(b.x, -b.y, -b.theta)
+            assert dubins_segments(ma, mb, r)[0] == dubins_segments(a, b, r)[0].translate(swap)
+            assert dubins_length(ma, mb, r) == pytest.approx(dubins_length(a, b, r), rel=1e-9)
+
+    def test_driving_back_with_flipped_headings_reverses_the_word(self):
+        # Run backwards with the headings turned round, a left arc is driven
+        # forwards as a right arc, so the word reverses and swaps L and R.
+        swap = str.maketrans("LR", "RL")
+        for a, b, r in self._random_pairs(23):
+            fa, fb = Pose2D(a.x, a.y, a.theta + math.pi), Pose2D(b.x, b.y, b.theta + math.pi)
+            word = dubins_segments(a, b, r)[0]
+            assert dubins_segments(fb, fa, r)[0] == word[::-1].translate(swap)
+            assert dubins_length(fb, fa, r) == pytest.approx(dubins_length(a, b, r), rel=1e-9)
+
+    @pytest.mark.parametrize("scale", [0.25, 3.0])
+    def test_length_scales_with_the_poses_and_the_radius(self, scale):
+        for a, b, r in self._random_pairs(24, n=100):
+            sa = Pose2D(scale * a.x, scale * a.y, a.theta)
+            sb = Pose2D(scale * b.x, scale * b.y, b.theta)
+            assert dubins_length(sa, sb, scale * r) == pytest.approx(
+                scale * dubins_length(a, b, r), rel=1e-9)
+
+    @pytest.mark.parametrize("step", [0.0, -0.05, math.nan])
+    def test_sample_rejects_a_step_that_is_not_positive(self, step):
+        with pytest.raises(InvalidInput):
+            dubins_sample(Pose2D(0, 0, 0), Pose2D(1, 0, 0), 0.3, step)
 
     def test_every_feasible_word_reconstructs_endpoint(self):
         rng = np.random.default_rng(3)

@@ -96,6 +96,21 @@ class TestTopoGraphStructure:
         with pytest.raises(InvalidVertex):
             g.add_vertex(dummy_obs(1))
 
+    def test_lookups_of_a_missing_vertex_or_edge_raise_and_change_nothing(self):
+        g = TopoGraph()
+        g.add_vertex(dummy_obs(1))
+        g.add_vertex(dummy_obs(2))
+        g.add_edge(1, 2, EdgeBelief(0.9, 1.0, 0.25))
+        with pytest.raises(InvalidVertex):
+            g.out_neighbors(9)
+        with pytest.raises(InvalidVertex):
+            g.remove_vertex(9)
+        with pytest.raises(EdgeNotFound):
+            g.remove_edge(1, 9)
+        assert g.out_neighbors(1) == [2] and g.out_neighbors(2) == []
+        assert list(g.ids) == [1, 2] and list(g.edges) == [(1, 2)]
+        g.check()
+
     def test_adjacency_index_follows_random_mutations(self):
         rng = np.random.default_rng(5)
         g = TopoGraph()
@@ -497,6 +512,13 @@ class TestTrajectoryPool:
         pool.discard(42)
         assert pool.ids() == [5, 2, 7] and len(pool) == 3
         assert [o.id for o in pool] == [5, 2, 7]
+
+    def test_get_returns_the_observation_or_none(self):
+        a, b = dummy_obs(3), dummy_obs(8)
+        pool = TrajectoryPool([a, b])
+        assert pool.get(8) is b and pool.get(3) is a and pool.get(5) is None
+        pool.discard(3)
+        assert pool.get(3) is None and pool.ids() == [8]
 
     def test_repeated_id_rejected(self):
         with pytest.raises(InvalidInput):
