@@ -20,7 +20,7 @@ from dataclasses import Field, dataclass, fields, replace
 
 import numpy as np
 
-from .errors import ConfigError, Error, InvalidInput
+from .errors import ConfigError, Error, InvalidInput, InvalidMap, RouteError
 from .fixtures import apartment_map, apartment_route, two_room_map, two_room_route
 from .gridworld import DEFAULT_ROBOT_RADIUS, ControllerGains, GridMap, SensorConfig
 from .maintenance import MaintenanceParams
@@ -185,8 +185,13 @@ def load_config(path: str | None) -> ExperimentConfig:
 
 def make_grid(cfg: ExperimentConfig, seed: int) -> GridMap:
     """The configured map, holding the configured robot radius and sensor.
-    Every bundled map is fixed, so the seed does not change it."""
-    grid = _MAPS[cfg.map][0](cfg.resolution)
+    Every bundled map is fixed, so the seed does not change it.  Raises
+    ConfigError for a resolution too coarse to draw the map."""
+    try:
+        grid = _MAPS[cfg.map][0](cfg.resolution)
+    except InvalidMap as e:
+        raise ConfigError(f"gridworld.resolution = {cfg.resolution!r} cannot draw the "
+                          f"{cfg.map} map: {e}") from e
     return GridMap(grid.resolution, grid.occupied, cfg.robot_radius, cfg.make(SensorConfig))
 
 
@@ -228,9 +233,16 @@ def _report(args, text: str) -> int:
 
 
 def _collect(cfg: ExperimentConfig, world: World, seed: int):
-    """The trajectory of driving the bundled route in `world`."""
-    return collect_trajectory(world, make_route(cfg), cfg.loops, cfg.spacing,
-                              OdomNoise(cfg.odom_pos_sigma, cfg.odom_theta_sigma, seed))
+    """The trajectory of driving the bundled route in `world`.  Raises
+    ConfigError when the route does not fit the map as drawn at the
+    configured resolution, for the configured robot."""
+    try:
+        return collect_trajectory(world, make_route(cfg), cfg.loops, cfg.spacing,
+                                  OdomNoise(cfg.odom_pos_sigma, cfg.odom_theta_sigma, seed))
+    except RouteError as e:
+        raise ConfigError(f"gridworld.resolution = {cfg.resolution!r} with robot_radius = "
+                          f"{cfg.robot_radius!r} leaves the {cfg.map} route undrivable: "
+                          f"{e}") from e
 
 
 def _build(args, cfg: ExperimentConfig, traj, estimator):

@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from .errors import InvalidInput
+from .errors import InvalidInput, InvalidMap
 from .gridworld import GridMap
 from .se2 import Pose2D
 
@@ -26,13 +26,24 @@ def _headed_loop(points):
     return poses
 
 
-def two_room_map(resolution: float = 0.1) -> GridMap:
-    """7 x 5 m: two rooms split at x = 3.5 with a 1 m doorway at mid-height."""
-    nx = int(round(7.0 / resolution))
-    ny = int(round(5.0 / resolution))
+def _walled(width: float, height: float, resolution: float) -> np.ndarray:
+    """Occupancy of an empty width x height m room at resolution, border
+    occupied.  Raises InvalidMap when the resolution leaves fewer than three
+    cells on a side, where the maps' inner walls would miss the grid."""
+    nx = int(round(width / resolution))
+    ny = int(round(height / resolution))
+    if nx < 3 or ny < 3:
+        raise InvalidMap(f"resolution {resolution!r} leaves a {nx} x {ny} grid; "
+                         "the map needs at least 3 x 3 cells")
     occ = np.zeros((ny, nx), dtype=bool)
     occ[0, :] = occ[-1, :] = True
     occ[:, 0] = occ[:, -1] = True
+    return occ
+
+
+def two_room_map(resolution: float = 0.1) -> GridMap:
+    """7 x 5 m: two rooms split at x = 3.5 with a 1 m doorway at mid-height."""
+    occ = _walled(7.0, 5.0, resolution)
     div = int(round(3.5 / resolution))
     occ[:, div] = True
     occ[int(round(2.0 / resolution)):int(round(3.0 / resolution)), div] = False
@@ -61,11 +72,7 @@ def two_room_route() -> list[Pose2D]:
 def apartment_map(resolution: float = 0.1) -> GridMap:
     """10 x 8 m, four rooms: full walls at x = 5 and y = 4 with a 1 m
     doorway in every shared wall."""
-    nx = int(round(10.0 / resolution))
-    ny = int(round(8.0 / resolution))
-    occ = np.zeros((ny, nx), dtype=bool)
-    occ[0, :] = occ[-1, :] = True
-    occ[:, 0] = occ[:, -1] = True
+    occ = _walled(10.0, 8.0, resolution)
     wx = int(round(5.0 / resolution))
     wy = int(round(4.0 / resolution))
     occ[:, wx] = True

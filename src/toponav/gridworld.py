@@ -10,9 +10,13 @@ decides what that sensor sees from a pose.  A scan belongs to the
 observation that took it (perception.Observation), so the map keeps none:
 co_visible reads the two scans it compares from its caller, and casts one
 on the map only when the caller has none.  The map caches its clearance
-mask and passable cells once, which never changes observable behavior;
-each path search runs on demand.  Maps are occupancy arrays built in
-memory; toponav.fixtures holds the bundled ones.
+mask and passable cells once, and summed-area tables of its occupied
+cells and of the cells the clearance mask blocks in part, which never
+changes observable behavior; each path search runs on demand.  A cast
+whose result a free box already decides is skipped (GridMap.box_free):
+co_visible casts only when the box around its rays holds an occupied
+cell.  Maps are occupancy arrays built in memory; toponav.fixtures holds
+the bundled ones.
 """
 
 from __future__ import annotations
@@ -43,6 +47,10 @@ _SUBCELL_TARGET = 0.025
 
 # raycast's rows of gridline offsets for a ray going + on x and on y.
 _AXIS_ROWS = np.array([0, 2])
+
+# How far (m) a box test widens its box: far beyond the rounding of the
+# cell indices raycast and disc_blocked compute, far below any cell.
+BOX_MARGIN = 1e-6
 
 
 @dataclass(frozen=True)
@@ -236,6 +244,44 @@ class GridMap:
         return bool(blocked[int(fy), int(fx)])
 
     @cached_property
+    def _occupied_sums(self) -> tuple[float, int, np.ndarray]:
+        """(cell size, 1, summed-area table) of the occupied cells."""
+        return self.resolution, 1, _summed_area(self.occupied)
+
+    @cached_property
+    def _blocked_sums(self) -> tuple[float, int, np.ndarray]:
+        """(subcell size, k, summed-area table) of the cells, k subcells a
+        side, that hold a blocked subcell of the clearance mask.  A table
+        over subcells would be k * k times as large."""
+        k, blocked = self._blocked
+        ny, nx = blocked.shape
+        touched = blocked.reshape(ny // k, k, nx // k, k).any(axis=(1, 3))
+        return self.resolution / k, k, _summed_area(touched)
+
+    def box_free(self, x0: float, y0: float, x1: float, y1: float,
+                 clearance: bool = False) -> bool:
+        """True when no occupied cell meets the box [x0, x1] x [y0, y1] in
+        world coordinates, or with clearance, no blocked subcell of the
+        clearance mask that disc_blocked reads; one lookup in a summed-area
+        table.
+
+        A point of the box lies in (sub)cell floor(x / size) on each axis,
+        computed as cell_of and disc_blocked compute it, and the floor of a
+        quotient never decreases with x, so every point of the box lands in
+        a cell the count covers.  The border is occupied, and blocked, so a
+        box that reaches off the map, or has a NaN or infinite side, is
+        never free; the bounds are compared on floats, so no NaN is ever
+        made an index."""
+        size, k, table = self._blocked_sums if clearance else self._occupied_sums
+        ny, nx = (table.shape[0] - 1) * k, (table.shape[1] - 1) * k
+        fx0, fy0, fx1, fy1 = x0 / size, y0 / size, x1 / size, y1 / size
+        if not (0.0 <= fx0 and fx1 < nx and 0.0 <= fy0 and fy1 < ny):
+            return False
+        i0, j0 = int(fy0) // k, int(fx0) // k
+        i1, j1 = int(fy1) // k + 1, int(fx1) // k + 1
+        return table[i1, j1] - table[i0, j1] - table[i1, j0] + table[i0, j0] == 0
+
+    @cached_property
     def passable(self) -> np.ndarray:
         """Read-only cell mask for path planning: centers that keep the disc
         clear."""
@@ -249,6 +295,15 @@ class GridMap:
         """The path search's starting distances, a flat list indexed
         iy * nx + ix: inf on passable cells, -1 on the rest."""
         return np.where(self.passable, math.inf, -1.0).ravel().tolist()
+
+
+def _summed_area(mask: np.ndarray) -> np.ndarray:
+    """Read-only summed-area table (Crow, 1984): entry [i, j] counts the
+    true cells of mask[:i, :j]."""
+    table = np.zeros((mask.shape[0] + 1, mask.shape[1] + 1), dtype=np.int32)
+    np.cumsum(np.cumsum(mask, axis=0, dtype=np.int32), axis=1, out=table[1:, 1:])
+    table.setflags(write=False)
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -348,6 +403,26 @@ def _overlap_rays(grid: GridMap, src_scan: DepthScan, dst: Pose2D):
     return bearing[cand], dist[cand]
 
 
+def _rays_clear(grid: GridMap, x: float, y: float, bearing: np.ndarray, reach: np.ndarray,
+                *points: tuple[float, float]) -> bool:
+    """True when no occupied cell meets the box around (x, y), the point at
+    reach along each bearing from it (at (x, y) itself where reach is not
+    positive) and the given points, widened by BOX_MARGIN.
+
+    Then a batch cast from (x, y) returns at least each ray's reach, and a
+    ray toward any of the points is clear up to it: raycast tests only the
+    cells that a ray enters at its gridline crossings up to its length, and
+    each such cell touches the ray to within rounding (about 1e-14 m), so it
+    meets the widened box, and none there is occupied.  The origin's own
+    cell is in the box too, so it is free, and the cast could not raise."""
+    length = np.maximum(reach, 0.0)
+    xs = np.concatenate([[x], x + length * np.cos(bearing), [p[0] for p in points]])
+    ys = np.concatenate([[y], y + length * np.sin(bearing), [p[1] for p in points]])
+    # A NaN anywhere makes a NaN side, which box_free never calls free.
+    return grid.box_free(xs.min() - BOX_MARGIN, ys.min() - BOX_MARGIN,
+                         xs.max() + BOX_MARGIN, ys.max() + BOX_MARGIN)
+
+
 def co_visible(grid: GridMap, a: Pose2D, b: Pose2D, min_overlap: float,
                scan_a: Callable[[], DepthScan] | None = None,
                scan_b: Callable[[], DepthScan] | None = None) -> bool:
@@ -375,6 +450,13 @@ def co_visible(grid: GridMap, a: Pose2D, b: Pose2D, min_overlap: float,
     to the lower cap returns at least that cap either way.  Neither call is
     made when the returns in view are too few to reach min_overlap even if
     all are seen.
+
+    Each of the two calls is made only when a box test leaves it open:
+    when no occupied cell meets the box around the cast's origin and each
+    ray's point at the distance it must reach (for the second, b too,
+    which covers the sight line), widened by BOX_MARGIN, every ray of the
+    batch passes, so the cast could only confirm it (_rays_clear).  A box
+    that holds a wall decides nothing, and the cast runs as before.
     """
     sensor = grid.sensor
     d = math.hypot(b.x - a.x, b.y - a.y)
@@ -399,14 +481,17 @@ def co_visible(grid: GridMap, a: Pose2D, b: Pose2D, min_overlap: float,
     # Each ray only has to reach its impact point: a ray cast no further
     # than the farthest one returns its cap, which passes the seen test,
     # exactly when a full-range ray would pass it.
-    r = raycast(grid, b.x, b.y, rays, min(sensor.max_range, dist.max()))
-    if int((r >= dist - tol).sum()) / n_a < min_overlap:
-        return False
+    if not _rays_clear(grid, b.x, b.y, rays, dist - tol):
+        r = raycast(grid, b.x, b.y, rays, min(sensor.max_range, dist.max()))
+        if int((r >= dist - tol).sum()) / n_a < min_overlap:
+            return False
     scan_b = raycast_scan(grid, b) if scan_b is None else scan_b()
     n_b = len(scan_b.hit_points)
     rays, dist = _overlap_rays(grid, scan_b, a)
     if not len(dist) or len(dist) / n_b < min_overlap:
         return False
+    if _rays_clear(grid, a.x, a.y, rays, dist - tol, (b.x, b.y)):
+        return True
     r = raycast(grid, a.x, a.y, np.concatenate([[bearing], rays]),
                 max(d, min(sensor.max_range, dist.max())))
     if r[0] + 1e-9 < d:

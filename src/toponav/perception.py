@@ -22,7 +22,9 @@ and asks predict() for the score only when the pair can still pass, so a
 costly score is only computed on demand; a search over a graph first
 drops the vertices whose distance_floor_many lies beyond the window.
 The oracle implementation computes ground truth on the map from the two
-observations' scans and corrupts it with configurable noise; its
+observations' scans and corrupts it with configurable noise (the Dubins
+sweep of a label runs only when a box around every path of its length
+holds a blocked cell of the clearance mask); its
 randomness is keyed on (seed, src.id, dst.id), so a flipped label stays
 flipped for that pair for the life of a run.
 """
@@ -39,6 +41,7 @@ import numpy as np
 
 from .errors import InvalidInput, LoadError
 from .gridworld import (
+    BOX_MARGIN,
     DepthScan,
     GridMap,
     co_visible,
@@ -49,6 +52,7 @@ from .gridworld import (
 from .se2 import (
     Pose2D,
     Waypoint,
+    dubins_length,
     dubins_sample,
     log_norm,
     relative,
@@ -70,11 +74,11 @@ class Observation:
     waypoint labels).  The scan is read through `scan`: an observation
     given a `view` map instead of a scan casts it from true_pose through
     raycast_scan on the first read, and one read from a file line
-    (from_record) parses it from that line on the first read; either keeps
-    it.  An observation with neither has no scan.
+    (from_record) builds it on the first read from the values parsed from
+    that line; either keeps it.  An observation with neither has no scan.
     """
 
-    __slots__ = ("id", "true_pose", "odom_pose", "_scan", "_view", "_record")
+    __slots__ = ("id", "true_pose", "odom_pose", "_scan", "_view", "_record", "_rays")
 
     def __init__(self, id: int, scan: DepthScan | None, true_pose: Pose2D, odom_pose: Pose2D,
                  view: GridMap | None = None):
@@ -84,6 +88,7 @@ class Observation:
         self.odom_pose = odom_pose
         self._view = view
         self._record = None
+        self._rays = None
 
     @property
     def scan(self) -> DepthScan | None:
@@ -91,8 +96,12 @@ class Observation:
             if self._view is not None:
                 self._scan = raycast_scan(self._view, self.true_pose)
                 self._view = None
-            elif self._record is not None:
-                self._scan = _scan_of_record(self._record.split())
+            elif self._rays is not None:
+                max_range, values = self._rays
+                n = len(values) // 2
+                self._scan = DepthScan.from_ranges(self.true_pose.x, self.true_pose.y,
+                                                   values[:n], values[n:], max_range)
+                self._rays = None
         return self._scan
 
     def record(self) -> str:
@@ -115,9 +124,9 @@ class Observation:
 
     @classmethod
     def from_record(cls, line: str) -> Observation:
-        """The observation of one record() line.  Every value is checked
-        here, and the line is kept, so the scan is built from it on the
-        first read of `scan` and record() returns it unchanged.  Raises
+        """The observation of one record() line.  Every value is parsed and
+        checked here, once: the scan is built from the parsed ray values on
+        the first read of `scan`, and record() returns the line unchanged.  Raises
         LoadError for a count of ray values other than 2n, a non-finite
         value, a max_range that is not positive or a range outside
         [0, max_range]; ValueError or IndexError for a line that does not
@@ -140,15 +149,8 @@ class Observation:
                             "max_range > 0")
         obs = cls(oid, None, Pose2D(*poses[:3]), Pose2D(*poses[3:]))
         obs._record = line
+        obs._rays = max_range, np.array(rest)
         return obs
-
-
-def _scan_of_record(parts: list[str]) -> DepthScan:
-    """The scan of a checked record line, split into its fields."""
-    n = int(parts[8])
-    values = np.array(list(map(float, parts[9:])))
-    return DepthScan.from_ranges(float(parts[1]), float(parts[2]), values[:n], values[n:],
-                                 float(parts[7]))
 
 
 @dataclass(frozen=True)
@@ -200,6 +202,26 @@ class NoiseConfig:
             raise InvalidInput("noise seed must be non-negative")
 
 
+def _sweep_clear(grid: GridMap, a: Pose2D, b: Pose2D, turn_radius: float) -> bool:
+    """True when no pose that dubins_sample gives from a to b can be
+    disc_blocked: the clearance mask is free on the bounding box of the
+    ellipse with foci a and b and major axis the Dubins length L, widened
+    by BOX_MARGIN.
+
+    A point of a path of length L from a to b lies at most L from a and b
+    together, so inside that ellipse; its half-extents are
+    sqrt(L^2/4 - (dy/2)^2) on x and sqrt(L^2/4 - (dx/2)^2) on y.  The
+    samples lie on the path to within rounding, far inside the margin, and
+    disc_blocked reads the mask cell floor(x / sub), which never decreases
+    with x, so a sample of the box reads a cell of the box."""
+    half = 0.25 * dubins_length(a, b, turn_radius) ** 2
+    dx, dy = b.x - a.x, b.y - a.y
+    hx = math.sqrt(max(half - 0.25 * dy * dy, 0.0)) + BOX_MARGIN
+    hy = math.sqrt(max(half - 0.25 * dx * dx, 0.0)) + BOX_MARGIN
+    cx, cy = 0.5 * (a.x + b.x), 0.5 * (a.y + b.y)
+    return grid.box_free(cx - hx, cy - hy, cx + hx, cy + hy, clearance=True)
+
+
 def label_reachability(
     grid: GridMap,
     a: Pose2D,
@@ -220,7 +242,9 @@ def label_reachability(
     The label is the AND of these checks, so their order is free: the
     map-free gates run first, so most far-apart pairs never touch the map,
     then co-visibility, which rejects most of the pairs that reach it, and
-    the Dubins and path checks last.  The path search runs only when the
+    the Dubins and path checks last.  The Dubins path is sampled only when
+    the clearance mask holds a blocked cell in the box that bounds every
+    path of its length (_sweep_clear).  The path search runs only when the
     straightest staircase of cells between the two poses is blocked or too
     long to decide the ratio.  Poses within one resolution of each other
     are labelled reachable once the near gates pass.  scan_a and scan_b
@@ -239,9 +263,10 @@ def label_reachability(
         return 1
     if not co_visible(grid, a, b, c.L_min, scan_a, scan_b):
         return 0
-    poses = dubins_sample(a, b, c.turn_radius, 0.5 * grid.resolution)
-    if any(grid.disc_blocked(x, y) for x, y in poses[:, :2].tolist()):
-        return 0
+    if not _sweep_clear(grid, a, b, c.turn_radius):
+        poses = dubins_sample(a, b, c.turn_radius, 0.5 * grid.resolution)
+        if any(grid.disc_blocked(x, y) for x, y in poses[:, :2].tolist()):
+            return 0
     # A clear staircase between the two cells is a path of the cell graph
     # that no path undercuts, so the search below could only return its
     # octile length, summed in another order.  A sum over the steps of any

@@ -341,7 +341,11 @@ def plan(graph: TopoGraph, start: int, goal: int):
 
     Ties between equal-cost paths break toward the lexicographically
     smallest id sequence; heap entries carry the whole path so the order
-    falls out of tuple comparison.
+    falls out of tuple comparison.  A vertex's first pop is its smallest
+    (cost, path) label, so a label no smaller than one already pushed for
+    its vertex is never pushed, and one that costs more is dropped before
+    its path tuple is built.  Heap order depends on the labels' values
+    alone, so the successors are read unsorted.
     """
     if start not in graph.vertices:
         raise InvalidVertex(str(start))
@@ -350,18 +354,29 @@ def plan(graph: TopoGraph, start: int, goal: int):
     if start == goal:
         return [start]
     heap = [(0.0, (start,))]
+    best = {start: heap[0]}
     done = set()
+    succ, edges = graph._succ, graph.edges
+    pop, push = heapq.heappop, heapq.heappush
     while heap:
-        cost, path = heapq.heappop(heap)
+        cost, path = pop(heap)
         node = path[-1]
         if node in done:
             continue
         done.add(node)
         if node == goal:
             return list(path)
-        for nxt in graph.out_neighbors(node):
-            if nxt not in done:
-                heapq.heappush(heap, (cost + graph.edges[(node, nxt)].mu, path + (nxt,)))
+        for nxt in succ[node]:
+            if nxt in done:
+                continue
+            c = cost + edges[(node, nxt)].mu
+            stored = best.get(nxt)
+            if stored is not None and c > stored[0]:
+                continue
+            label = (c, path + (nxt,))
+            if stored is None or label < stored:
+                best[nxt] = label
+                push(heap, label)
     return None
 
 

@@ -346,6 +346,18 @@ def test_missing_out_is_usage_error(capsys):
     assert "--out" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("resolution", ["5", "1.2"])
+def test_coarse_resolution_is_config_error(tmp_path, capsys, resolution):
+    # At 5 m a cell the two-room map's divider falls off a one-cell grid;
+    # at 1.2 m the map is drawn, but the route's first pose is in a wall.
+    ini = tmp_path / "coarse.ini"
+    ini.write_text(f"[gridworld]\nresolution = {resolution}\n")
+    rc = main(["collect", "--config", str(ini), "--out", str(tmp_path / "t.traj")])
+    assert rc == 2
+    assert "gridworld.resolution" in capsys.readouterr().err
+    assert not (tmp_path / "t.traj").exists()
+
+
 def test_runtime_error_exits_one(tmp_path, capsys):
     rc = main(["build", str(tmp_path / "missing.traj"),
                "--out", str(tmp_path / "g")])

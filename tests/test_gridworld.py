@@ -4,6 +4,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 import scipy.ndimage
 import scipy.sparse
 import scipy.sparse.csgraph
@@ -183,6 +185,26 @@ def is_visible(grid, from_pose, target_xy):
     # Cast only as far as the target: an unoccluded ray returns its cap d.
     r = gridworld.raycast(grid, from_pose.x, from_pose.y, [bearing], d)
     return bool(r[0] + 1e-9 >= d)
+
+
+# co_visible's allowance for a ray toward an impact point on a cell boundary.
+CAST_TOL = 0.1 * math.sqrt(2.0) + 1e-9
+
+
+def box_holds_wall(grid, x, y, bearing, reach, *points):
+    """Whether an occupied cell meets the box around (x, y), the point at
+    reach along each bearing (at (x, y) where reach is not positive) and
+    the points, widened by 1e-6 m: read off the occupancy array directly."""
+    length = np.maximum(reach, 0.0)
+    xs = np.concatenate([[x], x + length * np.cos(bearing), [p[0] for p in points]])
+    ys = np.concatenate([[y], y + length * np.sin(bearing), [p[1] for p in points]])
+    res = grid.resolution
+    # A box that reaches off the map takes in the border there.
+    cols = slice(max(math.floor((xs.min() - 1e-6) / res), 0),
+                 math.floor((xs.max() + 1e-6) / res) + 1)
+    rows = slice(max(math.floor((ys.min() - 1e-6) / res), 0),
+                 math.floor((ys.max() + 1e-6) / res) + 1)
+    return bool(grid.occupied[rows, cols].any())
 
 
 def directed_overlap(grid, src_scan, dst):
@@ -463,37 +485,49 @@ class TestCoVisible:
 
     def test_too_few_returns_in_view_cast_nothing(self, monkeypatch):
         # A direction whose in-view returns cannot reach the threshold
-        # decides the pair without a cast: none for a's returns, one for
-        # b's, after the cast toward a's.
-        g = apartment_map()
-        sensor, t = g.sensor, 0.3
-        pairs = near_pose_pairs(g, np.random.default_rng(6), 150)
-        scans = {}
+        # decides the pair without a cast: none for a's returns; for b's,
+        # the one cast toward a's when its box holds a wall, and none when
+        # the box shows that every ray toward a's returns is clear.
+        apartment = apartment_map()
+        cases = [(apartment, a, b)
+                 for a, b in near_pose_pairs(apartment, np.random.default_rng(6), 150)]
+        # b sees most of a's few returns, on a pillar, past a cell that sits
+        # in its box off every ray; most of b's returns, on a wall to its
+        # north-west, lie outside a's view.
+        room = empty_room(12.0, 12.0)
+        occ = room.occupied.copy()
+        occ[58:62, 60:64] = True
+        occ[80, 10:50] = True
+        occ[56, 50] = True
+        cases.append((GridMap(room.resolution, occ), Pose2D(3.0, 6.0, 0.0),
+                      Pose2D(5.0, 4.5, math.radians(100))))
+        t = 0.3
         expected = {}
-        for i, (a, b) in enumerate(pairs):
+        for i, (g, a, b) in enumerate(cases):
             d = math.hypot(b.x - a.x, b.y - a.y)
             bearing = math.atan2(b.y - a.y, b.x - a.x)
-            if d > sensor.max_range or abs(wrap_angle(bearing - a.theta)) > sensor.fov / 2:
+            if d > g.sensor.max_range or abs(wrap_angle(bearing - a.theta)) > g.sensor.fov / 2:
                 continue
-            scan_a, scan_b = scans[i] = raycast_scan(g, a), raycast_scan(g, b)
-            in_view_a = len(gridworld._overlap_rays(g, scan_a, b)[1])
+            scan_a, scan_b = raycast_scan(g, a), raycast_scan(g, b)
+            bearing_a, dist_a = gridworld._overlap_rays(g, scan_a, b)
             in_view_b = len(gridworld._overlap_rays(g, scan_b, a)[1])
-            if in_view_a < t * len(scan_a.hit_points):
+            if len(dist_a) < t * len(scan_a.hit_points):
                 assert directed_overlap(g, scan_a, b) < t
-                expected[i] = 0
+                expected[i] = ("few of a's", 0), scan_a, scan_b
             elif (directed_overlap(g, scan_a, b) >= t
                   and in_view_b < t * len(scan_b.hit_points)):
-                expected[i] = 1
+                walled = box_holds_wall(g, b.x, b.y, bearing_a, dist_a - CAST_TOL)
+                expected[i] = ("few of b's", int(walled)), scan_a, scan_b
         calls = []
         cast = gridworld.raycast
         monkeypatch.setattr(gridworld, "raycast",
                             lambda *args: calls.append(1) or cast(*args))
-        for i, n_casts in expected.items():
+        for i, ((_, n_casts), scan_a, scan_b) in expected.items():
             calls.clear()
-            scan_a, scan_b = scans[i]
-            assert not co_visible(g, *pairs[i], t, lambda: scan_a, lambda: scan_b)
-            assert len(calls) == n_casts, pairs[i]
-        assert set(expected.values()) == {0, 1}
+            assert not co_visible(*cases[i], t, lambda: scan_a, lambda: scan_b)
+            assert len(calls) == n_casts, cases[i][1:]
+        assert {kind for kind, _, _ in expected.values()} == {
+            ("few of a's", 0), ("few of b's", 0), ("few of b's", 1)}
 
     def test_a_target_inside_a_wall_is_not_seen(self):
         # b sits inside a one-cell pillar in a's view, facing the far wall
@@ -509,6 +543,84 @@ class TestCoVisible:
         assert len(gridworld._overlap_rays(g, scan_a, b)[1]) >= 0.3 * len(scan_a.hit_points)
         for t in (0.0, 0.3):
             assert co_visible(g, a, b, t) is False
+
+
+# The raycast maps, built once for the box properties.
+BOX_MAPS = [make() for make in MAPS]
+
+# A coordinate anywhere on a 10 m map, or exactly on one of its gridlines.
+COORDS = st.one_of(st.floats(0.0, 10.0), st.integers(0, 100).map(lambda i: i * RES))
+# Bearings anywhere, or along an axis or a diagonal.
+BEARINGS = st.one_of(st.floats(-math.pi, math.pi),
+                     st.sampled_from([0.0, math.pi / 2, math.pi, -math.pi / 2, math.pi / 4]))
+# Distances a ray must reach: up to 3 m, or not positive, as for an impact
+# point within the tolerance of the origin, or at the origin itself.
+REACHES = st.one_of(st.floats(-0.2, 3.0), st.sampled_from([0.0, -1e-9, -CAST_TOL]))
+
+
+class TestBoxTest:
+    """A free box decides a batch cast: every ray reaches its distance, and
+    the sight line to each point in the box is clear."""
+
+    @given(st.integers(0, 2), COORDS, COORDS,
+           st.lists(st.tuples(BEARINGS, REACHES), min_size=1, max_size=6),
+           st.floats(0.0, 2.0), st.one_of(st.none(), st.tuples(COORDS, COORDS)))
+    @settings(max_examples=400, deadline=None)
+    def test_a_free_box_means_every_ray_reaches(self, map_index, x, y, rays, extra, point):
+        g = BOX_MAPS[map_index]
+        assume(g.in_bounds(x, y))
+        bearing, reach = np.array(rays).T
+        points = () if point is None else (point,)
+        clear = gridworld._rays_clear(g, x, y, bearing, reach, *points)
+        assert clear == (not box_holds_wall(g, x, y, bearing, reach, *points))
+        if not g.cell_free(x, y):
+            assert not clear
+        if not clear:
+            return
+        r = raycast(g, x, y, bearing, max(reach.max(), 0.0) + extra)
+        assert (r >= reach).all()
+        for px, py in points:
+            d = math.hypot(px - x, py - y)
+            if d >= 1e-12:
+                ray = raycast(g, x, y, [math.atan2(py - y, px - x)], d)[0]
+                assert ray + 1e-9 >= d
+
+    def test_a_box_off_the_map_or_not_a_number_is_never_free(self):
+        g = apartment_map()
+        assert g.box_free(1.0, 1.0, 2.0, 2.0) and g.box_free(1.0, 1.0, 2.0, 2.0, clearance=True)
+        for box in [(-0.05, 1.0, 2.0, 2.0), (1.0, 1.0, 2.0, 8.0), (1.0, 1.0, math.inf, 2.0),
+                    (math.nan, 1.0, 2.0, 2.0), (1.0, 1.0, 2.0, math.nan)]:
+            assert not g.box_free(*box) and not g.box_free(*box, clearance=True), box
+        assert not gridworld._rays_clear(g, math.nan, 2.0, np.array([0.0]), np.array([1.0]))
+        assert not gridworld._rays_clear(g, 2.0, 2.0, np.array([math.nan]), np.array([1.0]))
+
+    def test_boxes_count_the_cells_they_touch(self):
+        # A box that ends exactly on a wall cell's edge touches that cell.
+        # The clearance mask blocks x < 0.275 and x >= 9.725 here, and its
+        # box test counts whole cells that hold a blocked subcell, so the
+        # box is not clear once it reaches the cell [9.7, 9.8).
+        g = empty_room()
+        assert g.box_free(0.1, 0.1, 9.9 - 1e-9, 9.9 - 1e-9)
+        assert not g.box_free(0.1, 0.1, 9.9, 5.0)
+        assert not g.box_free(0.1 - 1e-9, 5.0, 5.0, 5.0)
+        assert g.box_free(0.31, 0.31, 9.69, 9.69, clearance=True)
+        assert not g.box_free(0.31, 0.31, 9.71, 5.0, clearance=True)
+        assert not g.box_free(0.25 + 1e-9, 5.0, 5.0, 5.0, clearance=True)
+        assert g.disc_blocked(0.27, 5.0) and not g.disc_blocked(0.28, 5.0)
+
+    def test_an_origin_in_a_wall_still_raises(self):
+        # a stands in a one-cell pillar: its box is not free, so co_visible
+        # casts from it, and the cast refuses the origin.
+        room = with_sensor(empty_room(8.0, 10.0), SensorConfig(max_range=10.0))
+        a, b = Pose2D(3.05, 5.05, 0.0), Pose2D(5.0, 5.0, 0.0)
+        scan_a, scan_b = raycast_scan(room, a), raycast_scan(room, b)
+        assert co_visible(room, a, b, 0.3, lambda: scan_a, lambda: scan_b)
+        occ = room.occupied.copy()
+        occ[50, 30] = True
+        g = GridMap(room.resolution, occ, sensor=room.sensor)
+        for t in (0.0, 0.3):
+            with pytest.raises(InvalidPose):
+                co_visible(g, a, b, t, lambda: scan_a, lambda: scan_b)
 
 
 class TestStaircase:

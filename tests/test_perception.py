@@ -12,6 +12,7 @@ from toponav.fixtures import apartment_map, generate_rooms_map, two_room_map
 from toponav.gridworld import (
     GridMap,
     SensorConfig,
+    co_visible,
     raycast_scan,
     sample_free_pose,
     shortest_feasible_path,
@@ -36,6 +37,8 @@ from toponav.se2 import (
 from toponav.topograph import BuildParams, TopoGraph, load_trajectory, localize, save_trajectory
 
 from test_gridworld import (
+    BOX_MAPS,
+    MAP_IDS,
     MAPS,
     empty_room,
     is_visible,
@@ -256,6 +259,63 @@ class TestStaircaseAccept:
             if "stair" in seen:
                 got[math.isfinite(seen["stair"]), "search" in seen, label] += 1
         assert set(got) == outcomes, got
+
+
+class TestFreeBoxes:
+    """co_visible skips a cast, and label_reachability a Dubins sweep, that
+    a free box decides; no result differs from casting and sampling."""
+
+    @pytest.mark.parametrize("map_index", range(3), ids=MAP_IDS)
+    def test_results_equal_the_cast_and_sample_path(self, monkeypatch, map_index):
+        base = MAPS[map_index]()
+        pairs = label_test_pairs(base, np.random.default_rng(70 + map_index), 150,
+                                 1.05 * CRIT.E_max)
+        cases = []
+        for sensor in [SensorConfig(), SensorConfig(max_range=2.0),
+                       SensorConfig(fov=1.0, n_rays=20)]:
+            g = with_sensor(base, sensor)
+            cases += [(g, a, b, raycast_scan(g, a), raycast_scan(g, b)) for a, b in pairs]
+        crits = [replace(CRIT, L_min=t) for t in (0.0, 0.1, 0.3, 0.6, 1.0)]
+
+        def results():
+            return [(co_visible(g, a, b, c.L_min, lambda: sa, lambda: sb),
+                     label_reachability(g, a, b, c, lambda: sa, lambda: sb))
+                    for g, a, b, sa, sb in cases for c in crits]
+
+        boxes = Counter()
+        box_free = GridMap.box_free
+
+        def counted(grid, *box, clearance=False):
+            free = box_free(grid, *box, clearance=clearance)
+            boxes[clearance, free] += 1
+            return free
+
+        monkeypatch.setattr(GridMap, "box_free", counted)
+        shipped = results()
+        # Every box holds a wall: each cast and sweep runs as it did before
+        # the box tests.
+        monkeypatch.setattr(GridMap, "box_free", lambda *args, **kwargs: False)
+        assert results() == shipped
+        assert set(boxes) == {(False, False), (False, True), (True, False), (True, True)}
+        assert {(False, 0), (True, 0), (True, 1)} <= set(shipped)
+
+    @given(st.integers(0, 2), st.floats(0.0, 10.0), st.floats(0.0, 8.0), HEADING_OFFSETS,
+           st.one_of(st.floats(-2.5, 2.5), st.sampled_from([0.0, 0.05, -0.1])),
+           st.one_of(st.floats(-2.5, 2.5), st.sampled_from([0.0, 0.05, -0.1])),
+           HEADING_OFFSETS, st.sampled_from([0.1, 0.3, 1.0]), st.booleans())
+    @settings(max_examples=400, deadline=None)
+    def test_a_free_sweep_box_leaves_every_sample_clear(self, map_index, x, y, theta, dx, dy,
+                                                        turn, radius, on_gridlines):
+        g = BOX_MAPS[map_index]
+        if on_gridlines:
+            x, y = round(x / g.resolution) * g.resolution, round(y / g.resolution) * g.resolution
+        a = Pose2D(x, y, theta)
+        # b straight ahead of a when the offset is along a's heading.
+        b = Pose2D(x + dx, y + dy, theta + turn)
+        if not perception._sweep_clear(g, a, b, radius):
+            return
+        poses = dubins_sample(a, b, radius, 0.5 * g.resolution)
+        assert not any(g.disc_blocked(px, py) for px, py in poses[:, :2].tolist())
 
 
 class TestOracleEstimator:

@@ -29,7 +29,7 @@ from toponav import (
     save_graph,
     save_trajectory,
 )
-from toponav.fixtures import two_room_map, two_room_route
+from toponav.fixtures import apartment_map, apartment_route, two_room_map, two_room_route
 from toponav.navharness import OdomNoise
 
 
@@ -46,6 +46,16 @@ def test_two_room_build_graph_bytes(tmp_path):
     path = tmp_path / "build.graph"
     save_graph(graph, pool, str(path))
     assert _sha256(path) == "5d640397b2ee903e56b659dad6831167c412794071b6bebeec88c26879d94772"
+
+
+def test_apartment_build_graph_bytes(tmp_path):
+    # The benchmark's apartment build: three loops of the route, noise-free
+    # labels, build seed 101.
+    traj = collect_trajectory(World(apartment_map()), apartment_route(), loops=3, spacing=0.2)
+    graph, pool = build_graph(traj, OracleEstimator(apartment_map()), BuildParams(rng_seed=101))
+    path = tmp_path / "build.graph"
+    save_graph(graph, pool, str(path))
+    assert _sha256(path) == "596228da94cbb672f11bd5aa3669718461565be4a674204a94bd6bac9d8cb1da"
 
 
 def test_two_room_trajectory_bytes(tmp_path):
